@@ -34,7 +34,6 @@ from .levy import TemperedStableMeasure, TruncationPolicy
 from .models import BNSParams, BnsDriver, HestonDriver, HestonParams
 from .pricing import AsianSpec, BandViolationError
 from .rng import stream
-from .schemes import SchemeError
 
 __all__ = ["main", "ConfigError", "RunConfig", "load_config"]
 
@@ -158,8 +157,16 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"strikes must be >= 0, got {cfg.strikes}")
     if cfg.maturities is not None and any(t <= 0.0 for t in cfg.maturities):
         raise ConfigError(f"maturities must be positive, got {cfg.maturities}")
+    if cfg.hist_bins < 1:
+        raise ConfigError(f"hist_bins must be >= 1, got {cfg.hist_bins}")
     if not cfg.hist_hi > cfg.hist_lo:
         raise ConfigError("hist_hi must exceed hist_lo")
+    if cfg.oracle_paths < 2:
+        raise ConfigError(f"oracle_paths must be >= 2, got {cfg.oracle_paths}")
+    if not cfg.oracle_fine_step > 0.0:
+        raise ConfigError(f"oracle_fine_step must be positive, got {cfg.oracle_fine_step}")
+    if cfg.scan_max < 10:
+        raise ConfigError(f"scan_max must be >= 10, got {cfg.scan_max}")
 
 
 def _build_schedule(cfg: RunConfig) -> schedule.Schedule:
@@ -313,7 +320,9 @@ def cmd_stationary_stats(cfg: RunConfig) -> None:
     vol_coord = 0 if cfg.model == "heston" else 1
     marg = MarginalAccumulator(dim=driver.dim, bins=cfg.hist_bins,
                                lo=cfg.hist_lo, hi=cfg.hist_hi)
-    T = sched.gamma(1)  # marginal-only sweep: keep windows trivial
+    # The marginal reads only each window's start, so T only sets how far
+    # the trajectory runs past n_iters.
+    T = sched.gamma(1)
     res = engine.run(driver, sched, functional=None, T=T, n_iters=cfg.n_iters,
                      rng=stream(cfg.seed, 0), marginal=marg)
     rows = []
@@ -351,6 +360,12 @@ def cmd_oracle(cfg: RunConfig) -> None:
     _validate(cfg)
     if cfg.model != "heston":
         raise ConfigError("the oracle command supports only model=heston")
+    # Checked here, not in _validate: only the oracle ties its grid step to
+    # the maturity, and other commands accept maturities below 1 with the
+    # default step.
+    if not cfg.oracle_fine_step <= 1e-3 * cfg.maturity:
+        raise ConfigError(f"oracle_fine_step must be <= 1e-3 * maturity = "
+                          f"{1e-3 * cfg.maturity}, got {cfg.oracle_fine_step}")
     driver = _build_driver(cfg)
     rows = []
     for i, k in enumerate(cfg.strikes):
@@ -410,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DriverStepError, SchemeError, ArithmeticError) as exc:
+    except (DriverStepError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     print(f"# wall_time_s={time.perf_counter() - t0:.3f}", file=sys.stderr)

@@ -16,11 +16,10 @@ advances, so live storage stays at one window's length.
 The trajectory itself is produced by a *driver*: any object with
 
     ``dim``            -- state dimension d
-    ``records_aux``    -- whether step() returns an auxiliary scalar to record
     ``initial_state()``-- the state at grid index 0
     ``step(state, index, gamma, rng)`` -- the transition to grid index
                           ``index`` over a step of length ``gamma``; returns
-                          ``new_state`` or ``(new_state, aux)``.
+                          the new state.
 
 Drivers are strictly sequential (each step depends on the last); parallelism
 belongs at the replication level with one RNG stream per engine run.
@@ -42,9 +41,7 @@ __all__ = [
     "WindowTooShortError",
     "PathBuffer",
     "Window",
-    "window_integral",
     "FunctionalAverage",
-    "update_average",
     "MarginalAccumulator",
     "MarginalStats",
     "RunResult",
@@ -76,12 +73,11 @@ class PathBuffer:
     evicted prefix dominates, so memory stays proportional to the live span.
     """
 
-    __slots__ = ("dim", "_cols", "_aux", "_base", "_start", "_end")
+    __slots__ = ("dim", "_cols", "_base", "_start", "_end")
 
-    def __init__(self, dim: int, record_aux: bool = False, capacity: int = 1024):
+    def __init__(self, dim: int, capacity: int = 1024):
         self.dim = dim
         self._cols = [np.empty(capacity) for _ in range(dim)]
-        self._aux = np.empty(capacity) if record_aux else None
         self._base = 0  # global index stored at physical slot 0
         self._start = 0  # smallest retained global index
         self._end = -1  # largest stored global index
@@ -94,7 +90,7 @@ class PathBuffer:
     def end(self) -> int:
         return self._end
 
-    def append(self, state: Sequence[float], aux: float = 0.0) -> None:
+    def append(self, state: Sequence[float]) -> None:
         pos = self._end + 1 - self._base
         cap = len(self._cols[0])
         if pos >= cap:
@@ -102,8 +98,6 @@ class PathBuffer:
             pos = self._end + 1 - self._base
         for c in range(self.dim):
             self._cols[c][pos] = state[c]
-        if self._aux is not None:
-            self._aux[pos] = aux
         self._end += 1
 
     def _compact_or_grow(self) -> None:
@@ -114,8 +108,6 @@ class PathBuffer:
             # plenty of dead prefix: slide live data to the front
             for c in range(self.dim):
                 self._cols[c][:live_n] = self._cols[c][live_lo : live_lo + live_n]
-            if self._aux is not None:
-                self._aux[:live_n] = self._aux[live_lo : live_lo + live_n]
             self._base = self._start
         else:
             new_cap = cap * 2
@@ -123,10 +115,6 @@ class PathBuffer:
                 grown = np.empty(new_cap)
                 grown[:live_n] = self._cols[c][live_lo : live_lo + live_n]
                 self._cols[c] = grown
-            if self._aux is not None:
-                grown = np.empty(new_cap)
-                grown[:live_n] = self._aux[live_lo : live_lo + live_n]
-                self._aux = grown
             self._base = self._start
 
     def evict_below(self, index: int) -> None:
@@ -151,13 +139,6 @@ class PathBuffer:
         self._check_range(lo, hi)
         p = lo - self._base
         return self._cols[coord][p : p + (hi - lo + 1)]
-
-    def aux_slice(self, lo: int, hi: int) -> np.ndarray:
-        if self._aux is None:
-            raise BufferAccessError("buffer records no auxiliary channel")
-        self._check_range(lo, hi)
-        p = lo - self._base
-        return self._aux[p : p + (hi - lo + 1)]
 
     def retained_indices(self) -> range:
         return range(self._start, self._end + 1)
@@ -199,27 +180,11 @@ class Window:
         """Values of one state coordinate at the window grid points."""
         return self._buf.coord_slice(coord, self.start, self.end)
 
-    def state_matrix(self) -> np.ndarray:
-        """Grid states as an ``(len, dim)`` array (copies)."""
-        return np.column_stack([self.states(c) for c in range(self._buf.dim)])
-
-    def aux(self) -> np.ndarray:
-        """Recorded auxiliary values aligned with the grid points."""
-        return self._buf.aux_slice(self.start, self.end)
-
-    def start_state(self) -> tuple[float, ...]:
-        return self._buf.state(self.start)
-
     def integral_of_values(self, values: np.ndarray, T: float | None = None) -> float:
         """Exact integral over ``[0, T]`` of the stepwise path taking ``values``."""
         if T is None or T == self.T:
             return float(np.dot(values, self.seg_lengths))
         return float(np.dot(values, _clip_segments(self.grid_times, self.seg_lengths, self.T, T)))
-
-    def integral(self, g: Callable, T: float | None = None) -> float:
-        """Integral of ``g`` along the stepwise path; ``g`` maps a state tuple to a real."""
-        vals = np.array([g(s) for s in zip(*(self.states(c) for c in range(self._buf.dim)))])
-        return self.integral_of_values(vals, T)
 
 
 def _clip_segments(
@@ -229,11 +194,6 @@ def _clip_segments(
         raise WindowTooShortError(f"window covers [0, {T_window}], requested horizon {T}")
     clipped = np.minimum(seg_lengths, np.maximum(T - grid_times, 0.0))
     return clipped
-
-
-def window_integral(window: Window, g: Callable, T: float | None = None) -> float:
-    """Integral of a state functional along a window's stepwise path."""
-    return window.integral(g, T)
 
 
 class FunctionalAverage:
@@ -264,11 +224,6 @@ class FunctionalAverage:
 
     def copy_value(self):
         return np.array(self.value, copy=True) if isinstance(self.value, np.ndarray) else self.value
-
-
-def update_average(avg: FunctionalAverage, eta: float, f_value) -> FunctionalAverage:
-    """Fold one weighted observation into a running average (in place)."""
-    return avg.update(eta, f_value)
 
 
 @dataclass
@@ -344,10 +299,6 @@ class MarginalAccumulator:
         )
 
 
-def marginal_stats(acc: MarginalAccumulator) -> MarginalStats:
-    return acc.stats()
-
-
 @dataclass
 class RunResult:
     """Outcome of an engine sweep."""
@@ -359,7 +310,6 @@ class RunResult:
     checkpoints: list = field(default_factory=list)  # (n, value) pairs
     marginal: MarginalAccumulator | None = None
     marginal_checkpoints: list = field(default_factory=list)  # (n, mean, variance)
-    buffer: PathBuffer | None = None
 
     @property
     def value(self):
@@ -384,34 +334,36 @@ def run(
     T: float,
     n_iters: int,
     rng: np.random.Generator,
-    phi: Callable[[tuple], float] | None = None,
     marginal: MarginalAccumulator | None = None,
     track_second_moment: bool = False,
-    keep_buffer: bool = False,
 ) -> RunResult:
     """Sweep ``n_iters`` shifted windows of length ``T`` along one trajectory.
 
     At iteration ``j`` (zero-based) the window starting at grid index ``j``
-    is evaluated and folded in with weight ``eta_{j+1}``.  When ``phi`` is
-    given, ``F(window) * phi(window start state)`` is folded instead, which
-    reweights the estimate toward an initial law absolutely continuous with
-    respect to the invariant one.  After iteration ``j`` the buffer retains
-    exactly the indices ``[j + 1, horizon_index(j + 1, T)]``.
+    is evaluated and folded in with weight ``eta_{j+1}``.  After iteration
+    ``j`` the buffer retains exactly the indices
+    ``[j + 1, horizon_index(j + 1, T)]``.
 
-    ``functional=None`` runs marginal/diagnostic sweeps without window
-    evaluation.  Estimates are checkpointed at ``n = 1, 10, 100, ...`` and
-    at the final iteration.
+    ``functional=None`` runs marginal sweeps without building windows; the
+    marginal reads only each window's start state.  Estimates are
+    checkpointed at ``n = 1, 10, 100, ...`` and at the final iteration.
     """
     if n_iters < 1:
         raise ValueError(f"need at least one iteration, got {n_iters}")
     if not T > 0.0:
         raise ValueError(f"window horizon must be positive, got {T}")
 
-    buf = PathBuffer(driver.dim, record_aux=getattr(driver, "records_aux", False))
+    # Every schedule index the sweep reads lies at or below N(n_iters, T),
+    # the last horizon it computes: extend the cache once, keep the views.
+    end = sched.horizon_index(n_iters, T) + 2
+    gam = sched.gamma_slice(0, end)
+    eta = sched.eta_slice(0, end)
+    Gam = sched.Gamma_slice(0, end)
+
+    buf = PathBuffer(driver.dim)
     state = tuple(float(x) for x in driver.initial_state())
     buf.append(state)
     frontier = 0
-    records_aux = getattr(driver, "records_aux", False)
 
     avg = FunctionalAverage() if functional is not None else None
     avg2 = FunctionalAverage() if (functional is not None and track_second_moment) else None
@@ -421,50 +373,36 @@ def run(
 
     def extend_to(target: int) -> None:
         nonlocal state, frontier
-        sched.ensure(target + 1)
-        gam = sched._gam  # re-read: ensure() may have swapped the arrays
         while frontier < target:
             k = frontier + 1
-            g = float(gam[k])
             try:
-                out = driver.step(state, k, g, rng)
+                state = driver.step(state, k, float(gam[k]), rng)
             except Exception as exc:  # surface the index of the failing step
                 raise DriverStepError(k, str(exc)) from exc
-            if records_aux:
-                state, aux = out
-            else:
-                state, aux = out, 0.0
             s0 = state[0]
             ok = math.isfinite(s0) if driver.dim == 1 else all(map(math.isfinite, state))
             if not ok:
                 raise DriverStepError(k, f"non-finite state {state}")
-            buf.append(state, aux)
+            buf.append(state)
             frontier = k
 
     N_j = sched.horizon_index(0, T)
     extend_to(N_j)
-    gam = sched._gam
-    eta = sched._eta
-    Gam = sched._Gam
 
     for j in range(n_iters):
-        m = N_j - j
-        t = Gam[j : N_j + 1] - Gam[j]
-        ell = np.empty(m + 1)
-        ell[:m] = gam[j + 1 : N_j + 1]
-        ell[m] = T - t[m]
-
+        eta_j = float(eta[j + 1])
         if functional is not None:
-            window = Window(buf, j, N_j, T, t, ell)
-            f = functional(window)
-            if phi is not None:
-                f = f * phi(buf.state(j))
-            eta_j = float(eta[j + 1])
+            m = N_j - j
+            t = Gam[j : N_j + 1] - Gam[j]
+            ell = np.empty(m + 1)
+            ell[:m] = gam[j + 1 : N_j + 1]
+            ell[m] = T - t[m]
+            f = functional(Window(buf, j, N_j, T, t, ell))
             avg.update(eta_j, f)
             if avg2 is not None:
                 avg2.update(eta_j, f * f)
         if marginal is not None:
-            marginal.update(float(eta[j + 1]), buf.state(j))
+            marginal.update(eta_j, buf.state(j))
 
         n_done = j + 1
         if n_done in cp_grid:
@@ -477,9 +415,6 @@ def run(
         buf.evict_below(j + 1)
         N_j = sched.horizon_index(j + 1, T, hint=N_j)
         extend_to(N_j)
-        gam = sched._gam
-        eta = sched._eta
-        Gam = sched._Gam
 
     return RunResult(
         n_iters=n_iters,
@@ -489,5 +424,4 @@ def run(
         checkpoints=checkpoints,
         marginal=marginal,
         marginal_checkpoints=marginal_checkpoints,
-        buffer=buf if keep_buffer else None,
     )

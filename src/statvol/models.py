@@ -1,8 +1,8 @@
 """Stationary stochastic volatility dynamics packaged as engine drivers.
 
-Two models are provided, each as (a) a one-step transition usable on its
-own and (b) a driver for the windowed-average engine together with the map
-from a state window to the corresponding price path over ``[0, T]``.
+Two models are provided, each as a driver for the windowed-average engine
+together with the map from a state window to the corresponding price path
+over ``[0, T]``.
 
 Square-root (Heston-type) model
     d S = S (r dt + sqrt((1-rho^2) v) dW1 + rho sqrt(v) dW2)
@@ -50,16 +50,13 @@ __all__ = [
     "HestonParams",
     "BNSParams",
     "PricePathView",
-    "heston_joint_step",
     "heston_price_path",
-    "bns_joint_step",
     "bns_price_path",
     "HestonDriver",
     "BnsDriver",
     "heston_invariant_gamma",
     "heston_invariant_moments",
     "bns_jump_cumulant_rate",
-    "bns_stationary_mean_variance",
     "growth_rate",
 ]
 
@@ -169,11 +166,6 @@ def bns_jump_cumulant_rate(params: BNSParams) -> float:
     return m.c * math.gamma(1.0 - a) * (m.lam**a - (m.lam - rho) ** a) / a
 
 
-def bns_stationary_mean_variance(params: BNSParams) -> float:
-    """Stationary mean of v: full jump mass rate over mu."""
-    return params.jump.mean_rate() / params.mu
-
-
 def growth_rate(params) -> float:
     """Exponential growth rate g with ``E[S_t] = s0 * e^{g t}`` for the model."""
     if isinstance(params, HestonParams):
@@ -253,28 +245,6 @@ def _shifted_cumsum(values: np.ndarray) -> np.ndarray:
 # -- square-root model --------------------------------------------------------
 
 
-def heston_joint_step(
-    state: tuple[float, float],
-    gamma: float,
-    params: HestonParams,
-    rng: np.random.Generator,
-) -> tuple[tuple[float, float], float]:
-    """One (v, y) step; returns the new state and the recorded dW2 increment.
-
-    Draws two independent scaled Brownian increments (v first, then y); the
-    correlation rho enters only through the price reconstruction, never the
-    state dynamics.
-    """
-    v, y = state
-    z = rng.standard_normal(2)
-    sg = math.sqrt(gamma)
-    dw2 = sg * float(z[0])
-    dw1 = sg * float(z[1])
-    v1 = cir_reflected_step(v, gamma, params.k, params.theta, params.sigma_v, dw2)
-    y1 = ou_companion_step(y, gamma, v, dw1)
-    return (v1, y1), dw2
-
-
 def heston_price_path(window: Window, params: HestonParams,
                       T: float | None = None) -> PricePathView:
     """Reconstruct the price path over a (v, y) window.
@@ -332,14 +302,13 @@ class _BlockNormals:
 class HestonDriver:
     """Engine driver for the (v, y) scheme.
 
-    Consumes normals from its own block cache (two per step: dW2 then dW1),
-    so trajectories are reproducible given the generator but the raw-draw
-    layout differs from repeated :func:`heston_joint_step` calls.  Records
-    the dW2 increments as the trajectory's auxiliary channel.
+    Each step draws two independent scaled Brownian increments from the
+    driver's own block cache of normals, dW2 for v first, then dW1 for y;
+    the correlation rho enters only through the price reconstruction, never
+    the state dynamics.
     """
 
     dim = 2
-    records_aux = True
     model_name = "heston"
 
     def __init__(self, params: HestonParams):
@@ -360,41 +329,13 @@ class HestonDriver:
         dw1 = sg * blk.take()
         v1 = cir_reflected_step(v, gamma, p.k, p.theta, p.sigma_v, dw2)
         y1 = ou_companion_step(y, gamma, v, dw1)
-        return (v1, y1), dw2
+        return (v1, y1)
 
     def price_path(self, window: Window) -> PricePathView:
         return heston_price_path(window, self.params)
 
 
 # -- log-price/subordinator model ---------------------------------------------
-
-
-def _bns_update(
-    x: float, v: float, gamma: float, r: float, rho: float, mu: float,
-    dw: float, dz: float,
-) -> tuple[float, float]:
-    if v < 0.0:
-        raise ValueError(f"variance went negative ({v}); need gamma*mu <= 1")
-    x1 = x + gamma * (r - 0.5 * v) + math.sqrt(v) * dw + rho * dz
-    v1 = v - gamma * mu * v + dz
-    return x1, v1
-
-
-def bns_joint_step(
-    state: tuple[float, float],
-    gamma: float,
-    params: BNSParams,
-    rng: np.random.Generator,
-    index: int = 0,
-) -> tuple[float, float]:
-    """One (x, v) step.  A single subordinator increment enters both
-    equations: the log price jumps by ``rho * dZ <= 0`` exactly when the
-    variance jumps by ``dZ >= 0``."""
-    x, v = state
-    u = params.truncation.threshold(index, gamma)
-    dz = levy.compound_poisson_increment(params.jump, u, gamma, params.compensate, rng)
-    dw = math.sqrt(gamma) * rng.standard_normal()
-    return _bns_update(x, v, gamma, params.r, params.rho, params.mu, dw, dz)
 
 
 def bns_price_path(window: Window, params: BNSParams,
@@ -417,7 +358,6 @@ class BnsDriver:
     """
 
     dim = 2
-    records_aux = False
     model_name = "bns"
 
     def __init__(self, params: BNSParams, scheme: str = "P", increment_sampler=None):
@@ -448,7 +388,13 @@ class BnsDriver:
                 dz = levy.wienerized_increment(p.jump, u, gamma, p.compensate, rng)
         dw = math.sqrt(gamma) * blk.take()
         x, v = state
-        return _bns_update(x, v, gamma, p.r, p.rho, p.mu, dw, dz)
+        if v < 0.0:
+            raise ValueError(f"variance went negative ({v}); need gamma*mu <= 1")
+        # One subordinator increment enters both equations: the log price
+        # jumps by rho * dz <= 0 exactly when the variance jumps by dz >= 0.
+        x1 = x + gamma * (p.r - 0.5 * v) + math.sqrt(v) * dw + p.rho * dz
+        v1 = v - gamma * p.mu * v + dz
+        return x1, v1
 
     def price_path(self, window: Window) -> PricePathView:
         return bns_price_path(window, self.params)

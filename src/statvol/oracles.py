@@ -124,7 +124,6 @@ class _OUDriver:
     """dy = -y dt + sigma dW as an engine driver (constant variance)."""
 
     dim = 1
-    records_aux = False
 
     def __init__(self, sigma: float):
         self.var = sigma * sigma
@@ -157,6 +156,8 @@ def ou_stationary_check(
         raise ValueError(f"noise scale must be >= 0, got {sigma}")
     half_width = 5.0 * sigma / math.sqrt(2.0) if sigma > 0.0 else 1.0
     marg = engine.MarginalAccumulator(dim=1, bins=200, lo=-half_width, hi=half_width)
+    # The marginal reads only each window's start, so T only sets how far
+    # the trajectory runs past n_iters.
     engine.run(
         _OUDriver(sigma),
         sched,

@@ -37,12 +37,8 @@ import numpy as np
 __all__ = [
     "Schedule",
     "ScheduleError",
-    "WindowIndices",
     "Diagnostic",
     "make_polynomial_schedule",
-    "horizon_index",
-    "window_start",
-    "window_indices",
     "check_weight_step_condition",
     "check_invariance_condition",
     "check_series_condition",
@@ -59,14 +55,12 @@ class ScheduleError(ValueError):
     """Invalid schedule parameters or arguments."""
 
 
-@dataclass(frozen=True)
-class WindowIndices:
-    """Window bookkeeping for a start index ``n`` and horizon ``T``."""
-
-    n: int
-    T: float
-    N: int
-    tau: int
+def _read_only(view: np.ndarray) -> np.ndarray:
+    # A view shares memory with the cache that every run on this schedule
+    # reads.  It stays valid when ensure() later grows the cache, because
+    # growth copies into new arrays and leaves the viewed values in place.
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)
@@ -158,10 +152,6 @@ class Schedule:
             lo = hi
         self._n = target
 
-    @property
-    def cached_through(self) -> int:
-        return self._n
-
     # -- sequence access --------------------------------------------------
 
     def gamma(self, n: int) -> float:
@@ -189,13 +179,19 @@ class Schedule:
         return float(self._H[n])
 
     def gamma_slice(self, lo: int, hi: int) -> np.ndarray:
-        """View of ``gamma_lo .. gamma_{hi-1}`` (read-only by convention)."""
+        """Read-only view of ``gamma_lo .. gamma_{hi-1}``."""
         self.ensure(hi - 1)
-        return self._gam[lo:hi]
+        return _read_only(self._gam[lo:hi])
+
+    def eta_slice(self, lo: int, hi: int) -> np.ndarray:
+        """Read-only view of ``eta_lo .. eta_{hi-1}``."""
+        self.ensure(hi - 1)
+        return _read_only(self._eta[lo:hi])
 
     def Gamma_slice(self, lo: int, hi: int) -> np.ndarray:
+        """Read-only view of ``Gamma_lo .. Gamma_{hi-1}``."""
         self.ensure(hi - 1)
-        return self._Gam[lo:hi]
+        return _read_only(self._Gam[lo:hi])
 
     # -- window index maps --------------------------------------------------
 
@@ -291,18 +287,6 @@ class Schedule:
 def make_polynomial_schedule(c1: float, rho1: float, c2: float, rho2: float) -> Schedule:
     """Build the schedule ``eta_n = c1 * n**-rho1``, ``gamma_n = c2 * n**-rho2``."""
     return Schedule(c1, rho1, c2, rho2)
-
-
-def horizon_index(sched: Schedule, n: int, T: float, hint: int | None = None) -> int:
-    return sched.horizon_index(n, T, hint=hint)
-
-
-def window_start(sched: Schedule, n: int, T: float) -> int:
-    return sched.window_start(n, T)
-
-
-def window_indices(sched: Schedule, n: int, T: float) -> WindowIndices:
-    return WindowIndices(n=n, T=T, N=sched.horizon_index(n, T), tau=sched.window_start(n, T))
 
 
 # -- admissibility diagnostics ---------------------------------------------
@@ -403,6 +387,8 @@ def check_series_condition(
         raise ScheduleError(f"moment order s must exceed 1, got {s}")
     if sched.rho1 == 1.0:
         raise ScheduleError("series criterion requires rho1 < 1")
+    if k_max < 10:
+        raise ScheduleError(f"scan bound k_max must be >= 10, got {k_max}")
     sigma = s * (1.0 - eps)
     passed = sigma > 1.0 / (1.0 - sched.rho1)
     ks = np.arange(1, k_max + 1, dtype=np.int64)

@@ -1,70 +1,19 @@
-"""One-step transition kernels for decreasing-step Euler discretizations.
+"""One-step kernels of the square-root model's decreasing-step scheme.
 
-All kernels freeze coefficients at the left endpoint of the step.  Brownian
-increments are passed in already scaled, i.e. as ``sqrt(gamma) * N(0, 1)``
-draws; jump increments come from the ``levy`` module or a caller-supplied
-exact sampler.  Gaussian and jump draws must be independent.
+Both kernels freeze coefficients at the left endpoint of the step and take
+their Brownian increment already scaled, i.e. as ``sqrt(gamma) * N(0, 1)``:
+the reflected square-root step for the variance and the unit-rate
+mean-reverting companion step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
 
 __all__ = [
-    "EulerCoefficients",
-    "NoiseDraw",
-    "SchemeError",
-    "levy_euler_step",
     "cir_reflected_step",
     "ou_companion_step",
 ]
-
-
-class SchemeError(RuntimeError):
-    """Non-finite state produced by a scheme step."""
-
-
-@dataclass(frozen=True)
-class EulerCoefficients:
-    """Coefficient maps of a jump diffusion ``dX = b dt + sigma dW + kappa dZ``.
-
-    ``b`` maps a state vector to R^d; ``sigma`` and ``kappa`` map a state
-    vector to d x l matrices.
-    """
-
-    b: Callable[[np.ndarray], np.ndarray]
-    sigma: Callable[[np.ndarray], np.ndarray]
-    kappa: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class NoiseDraw:
-    """One step's noise: an l-dim standard normal and an l-dim jump increment."""
-
-    gaussian: np.ndarray
-    jump: np.ndarray
-
-
-def levy_euler_step(
-    x: np.ndarray, gamma: float, coeffs: EulerCoefficients, noise: NoiseDraw
-) -> np.ndarray:
-    """x + gamma*b(x) + sqrt(gamma)*sigma(x)@U + kappa(x)@xi."""
-    if not gamma > 0.0:
-        raise ValueError(f"step must be positive, got {gamma}")
-    x = np.asarray(x, dtype=float)
-    out = (
-        x
-        + gamma * np.asarray(coeffs.b(x), dtype=float)
-        + math.sqrt(gamma) * np.asarray(coeffs.sigma(x), dtype=float) @ noise.gaussian
-        + np.asarray(coeffs.kappa(x), dtype=float) @ noise.jump
-    )
-    if not np.all(np.isfinite(out)):
-        raise SchemeError(f"non-finite state {out} from x={x}, gamma={gamma}")
-    return out
 
 
 def cir_reflected_step(

@@ -65,10 +65,21 @@ class TestExitCodes:
         assert rc == 2
 
     def test_field_validation_names_field(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, replications=0)
-        rc = cli.main(["price-asian", "--config", str(cfg)])
-        assert rc == 2
-        assert "replications" in capsys.readouterr().err
+        # (command, key, value): each value lies outside the key's domain
+        cases = [
+            ("price-asian", "replications", 0),
+            ("stationary-stats", "hist_bins", 0),
+            ("check-schedule", "scan_max", 9),
+            ("oracle", "oracle_paths", 1),
+            ("oracle", "oracle_fine_step", 0.0),
+            ("oracle", "oracle_fine_step", 0.5),
+        ]
+        for command, key, value in cases:
+            cfg = write_config(tmp_path, **{key: value})
+            rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+            err = capsys.readouterr().err
+            assert rc == 2, (command, key, value, err)
+            assert key in err, (command, key, value, err)
 
     def test_ok_exit_0(self, tmp_path):
         cfg = write_config(tmp_path, n_iters=500)

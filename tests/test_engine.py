@@ -15,7 +15,6 @@ from statvol.engine import (
     MarginalAccumulator,
     PathBuffer,
     WindowTooShortError,
-    update_average,
 )
 from statvol.rng import stream
 from statvol.schedule import make_polynomial_schedule
@@ -25,7 +24,6 @@ class ConstantDriver:
     """Frozen trajectory: every step returns the initial state."""
 
     dim = 1
-    records_aux = False
 
     def __init__(self, x0=3.5):
         self.x0 = x0
@@ -59,7 +57,7 @@ class FailingDriver(ConstantDriver):
 class TestFunctionalAverage:
     def test_first_update_equals_value(self):
         avg = FunctionalAverage()
-        update_average(avg, 0.7, 42.0)
+        avg.update(0.7, 42.0)
         assert avg.value == 42.0
         assert avg.weight_total == 0.7
         assert avg.count == 1
@@ -137,16 +135,6 @@ class TestPathBuffer:
             buf.evict_below(max(0, i - 3))
         assert list(buf.coord_slice(0, 196, 199)) == [196.0, 197.0, 198.0, 199.0]
 
-    def test_aux_channel(self):
-        buf = PathBuffer(1, record_aux=True, capacity=4)
-        for i in range(6):
-            buf.append((0.0,), aux=10.0 * i)
-        assert list(buf.aux_slice(2, 4)) == [20.0, 30.0, 40.0]
-        plain = PathBuffer(1)
-        plain.append((0.0,))
-        with pytest.raises(BufferAccessError):
-            plain.aux_slice(0, 0)
-
 
 class TestRunBookkeeping:
     def test_constant_functional_gives_one(self):
@@ -167,11 +155,14 @@ class TestRunBookkeeping:
         s = make_polynomial_schedule(1.0, 0.0, 1.0, 1e-12)
         driver = CountingDriver()
         seen = []
-        res = engine.run(driver, s,
-                         lambda w: seen.append((w.start, w.end)) or 0.0,
-                         T=1.5, n_iters=3, rng=stream(0, 0), keep_buffer=True)
-        assert seen == [(0, 1), (1, 2), (2, 3)]
-        assert res.buffer.retained_indices() == range(3, 5)
+
+        def functional(w):
+            seen.append((w.start, w.end, w._buf))
+            return 0.0
+
+        engine.run(driver, s, functional, T=1.5, n_iters=3, rng=stream(0, 0))
+        assert [(a, b) for a, b, _ in seen] == [(0, 1), (1, 2), (2, 3)]
+        assert seen[-1][2].retained_indices() == range(3, 5)
         assert driver.simulated == [1, 2, 3, 4]
 
     def test_storage_contract_after_each_step(self):
@@ -214,21 +205,6 @@ class TestRunBookkeeping:
                        n_iters=50, rng=stream(0, 0))
         assert err.value.index == 3
 
-    def test_phi_of_one_matches_plain_run_bitwise(self):
-        s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
-
-        class WobbleDriver(ConstantDriver):
-            dim = 1
-
-            def step(self, state, index, gamma, rng):
-                return (state[0] + gamma * math.sin(index),)
-
-        f = lambda w: w.integral_of_values(w.states(0))
-        plain = engine.run(WobbleDriver(), s, f, T=1.0, n_iters=400, rng=stream(1, 0))
-        weighted = engine.run(WobbleDriver(), s, f, T=1.0, n_iters=400,
-                              rng=stream(1, 0), phi=lambda x0: 1.0)
-        assert plain.average.value == weighted.average.value  # bit-for-bit
-
     def test_checkpoint_grid(self):
         s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
         res = engine.run(ConstantDriver(), s, lambda w: 1.0, T=0.5,
@@ -249,15 +225,15 @@ class TestWindowIntegral:
 
     def test_unit_functional_gives_T(self):
         w = self._window([5.0, 7.0], [1.0, 0.5], 1.5)
-        assert engine.window_integral(w, lambda s: 1.0) == pytest.approx(1.5, rel=1e-15)
+        assert w.integral_of_values(np.ones(len(w))) == pytest.approx(1.5, rel=1e-15)
 
     def test_constant_path_identity(self):
         w = self._window([4.0, 4.0, 4.0], [0.5, 0.5, 0.25], 1.25)
-        assert engine.window_integral(w, lambda s: s[0]) == pytest.approx(5.0, rel=1e-15)
+        assert w.integral_of_values(w.states(0)) == pytest.approx(5.0, rel=1e-15)
 
     def test_two_segment_hand_sum(self):
         w = self._window([1.0, 3.0], [1.0, 0.5], 1.5)
-        assert engine.window_integral(w, lambda s: s[0]) == pytest.approx(2.5, rel=1e-15)
+        assert w.integral_of_values(w.states(0)) == pytest.approx(2.5, rel=1e-15)
 
     def test_clipped_horizon(self):
         w = self._window([1.0, 3.0], [1.0, 0.5], 1.5)

@@ -14,13 +14,11 @@ from statvol.models import (
     BnsDriver,
     HestonDriver,
     HestonParams,
-    bns_joint_step,
     bns_price_path,
     bns_jump_cumulant_rate,
     growth_rate,
     heston_invariant_gamma,
     heston_invariant_moments,
-    heston_joint_step,
     heston_price_path,
 )
 from statvol.rng import stream
@@ -39,11 +37,11 @@ def bench_bns(**kw):
                      jump=TemperedStableMeasure(c=0.01, lam=1.0, alpha=0.5), **kw)
 
 
-def make_window(states, lengths, T, dim=2, aux=None):
+def make_window(states, lengths, T, dim=2):
     """Assemble a window from explicit per-grid-point states."""
-    buf = PathBuffer(dim, record_aux=aux is not None)
-    for i, s in enumerate(states):
-        buf.append(s, aux=0.0 if aux is None else aux[i])
+    buf = PathBuffer(dim)
+    for s in states:
+        buf.append(s)
     lengths = np.asarray(lengths, dtype=float)
     t = np.concatenate(([0.0], np.cumsum(lengths[:-1])))
     return Window(buf, 0, len(states) - 1, T, t, lengths)
@@ -90,24 +88,26 @@ class TestParamValidation:
 
 
 class TestHestonJointStep:
+    """The joint (v, y) transition of :class:`HestonDriver`."""
+
     def test_equilibrium_fixed_point(self):
         p = bench_heston()
-        (v, y), dw2 = heston_joint_step((p.theta, 0.0), 0.1, p, ZeroRng())
+        v, y = HestonDriver(p).step((p.theta, 0.0), 1, 0.1, ZeroRng())
         assert (v, y) == (pytest.approx(p.theta), pytest.approx(0.0))
-        assert dw2 == 0.0
 
     def test_deterministic_contraction(self):
         p = bench_heston()
-        (v, y), _ = heston_joint_step((0.01, 1.0), 0.1, p, ZeroRng())
+        v, y = HestonDriver(p).step((0.01, 1.0), 1, 0.1, ZeroRng())
         assert v == pytest.approx(0.01)
         assert y == pytest.approx(0.9)
 
     def test_positivity(self):
         p = bench_heston()
+        driver = HestonDriver(p)
         rng = stream(3, 0)
         state = (0.0001, 0.0)
-        for _ in range(2000):
-            state, _ = heston_joint_step(state, 0.3, p, rng)
+        for k in range(1, 2001):
+            state = driver.step(state, k, 0.3, rng)
             assert state[0] >= 0.0
 
 
@@ -167,34 +167,13 @@ class TestHestonPricePath:
         m2 = (y + 7.3) - (y[0] + 7.3) + iy2
         assert m2 - direct == pytest.approx(7.3 * w.grid_times, rel=1e-12)
 
-    def test_rho_zero_ignores_dw2_record(self):
-        p = bench_heston(rho=0.0)
-        states = [(0.011, 0.0), (0.009, 0.15), (0.012, 0.1)]
-        w1 = make_window(states, [0.5, 0.5, 0.25], 1.25, aux=[0.0, 0.3, -0.2])
-        w2 = make_window(states, [0.5, 0.5, 0.25], 1.25, aux=[9.9, -9.9, 4.2])
-        v1 = heston_price_path(w1, p).values
-        v2 = heston_price_path(w2, p).values
-        assert np.array_equal(v1, v2)
-
-    def test_driver_records_dw2(self):
-        p = bench_heston()
-        s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
-        seen = {}
-
-        def functional(w):
-            seen["aux"] = np.array(w.aux())
-            seen["states"] = w.state_matrix()
-            return 0.0
-
-        engine.run(HestonDriver(p), s, functional, T=1.0, n_iters=1,
-                   rng=stream(5, 0))
-        assert np.any(seen["aux"][1:] != 0.0)
-
 
 class TestBnsJointStep:
+    """The joint (x, v) transition of :class:`BnsDriver`."""
+
     def test_deterministic_drift(self):
         p = bench_bns(v_init=0.0)
-        x, v = bns_joint_step((1.0, 0.0), 0.2, p, ZeroRng())
+        x, v = BnsDriver(p).step((1.0, 0.0), 1, 0.2, ZeroRng())
         assert x == pytest.approx(1.0 + 0.2 * p.r)
         assert v == 0.0
 
@@ -209,7 +188,7 @@ class TestBnsJointStep:
 
         p = bench_bns(v_init=0.0)
         x0, v0 = 0.0, 0.01
-        x, v = bns_joint_step((x0, v0), 1e-9, p, OneJumpRng())
+        x, v = BnsDriver(p).step((x0, v0), 1, 1e-9, OneJumpRng())
         dv = v - v0 * (1.0 - 1e-9 * p.mu)
         assert dv > 0.0
         assert x - x0 == pytest.approx(p.rho * dv, abs=1e-8)

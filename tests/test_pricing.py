@@ -7,10 +7,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from statvol import pricing
-from statvol.levy import TemperedStableMeasure
+from statvol import engine, pricing
+from statvol.engine import MarginalAccumulator
+from statvol.levy import TemperedStableMeasure, TruncationPolicy
 from statvol.models import (
     BNSParams,
+    BnsDriver,
     HestonDriver,
     HestonParams,
     PricePathView,
@@ -48,7 +50,6 @@ class ZeroVolDriver:
     """Degenerate model: v = 0 and y = 0 forever, rho = 0."""
 
     dim = 2
-    records_aux = False
     model_name = "heston"
 
     def __init__(self):
@@ -280,3 +281,42 @@ class TestBnsParityUsesModelGrowth:
         g = growth_rate(p)
         expect = 50.0 * math.exp(-0.05) * (math.exp(g) - 1.0) / g
         assert daf == pytest.approx(expect, rel=1e-12)
+
+
+class TestGoldenValues:
+    """Exact outputs of a fixed-seed run, pinned so that refactors which
+    promise an unchanged random stream are checked to the last bit."""
+
+    SPECS = [AsianSpec(K=k, T=1.0, kind="call", r=0.05) for k in (44.0, 50.0, 56.0)]
+
+    def test_heston_asian_grid(self):
+        s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
+        ests = price_asian_grid(HestonDriver(bench_heston()), s, self.SPECS, 2000,
+                                stream(31, 0))
+        assert [(e.value, e.se) for e in ests] == [
+            (6.919196706327032, 0.0013903072753365063),
+            (1.6512561577103937, 0.024250195489724322),
+            (0.07435733153406464, 0.010783160397189578),
+        ]
+
+    def test_bns_asian_grid(self):
+        p = BNSParams(s0=50.0, r=0.05, rho=-1.0, mu=1.0,
+                      jump=TemperedStableMeasure(c=0.01, lam=1.0, alpha=0.5),
+                      truncation=TruncationPolicy(power=2.0))
+        s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
+        ests = price_asian_grid(BnsDriver(p), s, self.SPECS, 2000, stream(31, 0))
+        assert [(e.value, e.se) for e in ests] == [
+            (6.6662240895651825, 0.025528908894944656),
+            (1.2554656859885516, 0.0457952637954362),
+            (0.11261774006174287, 0.027418091791226513),
+        ]
+
+    def test_heston_stationary_marginal(self):
+        s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
+        marg = MarginalAccumulator(dim=2, bins=50, lo=0.0, hi=0.05)
+        engine.run(HestonDriver(bench_heston()), s, None, T=1.0, n_iters=2000,
+                   rng=stream(31, 0), marginal=marg)
+        st = marg.stats()
+        assert list(st.mean) == [0.010710947204741864, -0.002214274498947398]
+        assert list(st.variance) == [3.182583959911934e-05, 0.00462308975131223]
+        assert float(st.histogram[0].max()) == 0.08547685858895404

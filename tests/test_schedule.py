@@ -42,6 +42,15 @@ class TestMakePolynomialSchedule:
         H = np.array([s.H(n) for n in range(0, 200)])
         assert np.all(np.diff(H) > 0.0)
 
+    def test_slices_are_read_only_views(self, benchmark_schedule):
+        s = benchmark_schedule
+        for view, value in ((s.gamma_slice(1, 10), s.gamma(5)),
+                            (s.eta_slice(1, 10), s.eta(5)),
+                            (s.Gamma_slice(1, 10), s.Gamma(5))):
+            assert view[4] == value
+            with pytest.raises(ValueError):
+                view[4] = 0.0
+
     def test_prefix_sums_match_exact_summation_at_1e6(self, benchmark_schedule):
         s = benchmark_schedule
         n = 10**6
@@ -195,6 +204,8 @@ class TestDiagnostics:
     def test_series_condition_domain_errors(self, benchmark_schedule):
         with pytest.raises(sch.ScheduleError):
             sch.check_series_condition(benchmark_schedule, 1.0)
+        with pytest.raises(sch.ScheduleError):
+            sch.check_series_condition(benchmark_schedule, 2.0, k_max=9)
         s1 = sch.make_polynomial_schedule(1.0, 1.0, 1.0, 1.0)
         with pytest.raises(sch.ScheduleError):
             sch.check_series_condition(s1, 2.0)

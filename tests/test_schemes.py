@@ -1,76 +1,10 @@
-"""One-step kernels: hand arithmetic, positivity, affinity."""
+"""One-step kernels: hand arithmetic and positivity."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statvol.schemes import (
-    EulerCoefficients,
-    NoiseDraw,
-    SchemeError,
-    cir_reflected_step,
-    levy_euler_step,
-    ou_companion_step,
-)
-
-
-def _coeffs(b, sigma, kappa):
-    return EulerCoefficients(
-        b=lambda x: np.atleast_1d(b(x)),
-        sigma=lambda x: np.atleast_2d(sigma(x)),
-        kappa=lambda x: np.atleast_2d(kappa(x)),
-    )
-
-
-class TestLevyEulerStep:
-    def test_zero_coefficients_identity(self):
-        c = _coeffs(lambda x: 0.0 * x, lambda x: 0.0, lambda x: 0.0)
-        out = levy_euler_step(np.array([1.7]), 0.5, c,
-                              NoiseDraw(np.array([2.0]), np.array([3.0])))
-        assert out == pytest.approx([1.7])
-
-    def test_pure_drift(self):
-        c = _coeffs(lambda x: -2.0 * x, lambda x: 0.0, lambda x: 0.0)
-        out = levy_euler_step(np.array([1.0]), 0.25, c,
-                              NoiseDraw(np.zeros(1), np.zeros(1)))
-        assert out == pytest.approx([0.5])
-
-    def test_hand_arithmetic(self):
-        c = _coeffs(lambda x: -x, lambda x: 1.0, lambda x: 1.0)
-        out = levy_euler_step(np.array([1.0]), 0.25, c,
-                              NoiseDraw(np.array([2.0]), np.array([0.5])))
-        assert out == pytest.approx([2.25], rel=1e-15)
-
-    @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3))
-    @settings(max_examples=100, deadline=None)
-    def test_affine_in_noise(self, u1, u2, j1, j2):
-        # superposition in (U, xi) at fixed state
-        c = _coeffs(lambda x: 0.3 * x + 1.0, lambda x: 2.0, lambda x: -1.5)
-        x = np.array([0.7])
-        g = 0.3
-
-        def step(u, j):
-            return levy_euler_step(x, g, c, NoiseDraw(np.array([u]), np.array([j])))[0]
-
-        base = step(0.0, 0.0)
-        lhs = step(u1 + u2, j1 + j2) - base
-        rhs = (step(u1, j1) - base) + (step(u2, j2) - base)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_nonfinite_reported(self):
-        c = _coeffs(lambda x: np.inf, lambda x: 0.0, lambda x: 0.0)
-        with pytest.raises(SchemeError):
-            levy_euler_step(np.array([1.0]), 0.1, c,
-                            NoiseDraw(np.zeros(1), np.zeros(1)))
-
-    def test_small_step_magnitude(self):
-        # one step moves the state by O(gamma + sqrt(gamma))
-        c = _coeffs(lambda x: -x + 1.0, lambda x: 1.0, lambda x: 0.0)
-        g = 1e-8
-        out = levy_euler_step(np.array([2.0]), g, c,
-                              NoiseDraw(np.array([1.0]), np.zeros(1)))
-        assert abs(out[0] - 2.0) < 10.0 * (g + np.sqrt(g))
+from statvol.schemes import cir_reflected_step, ou_companion_step
 
 
 class TestCirReflectedStep:
