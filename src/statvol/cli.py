@@ -102,6 +102,13 @@ def _parse_bool(key: str, raw: str) -> bool:
     raise ConfigError(f"{key}: expected on/off, got {raw!r}")
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("numbers must be finite")
+    return value
+
+
 def load_config(path: str | Path) -> RunConfig:
     """Parse a flat key=value config file (see config_schema.txt)."""
     cfg = RunConfig()
@@ -127,11 +134,11 @@ def load_config(path: str | Path) -> RunConfig:
             elif key in _INT_KEYS:
                 value = int(raw)
             elif key in _LIST_KEYS:
-                value = tuple(float(tok) for tok in raw.split(",") if tok.strip())
+                value = tuple(_parse_float(tok) for tok in raw.split(",") if tok.strip())
             else:
-                value = float(raw)
+                value = _parse_float(raw)
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {raw!r}") from exc
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {raw!r} ({exc})") from exc
         setattr(cfg, key, value)
     return cfg
 
@@ -289,15 +296,17 @@ def cmd_price_european(cfg: RunConfig) -> None:
 def cmd_vol_surface(cfg: RunConfig) -> None:
     _validate(cfg)
     maturities = cfg.maturities if cfg.maturities is not None else (cfg.maturity,)
+    # The schedule does not depend on the maturity: one extended through the
+    # longest maturity's windows serves them all.
+    sched = _prepare_grid_run(cfg, max(maturities))
     rows = []
     for ti, T in enumerate(maturities):
-        sched = _prepare_grid_run(cfg, T)
         specs = [AsianSpec(K=k, T=T, kind="call", r=cfg.r) for k in cfg.strikes]
 
-        def worker(rep: int, _sched=sched, _specs=specs, _ti=ti):
+        def worker(rep: int, _specs=specs, _ti=ti):
             driver = _build_driver(cfg)
             return pricing.price_european_grid(
-                driver, _sched, _specs, cfg.n_iters,
+                driver, sched, _specs, cfg.n_iters,
                 stream(cfg.seed, _ti * cfg.replications + rep))
 
         per_rep = _map_reps(cfg, worker)
@@ -320,10 +329,7 @@ def cmd_stationary_stats(cfg: RunConfig) -> None:
     vol_coord = 0 if cfg.model == "heston" else 1
     marg = MarginalAccumulator(dim=driver.dim, bins=cfg.hist_bins,
                                lo=cfg.hist_lo, hi=cfg.hist_hi)
-    # The marginal reads only each window's start, so T only sets how far
-    # the trajectory runs past n_iters.
-    T = sched.gamma(1)
-    res = engine.run(driver, sched, functional=None, T=T, n_iters=cfg.n_iters,
+    res = engine.run(driver, sched, functional=None, T=None, n_iters=cfg.n_iters,
                      rng=stream(cfg.seed, 0), marginal=marg)
     rows = []
     for n, mean, var in res.marginal_checkpoints:

@@ -1,9 +1,10 @@
 """Single-trajectory engine for weighted window averages.
 
-One engine run owns one trajectory of a stepwise-constant scheme.  At
+One engine run owns one trajectory of a stepwise-constant scheme and folds
+it into one of the two weighted estimators.  With a path functional, at
 iteration ``j`` it exposes the shifted window starting at grid index ``j``
-(physical span ``[Gamma_j, Gamma_j + T]``), evaluates a path functional on
-it, and folds the result into a running weighted average through the
+(physical span ``[Gamma_j, Gamma_j + T]``), evaluates the functional on it,
+and folds the result into a running weighted average through the
 recurrence
 
     value <- value + (eta_{j+1} / H_{j+1}) * (F(window_j) - value),
@@ -11,7 +12,13 @@ recurrence
 which reproduces the explicit weighted mean ``(1/H_n) sum eta_k F(window_{k-1})``
 without storing the history.  Windows are views into a shared buffer, never
 copies; entries below the current window start are evicted as the sweep
-advances, so live storage stays at one window's length.
+advances, so live storage stays at one window's length.  The trajectory
+runs exactly to the last window's end, ``N(n-1, T)``.
+
+Without a functional the sweep is window-free: it walks the states at grid
+indices ``0 .. n-1`` and folds each into the weighted occupation measure
+(the marginal), so it simulates nothing past index ``n-1`` and needs no
+horizon ``T``.
 
 The trajectory itself is produced by a *driver*: any object with
 
@@ -38,7 +45,6 @@ from .schedule import Schedule
 __all__ = [
     "BufferAccessError",
     "DriverStepError",
-    "WindowTooShortError",
     "PathBuffer",
     "Window",
     "FunctionalAverage",
@@ -59,10 +65,6 @@ class DriverStepError(RuntimeError):
     def __init__(self, index: int, message: str):
         super().__init__(f"driver step to index {index} failed: {message}")
         self.index = index
-
-
-class WindowTooShortError(ValueError):
-    """A functional asked for a longer horizon than the window covers."""
 
 
 class PathBuffer:
@@ -180,21 +182,6 @@ class Window:
         """Values of one state coordinate at the window grid points."""
         return self._buf.coord_slice(coord, self.start, self.end)
 
-    def integral_of_values(self, values: np.ndarray, T: float | None = None) -> float:
-        """Exact integral over ``[0, T]`` of the stepwise path taking ``values``."""
-        if T is None or T == self.T:
-            return float(np.dot(values, self.seg_lengths))
-        return float(np.dot(values, _clip_segments(self.grid_times, self.seg_lengths, self.T, T)))
-
-
-def _clip_segments(
-    grid_times: np.ndarray, seg_lengths: np.ndarray, T_window: float, T: float
-) -> np.ndarray:
-    if T > T_window:
-        raise WindowTooShortError(f"window covers [0, {T_window}], requested horizon {T}")
-    clipped = np.minimum(seg_lengths, np.maximum(T - grid_times, 0.0))
-    return clipped
-
 
 class FunctionalAverage:
     """Running weighted mean maintained by the one-pass recurrence.
@@ -304,7 +291,7 @@ class RunResult:
     """Outcome of an engine sweep."""
 
     n_iters: int
-    T: float
+    T: float | None
     average: FunctionalAverage | None
     second_moment: FunctionalAverage | None
     checkpoints: list = field(default_factory=list)  # (n, value) pairs
@@ -331,31 +318,35 @@ def run(
     driver,
     sched: Schedule,
     functional: Callable[[Window], object] | None,
-    T: float,
+    T: float | None,
     n_iters: int,
     rng: np.random.Generator,
     marginal: MarginalAccumulator | None = None,
-    track_second_moment: bool = False,
 ) -> RunResult:
-    """Sweep ``n_iters`` shifted windows of length ``T`` along one trajectory.
+    """Sweep ``n_iters`` iterations along one trajectory.
 
-    At iteration ``j`` (zero-based) the window starting at grid index ``j``
-    is evaluated and folded in with weight ``eta_{j+1}``.  After iteration
-    ``j`` the buffer retains exactly the indices
-    ``[j + 1, horizon_index(j + 1, T)]``.
+    With a ``functional``, iteration ``j`` (zero-based) evaluates it on the
+    window of length ``T`` starting at grid index ``j`` and folds the value
+    and its square in with weight ``eta_{j+1}``.  For ``j < n_iters - 1``
+    the buffer retains exactly the indices ``[j + 1, horizon_index(j + 1, T)]``
+    after iteration ``j``; the trajectory ends at ``horizon_index(n_iters - 1, T)``.
 
-    ``functional=None`` runs marginal sweeps without building windows; the
-    marginal reads only each window's start state.  Estimates are
+    With ``functional=None`` the sweep builds no windows and searches no
+    horizons: iteration ``j`` reads the state at index ``j`` only, the
+    trajectory ends at index ``n_iters - 1`` and ``T`` is not read (pass
+    ``None``).  The ``marginal`` accumulator, if given, is fed the state at
+    index ``j`` with weight ``eta_{j+1}`` in either mode.  Estimates are
     checkpointed at ``n = 1, 10, 100, ...`` and at the final iteration.
     """
     if n_iters < 1:
         raise ValueError(f"need at least one iteration, got {n_iters}")
-    if not T > 0.0:
+    if functional is not None and (T is None or not T > 0.0):
         raise ValueError(f"window horizon must be positive, got {T}")
 
-    # Every schedule index the sweep reads lies at or below N(n_iters, T),
-    # the last horizon it computes: extend the cache once, keep the views.
-    end = sched.horizon_index(n_iters, T) + 2
+    # Every schedule index the sweep reads lies at or below the trajectory's
+    # last index or n_iters (for eta): extend the cache once, keep the views.
+    last = n_iters - 1 if functional is None else sched.horizon_index(n_iters - 1, T)
+    end = max(last, n_iters) + 1
     gam = sched.gamma_slice(0, end)
     eta = sched.eta_slice(0, end)
     Gam = sched.Gamma_slice(0, end)
@@ -366,7 +357,7 @@ def run(
     frontier = 0
 
     avg = FunctionalAverage() if functional is not None else None
-    avg2 = FunctionalAverage() if (functional is not None and track_second_moment) else None
+    avg2 = FunctionalAverage() if functional is not None else None
     checkpoints: list = []
     marginal_checkpoints: list = []
     cp_grid = set(_checkpoint_grid(n_iters))
@@ -386,7 +377,8 @@ def run(
             buf.append(state)
             frontier = k
 
-    N_j = sched.horizon_index(0, T)
+    # N_j: the last index iteration j reads, the end of its window
+    N_j = 0 if functional is None else sched.horizon_index(0, T)
     extend_to(N_j)
 
     for j in range(n_iters):
@@ -399,8 +391,7 @@ def run(
             ell[m] = T - t[m]
             f = functional(Window(buf, j, N_j, T, t, ell))
             avg.update(eta_j, f)
-            if avg2 is not None:
-                avg2.update(eta_j, f * f)
+            avg2.update(eta_j, f * f)
         if marginal is not None:
             marginal.update(eta_j, buf.state(j))
 
@@ -408,13 +399,14 @@ def run(
         if n_done in cp_grid:
             if avg is not None:
                 checkpoints.append((n_done, avg.copy_value()))
-            if marginal is not None and marginal.count > 0:
+            if marginal is not None:
                 st = marginal.stats()
                 marginal_checkpoints.append((n_done, st.mean.copy(), st.variance.copy()))
 
-        buf.evict_below(j + 1)
-        N_j = sched.horizon_index(j + 1, T, hint=N_j)
-        extend_to(N_j)
+        buf.evict_below(n_done)
+        if n_done < n_iters:
+            N_j = n_done if functional is None else sched.horizon_index(n_done, T, hint=N_j)
+            extend_to(N_j)
 
     return RunResult(
         n_iters=n_iters,

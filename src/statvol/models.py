@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import levy
-from .engine import Window, WindowTooShortError
+from .engine import Window
 from .levy import TemperedStableMeasure, TruncationPolicy
 from .schemes import cir_reflected_step, ou_companion_step
 
@@ -211,22 +211,13 @@ class PricePathView:
         self.slopes = slopes
         self.horizon = horizon
 
-    def _segment_integrals(self, seg: np.ndarray) -> float:
-        # sum_i S_i * l_i * (e^{b_i l_i} - 1)/(b_i l_i): exact per segment
-        if self.slopes is None:
-            return float(np.dot(self.values, seg))
-        x = self.slopes * seg
-        return float(np.dot(self.values * seg, _expm1_over(x)))
-
-    def average(self, T: float | None = None) -> float:
+    def average(self) -> float:
         """Time average ``(1/T) int_0^T S ds``, exact for the discrete path."""
-        if T is None or T == self.horizon:
-            return self._segment_integrals(self.seg_lengths) / self.horizon
-        if T > self.horizon:
-            raise WindowTooShortError(
-                f"path covers [0, {self.horizon}], requested horizon {T}")
-        clipped = np.minimum(self.seg_lengths, np.maximum(T - self.grid_times, 0.0))
-        return self._segment_integrals(clipped) / T
+        # sum_i S_i * l_i * (e^{b_i l_i} - 1)/(b_i l_i): exact per segment
+        seg = self.seg_lengths
+        if self.slopes is None:
+            return float(np.dot(self.values, seg)) / self.horizon
+        return float(np.dot(self.values * seg, _expm1_over(self.slopes * seg))) / self.horizon
 
     def terminal(self) -> float:
         """Path value at the right edge of the window."""
@@ -245,8 +236,7 @@ def _shifted_cumsum(values: np.ndarray) -> np.ndarray:
 # -- square-root model --------------------------------------------------------
 
 
-def heston_price_path(window: Window, params: HestonParams,
-                      T: float | None = None) -> PricePathView:
+def heston_price_path(window: Window, params: HestonParams) -> PricePathView:
     """Reconstruct the price path over a (v, y) window.
 
     All integrals accumulate segment by segment, so the whole path costs
@@ -257,8 +247,6 @@ def heston_price_path(window: Window, params: HestonParams,
     the per-segment rates are attached to the view so path integrals stay
     exact.
     """
-    if T is not None and T > window.T:
-        raise WindowTooShortError(f"window covers [0, {window.T}], requested {T}")
     v = window.states(0)
     y = window.states(1)
     t = window.grid_times
@@ -338,11 +326,8 @@ class HestonDriver:
 # -- log-price/subordinator model ---------------------------------------------
 
 
-def bns_price_path(window: Window, params: BNSParams,
-                   T: float | None = None) -> PricePathView:
+def bns_price_path(window: Window, params: BNSParams) -> PricePathView:
     """Price path over an (x, v) window, re-based so the window prices from spot."""
-    if T is not None and T > window.T:
-        raise WindowTooShortError(f"window covers [0, {window.T}], requested {T}")
     x = window.states(0)
     values = params.s0 * np.exp(x - x[0])
     return PricePathView(values, window.grid_times, window.seg_lengths, window.T)

@@ -156,17 +156,8 @@ def ou_stationary_check(
         raise ValueError(f"noise scale must be >= 0, got {sigma}")
     half_width = 5.0 * sigma / math.sqrt(2.0) if sigma > 0.0 else 1.0
     marg = engine.MarginalAccumulator(dim=1, bins=200, lo=-half_width, hi=half_width)
-    # The marginal reads only each window's start, so T only sets how far
-    # the trajectory runs past n_iters.
-    engine.run(
-        _OUDriver(sigma),
-        sched,
-        functional=None,
-        T=sched.gamma(1),
-        n_iters=n_iters,
-        rng=rng,
-        marginal=marg,
-    )
+    engine.run(_OUDriver(sigma), sched, functional=None, T=None, n_iters=n_iters,
+               rng=rng, marginal=marg)
     st = marg.stats()
     return MomentReport(
         mean=float(st.mean[0]),

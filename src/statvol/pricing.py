@@ -28,14 +28,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine
-from .models import PricePathView, growth_rate
+from .models import growth_rate
 from .schedule import Schedule
 
 __all__ = [
     "AsianSpec",
     "PriceEstimate",
     "BandViolationError",
-    "asian_payoff",
     "parity_rhs",
     "discounted_average_forward",
     "forward_average",
@@ -95,15 +94,6 @@ class PriceEstimate:
     used_parity: bool
     companion: float | None = None
     checkpoints: list = field(default_factory=list)  # (n, value) pairs
-
-
-def asian_payoff(path: PricePathView, spec: AsianSpec) -> float:
-    """Discounted Asian payoff of one stepwise price path."""
-    a = path.average(spec.T)
-    disc = math.exp(-spec.r * spec.T)
-    if spec.kind == "call":
-        return disc * max(a - spec.K, 0.0)
-    return disc * max(spec.K - a, 0.0)
 
 
 def _mean_exp_growth(g: float, T: float) -> float:
@@ -201,48 +191,35 @@ def _assemble(
     fwd = forward_average(params.s0, r, T)
     mean_a = float(vec[2 * nk])
 
-    def pick(values: np.ndarray, spec: AsianSpec, i: int) -> tuple[float, bool, float | None]:
-        call_d = float(values[i])
-        put_d = float(values[nk + i])
-        gap = daf - spec.K * disc
-        if not use_parity:
-            return (call_d if spec.kind == "call" else put_d), False, None
-        if spec.kind == "call":
-            if spec.K <= fwd:
-                return max(put_d + gap, 0.0), True, put_d + gap
-            return call_d, True, put_d + gap
-        if spec.K > fwd:
-            return max(call_d - gap, 0.0), True, call_d - gap
-        return put_d, True, call_d - gap
-
     out = []
     for i, spec in enumerate(specs):
-        value, parity_used, companion = pick(vec, spec, i)
-        call_d = float(vec[i])
-        put_d = float(vec[nk + i])
-        # the se of the reported value: parity shifts by a constant, so it
-        # is the estimated leg's se either way
-        if use_parity and spec.kind == "call" and spec.K <= fwd:
-            se_i = float(se[nk + i])
-        elif use_parity and spec.kind == "put" and spec.K > fwd:
-            se_i = float(se[i])
-        else:
-            se_i = float(se[i if spec.kind == "call" else nk + i])
-        cps = [(n, pick(np.asarray(v, dtype=float), spec, i)[0]) for n, v in result.checkpoints]
+        # The spec's own leg, its parity partner, and the shift that maps the
+        # partner onto the own leg (C - P = gap).
+        gap = daf - spec.K * disc
+        own, other, shift = (i, nk + i, gap) if spec.kind == "call" else (nk + i, i, -gap)
+        # Parity estimates the out-of-the-money leg (the call when K > fwd,
+        # the put otherwise) and reconstructs the other; a constant shift
+        # leaves the estimated leg's se unchanged.
+        reconstruct = use_parity and (spec.K > fwd) != (spec.kind == "call")
+
+        def value_of(v: np.ndarray) -> float:
+            return max(float(v[other]) + shift, 0.0) if reconstruct else float(v[own])
+
         out.append(
             PriceEstimate(
                 K=spec.K,
                 T=T,
                 kind=spec.kind,
-                value=value,
+                value=value_of(vec),
                 n=result.n_iters,
-                se=se_i,
-                direct=call_d if spec.kind == "call" else put_d,
-                other_direct=put_d if spec.kind == "call" else call_d,
+                se=float(se[other if reconstruct else own]),
+                direct=float(vec[own]),
+                other_direct=float(vec[other]),
                 mean_average=mean_a,
-                used_parity=parity_used,
-                companion=companion,
-                checkpoints=cps,
+                used_parity=use_parity,
+                companion=float(vec[other]) + shift if use_parity else None,
+                checkpoints=[(n, value_of(np.asarray(v, dtype=float)))
+                             for n, v in result.checkpoints],
             )
         )
     return out
@@ -265,9 +242,7 @@ def price_asian_grid(
     strikes = np.array([s.K for s in specs], dtype=float)
     disc = math.exp(-r * T)
     functional = _asian_functional(driver, strikes, disc)
-    result = engine.run(
-        driver, sched, functional, T, n_iters, rng, track_second_moment=True
-    )
+    result = engine.run(driver, sched, functional, T, n_iters, rng)
     return _assemble(specs, strikes, result, driver.params, use_parity, T, r)
 
 
@@ -295,9 +270,7 @@ def price_european_grid(
     strikes = np.array([s.K for s in specs], dtype=float)
     disc = math.exp(-r * T)
     functional = _european_functional(driver, strikes, disc)
-    result = engine.run(
-        driver, sched, functional, T, n_iters, rng, track_second_moment=True
-    )
+    result = engine.run(driver, sched, functional, T, n_iters, rng)
     return _assemble(specs, strikes, result, driver.params, False, T, r)
 
 

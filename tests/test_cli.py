@@ -1,5 +1,7 @@
 """CLI: config parsing, validation, CSV emission, determinism."""
 
+import re
+
 import pytest
 
 from statvol import cli
@@ -47,10 +49,23 @@ class TestConfigParsing:
             cli.load_config(p)
 
     def test_bad_value_rejected(self, tmp_path):
-        p = tmp_path / "c.cfg"
-        p.write_text("n_iters = many\n")
-        with pytest.raises(cli.ConfigError, match="bad value"):
-            cli.load_config(p)
+        # unparsable, and non-finite numbers (scalar keys and list elements)
+        cases = [
+            ("n_iters", "many"),
+            ("maturity", "inf"),
+            ("maturities", "0.5,nan"),
+            ("hist_lo", "-inf"),
+            ("strikes", "44,nan"),
+            ("r", "nan"),
+            ("s0", "inf"),
+            ("v_init", "nan"),
+        ]
+        for key, raw in cases:
+            p = tmp_path / f"{key}.cfg"
+            p.write_text(f"model = heston\n{key} = {raw}\n")
+            with pytest.raises(cli.ConfigError,
+                               match=re.escape(f"{p}:2: bad value for {key}: ")):
+                cli.load_config(p)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(cli.ConfigError):

@@ -14,10 +14,10 @@ from statvol.engine import (
     FunctionalAverage,
     MarginalAccumulator,
     PathBuffer,
-    WindowTooShortError,
 )
+from statvol.models import PricePathView
 from statvol.rng import stream
-from statvol.schedule import make_polynomial_schedule
+from statvol.schedule import Schedule, make_polynomial_schedule
 
 
 class ConstantDriver:
@@ -150,8 +150,9 @@ class TestRunBookkeeping:
         assert res.average.value == pytest.approx(2.25, abs=1e-14)
 
     def test_unit_step_window_pairs_and_eviction(self):
-        # constant step 1, T = 1.5: window j spans indices (j, j+1); after
-        # three iterations the buffer holds [3, N(3, T)] = [3, 4]
+        # constant step 1, T = 1.5: window j spans indices (j, j+1); the
+        # trajectory ends at the last window's end N(2, T) = 3, and after the
+        # last iteration the buffer holds only that index
         s = make_polynomial_schedule(1.0, 0.0, 1.0, 1e-12)
         driver = CountingDriver()
         seen = []
@@ -162,8 +163,29 @@ class TestRunBookkeeping:
 
         engine.run(driver, s, functional, T=1.5, n_iters=3, rng=stream(0, 0))
         assert [(a, b) for a, b, _ in seen] == [(0, 1), (1, 2), (2, 3)]
-        assert seen[-1][2].retained_indices() == range(3, 5)
+        assert seen[-1][2].retained_indices() == range(3, 4)
+        assert driver.simulated == [1, 2, 3]
+
+    def test_marginal_sweep_is_window_free(self, monkeypatch):
+        # without a functional the sweep reads states 0..n-1 only: no
+        # horizon search, nothing simulated past index n-1
+        s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
+        searches = []
+        horizon_index = Schedule.horizon_index
+
+        def counting(self, *args, **kwargs):
+            searches.append(args)
+            return horizon_index(self, *args, **kwargs)
+
+        monkeypatch.setattr(Schedule, "horizon_index", counting)
+        driver = CountingDriver()
+        acc = MarginalAccumulator(dim=1, bins=10, lo=0.0, hi=10.0)
+        engine.run(driver, s, None, T=None, n_iters=5, rng=stream(0, 0), marginal=acc)
         assert driver.simulated == [1, 2, 3, 4]
+        assert searches == []
+        assert acc.count == 5
+        assert acc.stats().mean[0] == pytest.approx(
+            sum(k * s.eta(k + 1) for k in range(5)) / s.H(5), rel=1e-14)
 
     def test_storage_contract_after_each_step(self):
         s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
@@ -216,30 +238,24 @@ class TestRunBookkeeping:
 
 
 class TestWindowIntegral:
-    def _window(self, values, lengths, T):
-        buf = PathBuffer(1)
-        for v in values:
-            buf.append((v,))
+    """Exact time integral of a stepwise path over its window: ``T * average``."""
+
+    def _path(self, values, lengths, T):
         t = np.concatenate(([0.0], np.cumsum(lengths[:-1])))
-        return engine.Window(buf, 0, len(values) - 1, T, t, np.asarray(lengths, dtype=float))
+        return PricePathView(np.asarray(values, dtype=float), t,
+                             np.asarray(lengths, dtype=float), T)
 
     def test_unit_functional_gives_T(self):
-        w = self._window([5.0, 7.0], [1.0, 0.5], 1.5)
-        assert w.integral_of_values(np.ones(len(w))) == pytest.approx(1.5, rel=1e-15)
+        path = self._path([1.0, 1.0], [1.0, 0.5], 1.5)
+        assert 1.5 * path.average() == pytest.approx(1.5, rel=1e-15)
 
     def test_constant_path_identity(self):
-        w = self._window([4.0, 4.0, 4.0], [0.5, 0.5, 0.25], 1.25)
-        assert w.integral_of_values(w.states(0)) == pytest.approx(5.0, rel=1e-15)
+        path = self._path([4.0, 4.0, 4.0], [0.5, 0.5, 0.25], 1.25)
+        assert 1.25 * path.average() == pytest.approx(5.0, rel=1e-15)
 
     def test_two_segment_hand_sum(self):
-        w = self._window([1.0, 3.0], [1.0, 0.5], 1.5)
-        assert w.integral_of_values(w.states(0)) == pytest.approx(2.5, rel=1e-15)
-
-    def test_clipped_horizon(self):
-        w = self._window([1.0, 3.0], [1.0, 0.5], 1.5)
-        assert w.integral_of_values(np.array([1.0, 3.0]), T=1.25) == pytest.approx(1.75)
-        with pytest.raises(WindowTooShortError):
-            w.integral_of_values(np.array([1.0, 3.0]), T=2.0)
+        path = self._path([1.0, 3.0], [1.0, 0.5], 1.5)
+        assert 1.5 * path.average() == pytest.approx(2.5, rel=1e-15)
 
 
 class TestMarginalAccumulator:

@@ -15,13 +15,11 @@ from statvol.models import (
     BnsDriver,
     HestonDriver,
     HestonParams,
-    PricePathView,
     growth_rate,
 )
 from statvol.pricing import (
     AsianSpec,
     BandViolationError,
-    asian_payoff,
     bs_call,
     discounted_average_forward,
     implied_vol,
@@ -32,11 +30,6 @@ from statvol.pricing import (
 )
 from statvol.rng import stream
 from statvol.schedule import make_polynomial_schedule
-
-
-def constant_path(value, T=1.0):
-    values = np.array([value, value])
-    return PricePathView(values, np.array([0.0, T / 2]), np.array([T / 2, T / 2]), T)
 
 
 def bench_heston(**kw):
@@ -68,31 +61,6 @@ class ZeroVolDriver:
 
 
 class TestAsianPayoff:
-    def test_constant_path_call(self):
-        spec = AsianSpec(K=44.0, T=1.0, kind="call", r=0.0)
-        assert asian_payoff(constant_path(50.0), spec) == pytest.approx(6.0)
-
-    def test_out_of_the_money(self):
-        spec = AsianSpec(K=56.0, T=1.0, kind="call", r=0.0)
-        assert asian_payoff(constant_path(50.0), spec) == 0.0
-
-    def test_pathwise_identity(self):
-        rng = stream(1, 0)
-        for _ in range(50):
-            v = float(rng.uniform(30, 70))
-            path = constant_path(v)
-            c = asian_payoff(path, AsianSpec(K=50.0, T=1.0, kind="call", r=0.05))
-            p = asian_payoff(path, AsianSpec(K=50.0, T=1.0, kind="put", r=0.05))
-            assert c - p == pytest.approx(math.exp(-0.05) * (v - 50.0), abs=1e-12)
-
-    def test_lipschitz_in_strike(self):
-        path = constant_path(50.0)
-        disc = math.exp(-0.05)
-        for k1, k2 in ((40.0, 41.0), (49.5, 50.7), (60.0, 63.0)):
-            c1 = asian_payoff(path, AsianSpec(K=k1, T=1.0, kind="call", r=0.05))
-            c2 = asian_payoff(path, AsianSpec(K=k2, T=1.0, kind="call", r=0.05))
-            assert abs(c1 - c2) <= disc * abs(k1 - k2) + 1e-12
-
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             AsianSpec(K=-1.0, T=1.0)
@@ -129,13 +97,24 @@ class TestParityRhs:
 
 class TestZeroVolDegenerate:
     def test_asian_closed_form(self):
+        # every window path is s0 e^{rt}: in the money, out of the money
+        # (exactly 0), and Lipschitz in the strike with constant e^{-rT}
         driver = ZeroVolDriver()
         s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
-        spec = AsianSpec(K=44.0, T=1.0, kind="call", r=0.05)
-        est = price_asian(driver, s, spec, 200, stream(2, 0), use_parity=False)
+        strikes = (40.0, 41.0, 44.0, 49.5, 50.7, 56.0, 60.0, 63.0)
+        specs = [AsianSpec(K=k, T=1.0, kind="call", r=0.05) for k in strikes]
+        ests = price_asian_grid(driver, s, specs, 200, stream(2, 0), use_parity=False)
         a = 50.0 * (math.exp(0.05) - 1.0) / 0.05
-        assert est.mean_average == pytest.approx(a, rel=1e-12)
-        assert est.value == pytest.approx(math.exp(-0.05) * (a - 44.0), rel=1e-12)
+        disc = math.exp(-0.05)
+        for est in ests:
+            assert est.mean_average == pytest.approx(a, rel=1e-12)
+            if est.K < a:
+                assert est.value == pytest.approx(disc * (a - est.K), rel=1e-12)
+            else:
+                assert est.value == 0.0
+        value = dict(zip(strikes, (e.value for e in ests)))
+        for k1, k2 in ((40.0, 41.0), (49.5, 50.7), (60.0, 63.0)):
+            assert abs(value[k1] - value[k2]) <= disc * abs(k1 - k2) + 1e-12
 
     def test_european_closed_form(self):
         driver = ZeroVolDriver()
