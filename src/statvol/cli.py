@@ -223,9 +223,12 @@ def _emit(out: str, header: list[str], rows: list[list]) -> None:
     text = "\n".join(lines) + "\n"
     if out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write out {out}: {exc}") from exc
 
 
 def _map_reps(cfg: RunConfig, worker):
@@ -252,10 +255,9 @@ def _combined_rows(cfg: RunConfig, per_rep: list[list[pricing.PriceEstimate]]):
 def _prepare_grid_run(cfg: RunConfig, T: float):
     _build_driver(cfg)  # validate model parameters before any simulation
     sched = _build_schedule(cfg)
-    # Pre-extend so the schedule is strictly read-only during the thread
-    # fan-out; the margin covers galloping-search overshoot past the last
-    # window's end index.
-    sched.ensure(sched.horizon_index(cfg.n_iters, T) + 1024)
+    # Extend exactly as far as the engine's sweeps will read, so the
+    # schedule is strictly read-only during the thread fan-out.
+    engine.window_sweep_reach(sched, T, cfg.n_iters)
     return sched
 
 

@@ -1,24 +1,30 @@
 """Single-trajectory engine for weighted window averages.
 
 One engine run owns one trajectory of a stepwise-constant scheme and folds
-it into one of the two weighted estimators.  With a path functional, at
-iteration ``j`` it exposes the shifted window starting at grid index ``j``
-(physical span ``[Gamma_j, Gamma_j + T]``), evaluates the functional on it,
-and folds the result into a running weighted average through the
-recurrence
+it into exactly one of the two weighted estimators, each a straight loop
+that keeps only what it reads.
+
+*Window sweep* (a path functional).  Iteration ``j`` exposes the shifted
+window starting at grid index ``j`` (physical span
+``[Gamma_j, Gamma_j + T]``), evaluates the functional on it, and folds the
+result into a running weighted average through the recurrence
 
     value <- value + (eta_{j+1} / H_{j+1}) * (F(window_j) - value),
 
 which reproduces the explicit weighted mean ``(1/H_n) sum eta_k F(window_{k-1})``
-without storing the history.  Windows are views into a shared buffer, never
-copies; entries below the current window start are evicted as the sweep
-advances, so live storage stays at one window's length.  The trajectory
-runs exactly to the last window's end, ``N(n-1, T)``.
+without storing the history.  The window's end ``N_j`` is walked by a
+monotone pointer over Gamma, with the predicate of
+:meth:`Schedule.horizon_index`, so ``N_j = N(j, T)`` exactly.  Windows are
+views into a shared buffer, never copies; entries below the current window
+start are evicted as the sweep advances, so live storage stays at one
+window's length.  The trajectory runs exactly to the last window's end,
+``N(n-1, T)``; :func:`window_sweep_reach` gives the last schedule index the
+sweep reads.
 
-Without a functional the sweep is window-free: it walks the states at grid
-indices ``0 .. n-1`` and folds each into the weighted occupation measure
-(the marginal), so it simulates nothing past index ``n-1`` and needs no
-horizon ``T``.
+*Marginal sweep* (a marginal accumulator).  Iteration ``j`` folds the state
+at grid index ``j`` with weight ``eta_{j+1}`` into the weighted occupation
+measure.  It keeps no buffer and builds no windows, simulates nothing past
+index ``n-1`` and needs no horizon ``T``.
 
 The trajectory itself is produced by a *driver*: any object with
 
@@ -52,6 +58,7 @@ __all__ = [
     "MarginalStats",
     "RunResult",
     "run",
+    "window_sweep_reach",
 ]
 
 
@@ -130,11 +137,6 @@ class PathBuffer:
                 f"indices [{lo}, {hi}] outside retained range "
                 f"[{self._start}, {self._end}]"
             )
-
-    def state(self, index: int) -> tuple[float, ...]:
-        self._check_range(index, index)
-        pos = index - self._base
-        return tuple(float(self._cols[c][pos]) for c in range(self.dim))
 
     def coord_slice(self, coord: int, lo: int, hi: int) -> np.ndarray:
         """View of coordinate ``coord`` over global indices ``lo..hi`` inclusive."""
@@ -291,16 +293,10 @@ class RunResult:
     """Outcome of an engine sweep."""
 
     n_iters: int
-    T: float | None
     average: FunctionalAverage | None
     second_moment: FunctionalAverage | None
     checkpoints: list = field(default_factory=list)  # (n, value) pairs
-    marginal: MarginalAccumulator | None = None
     marginal_checkpoints: list = field(default_factory=list)  # (n, mean, variance)
-
-    @property
-    def value(self):
-        return None if self.average is None else self.average.value
 
 
 def _checkpoint_grid(n_iters: int) -> list[int]:
@@ -314,6 +310,30 @@ def _checkpoint_grid(n_iters: int) -> list[int]:
     return grid
 
 
+def window_sweep_reach(sched: Schedule, T: float, n_iters: int) -> int:
+    """Last schedule index a window sweep of ``n_iters`` windows of length ``T`` reads.
+
+    That is the last window's end ``N(n_iters - 1, T)`` plus one, the index
+    the horizon pointer looks at to stop; it also covers ``eta_{n_iters}``.
+    The schedule is extended through it, so a caller that runs this before
+    fanning out sweeps leaves them nothing to extend.
+    """
+    reach = sched.horizon_index(n_iters - 1, T) + 1
+    sched.ensure(reach)
+    return reach
+
+
+def _step(driver, state, k: int, gamma: float, rng):
+    """The driver's step to grid index ``k``, failures tagged with ``k``."""
+    try:
+        state = driver.step(state, k, gamma, rng)
+    except Exception as exc:  # surface the index of the failing step
+        raise DriverStepError(k, str(exc)) from exc
+    if not all(map(math.isfinite, state)):
+        raise DriverStepError(k, f"non-finite state {state}")
+    return state
+
+
 def run(
     driver,
     sched: Schedule,
@@ -325,95 +345,81 @@ def run(
 ) -> RunResult:
     """Sweep ``n_iters`` iterations along one trajectory.
 
+    Exactly one of ``functional`` and ``marginal`` must be given.
+
     With a ``functional``, iteration ``j`` (zero-based) evaluates it on the
     window of length ``T`` starting at grid index ``j`` and folds the value
-    and its square in with weight ``eta_{j+1}``.  For ``j < n_iters - 1``
-    the buffer retains exactly the indices ``[j + 1, horizon_index(j + 1, T)]``
-    after iteration ``j``; the trajectory ends at ``horizon_index(n_iters - 1, T)``.
+    and its square in with weight ``eta_{j+1}``.  While the functional runs,
+    the buffer retains exactly the indices ``[j, horizon_index(j, T)]``; the
+    trajectory ends at ``horizon_index(n_iters - 1, T)``.
 
-    With ``functional=None`` the sweep builds no windows and searches no
-    horizons: iteration ``j`` reads the state at index ``j`` only, the
-    trajectory ends at index ``n_iters - 1`` and ``T`` is not read (pass
-    ``None``).  The ``marginal`` accumulator, if given, is fed the state at
-    index ``j`` with weight ``eta_{j+1}`` in either mode.  Estimates are
-    checkpointed at ``n = 1, 10, 100, ...`` and at the final iteration.
+    With a ``marginal`` accumulator, iteration ``j`` feeds it the state at
+    index ``j`` with weight ``eta_{j+1}``; the trajectory ends at index
+    ``n_iters - 1`` and ``T`` is not read (pass ``None``).
+
+    Estimates are checkpointed at ``n = 1, 10, 100, ...`` and at the final
+    iteration.
     """
     if n_iters < 1:
         raise ValueError(f"need at least one iteration, got {n_iters}")
+    if (functional is None) == (marginal is None):
+        raise ValueError("give exactly one of a functional and a marginal accumulator")
     if functional is not None and (T is None or not T > 0.0):
         raise ValueError(f"window horizon must be positive, got {T}")
 
-    # Every schedule index the sweep reads lies at or below the trajectory's
-    # last index or n_iters (for eta): extend the cache once, keep the views.
-    last = n_iters - 1 if functional is None else sched.horizon_index(n_iters - 1, T)
-    end = max(last, n_iters) + 1
+    cp_grid = set(_checkpoint_grid(n_iters))
+    state = tuple(float(x) for x in driver.initial_state())
+
+    if marginal is not None:
+        gam = sched.gamma_slice(0, n_iters + 1)
+        eta = sched.eta_slice(0, n_iters + 1)
+        marginal_checkpoints = []
+        for j in range(n_iters):
+            if j:
+                state = _step(driver, state, j, float(gam[j]), rng)
+            marginal.update(float(eta[j + 1]), state)
+            if j + 1 in cp_grid:
+                st = marginal.stats()
+                marginal_checkpoints.append((j + 1, st.mean.copy(), st.variance.copy()))
+        return RunResult(n_iters=n_iters, average=None, second_moment=None,
+                         marginal_checkpoints=marginal_checkpoints)
+
+    # Every schedule index the sweep reads lies at or below the reach:
+    # extend the cache once, keep the views.
+    end = window_sweep_reach(sched, T, n_iters) + 1
     gam = sched.gamma_slice(0, end)
     eta = sched.eta_slice(0, end)
     Gam = sched.Gamma_slice(0, end)
 
     buf = PathBuffer(driver.dim)
-    state = tuple(float(x) for x in driver.initial_state())
     buf.append(state)
-    frontier = 0
-
-    avg = FunctionalAverage() if functional is not None else None
-    avg2 = FunctionalAverage() if functional is not None else None
-    checkpoints: list = []
-    marginal_checkpoints: list = []
-    cp_grid = set(_checkpoint_grid(n_iters))
-
-    def extend_to(target: int) -> None:
-        nonlocal state, frontier
-        while frontier < target:
-            k = frontier + 1
-            try:
-                state = driver.step(state, k, float(gam[k]), rng)
-            except Exception as exc:  # surface the index of the failing step
-                raise DriverStepError(k, str(exc)) from exc
-            s0 = state[0]
-            ok = math.isfinite(s0) if driver.dim == 1 else all(map(math.isfinite, state))
-            if not ok:
-                raise DriverStepError(k, f"non-finite state {state}")
-            buf.append(state)
-            frontier = k
-
-    # N_j: the last index iteration j reads, the end of its window
-    N_j = 0 if functional is None else sched.horizon_index(0, T)
-    extend_to(N_j)
-
+    avg = FunctionalAverage()
+    avg2 = FunctionalAverage()
+    checkpoints = []
+    N = 0  # end of the current window, N(j, T)
     for j in range(n_iters):
+        # N(j, T) >= max(N(j-1, T), j): walk on with Schedule._diff_le's predicate
+        if N < j:
+            N = j
+        G0 = Gam[j]
+        while Gam[N + 1] - G0 <= T:
+            N += 1
+        for k in range(buf.end + 1, N + 1):
+            state = _step(driver, state, k, float(gam[k]), rng)
+            buf.append(state)
+
+        m = N - j
+        t = Gam[j : N + 1] - G0
+        ell = np.empty(m + 1)
+        ell[:m] = gam[j + 1 : N + 1]
+        ell[m] = T - t[m]
+        f = functional(Window(buf, j, N, T, t, ell))
         eta_j = float(eta[j + 1])
-        if functional is not None:
-            m = N_j - j
-            t = Gam[j : N_j + 1] - Gam[j]
-            ell = np.empty(m + 1)
-            ell[:m] = gam[j + 1 : N_j + 1]
-            ell[m] = T - t[m]
-            f = functional(Window(buf, j, N_j, T, t, ell))
-            avg.update(eta_j, f)
-            avg2.update(eta_j, f * f)
-        if marginal is not None:
-            marginal.update(eta_j, buf.state(j))
+        avg.update(eta_j, f)
+        avg2.update(eta_j, f * f)
+        if j + 1 in cp_grid:
+            checkpoints.append((j + 1, avg.copy_value()))
+        buf.evict_below(j + 1)
 
-        n_done = j + 1
-        if n_done in cp_grid:
-            if avg is not None:
-                checkpoints.append((n_done, avg.copy_value()))
-            if marginal is not None:
-                st = marginal.stats()
-                marginal_checkpoints.append((n_done, st.mean.copy(), st.variance.copy()))
-
-        buf.evict_below(n_done)
-        if n_done < n_iters:
-            N_j = n_done if functional is None else sched.horizon_index(n_done, T, hint=N_j)
-            extend_to(N_j)
-
-    return RunResult(
-        n_iters=n_iters,
-        T=T,
-        average=avg,
-        second_moment=avg2,
-        checkpoints=checkpoints,
-        marginal=marginal,
-        marginal_checkpoints=marginal_checkpoints,
-    )
+    return RunResult(n_iters=n_iters, average=avg, second_moment=avg2,
+                     checkpoints=checkpoints)

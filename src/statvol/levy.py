@@ -5,20 +5,16 @@ The driving noise is a pure-jump subordinator with Levy density
     pi(dy) = c * exp(-lambda * y) * y**(-1 - alpha) dy   on y > 0,
 
 with ``alpha in (0, 1)`` (finite variation, infinite activity).  Exact
-increments are not simulable, so steps use jumps above a vanishing
-threshold ``u``:
+increments are not simulable, so a step uses only the jumps above a
+vanishing threshold ``u``: a compound Poisson increment from the jumps with
+size > u, optionally compensated by the mean of the retained jumps.
 
-* scheme (P): a compound Poisson increment from the jumps with size > u,
-  optionally compensated by the mean of the retained jumps;
-* scheme (W): scheme (P) plus a Gaussian with the variance of the
-  discarded small jumps ("Wienerization").
-
-Tail quantities are exposed twice: the contract functions
-(:func:`tail_intensity`, :func:`small_jump_variance`, ...) integrate by
-adaptive quadrature to 1e-10 relative accuracy, while the ``*_closed``
-variants evaluate the same integrals through incomplete gamma functions
-and are what the per-step samplers call.  Tests pin the two routes against
-each other and against an independent high-precision oracle.
+Tail quantities are integrated by adaptive quadrature to 1e-10 relative
+accuracy (:func:`tail_intensity`, :func:`tail_first_moment`, and
+:func:`small_jump_variance` for the discarded jumps); the ``*_closed``
+variants evaluate the tail integrals through incomplete gamma functions and
+are what the per-step samplers call.  Tests pin the two routes against each
+other and against an independent high-precision oracle.
 """
 
 from __future__ import annotations
@@ -38,11 +34,9 @@ __all__ = [
     "tail_first_moment_closed",
     "tail_second_moment_closed",
     "small_jump_variance",
-    "small_jump_variance_closed",
     "sample_jump_above",
     "sample_jumps_above",
     "compound_poisson_increment",
-    "wienerized_increment",
 ]
 
 _QUAD_RTOL = 1e-10
@@ -68,10 +62,6 @@ class TemperedStableMeasure:
             raise ValueError(f"tempering rate lambda must be >= 0, got {self.lam}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"stability index alpha must lie in (0, 1), got {self.alpha}")
-
-    def density(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        return self.c * np.exp(-self.lam * y) * y ** (-1.0 - self.alpha)
 
     def mean_rate(self) -> float:
         """First moment of the full measure, ``int_0^inf y pi(dy)`` (needs lam > 0)."""
@@ -197,14 +187,6 @@ def small_jump_variance(m: TemperedStableMeasure, u: float) -> float:
     return m.c * val
 
 
-def small_jump_variance_closed(m: TemperedStableMeasure, u: float) -> float:
-    _check_u(u)
-    if m.lam == 0.0:
-        return m.c * u ** (2.0 - m.alpha) / (2.0 - m.alpha)
-    a = 2.0 - m.alpha
-    return m.c * m.lam ** (-a) * special.gammainc(a, m.lam * u) * math.gamma(a)
-
-
 # -- samplers ----------------------------------------------------------------
 
 
@@ -266,17 +248,3 @@ def compound_poisson_increment(
     if compensate:
         total -= gamma * tail_first_moment_closed(m, u)
     return total
-
-
-def wienerized_increment(
-    m: TemperedStableMeasure,
-    u: float,
-    gamma: float,
-    compensate: bool,
-    rng: np.random.Generator,
-) -> float:
-    """Scheme (W) increment: compound Poisson part plus a Gaussian carrying
-    the variance ``gamma * int_{y<=u} y^2 pi(dy)`` of the discarded jumps."""
-    cp = compound_poisson_increment(m, u, gamma, compensate, rng)
-    sd = math.sqrt(gamma * small_jump_variance_closed(m, u))
-    return cp + sd * rng.standard_normal()

@@ -200,13 +200,11 @@ class PricePathView:
     Asian integral exact given the discrete state path.
     """
 
-    __slots__ = ("values", "grid_times", "seg_lengths", "slopes", "horizon")
+    __slots__ = ("values", "seg_lengths", "slopes", "horizon")
 
-    def __init__(self, values: np.ndarray, grid_times: np.ndarray,
-                 seg_lengths: np.ndarray, horizon: float,
+    def __init__(self, values: np.ndarray, seg_lengths: np.ndarray, horizon: float,
                  slopes: np.ndarray | None = None):
         self.values = values
-        self.grid_times = grid_times
         self.seg_lengths = seg_lengths
         self.slopes = slopes
         self.horizon = horizon
@@ -264,7 +262,7 @@ def heston_price_path(window: Window, params: HestonParams) -> PricePathView:
         + params.rho * params.k * (v - params.theta) / params.sigma_v
         + rho_c * y
     )
-    return PricePathView(values, t, ell, window.T, slopes=slopes)
+    return PricePathView(values, ell, window.T, slopes=slopes)
 
 
 class _BlockNormals:
@@ -330,29 +328,21 @@ def bns_price_path(window: Window, params: BNSParams) -> PricePathView:
     """Price path over an (x, v) window, re-based so the window prices from spot."""
     x = window.states(0)
     values = params.s0 * np.exp(x - x[0])
-    return PricePathView(values, window.grid_times, window.seg_lengths, window.T)
+    return PricePathView(values, window.seg_lengths, window.T)
 
 
 class BnsDriver:
     """Engine driver for the (x, v) scheme.
 
-    ``scheme`` selects the jump approximation: "P" (truncated compound
-    Poisson, the default), "W" (Wienerized small jumps), or "E" with a
-    caller-supplied ``increment_sampler(gamma, rng)`` returning exact
-    subordinator increments.
+    The subordinator increment over each step is the truncated compound
+    Poisson sum of the jumps above the policy's threshold ``u_n``.
     """
 
     dim = 2
     model_name = "bns"
 
-    def __init__(self, params: BNSParams, scheme: str = "P", increment_sampler=None):
-        if scheme not in ("P", "W", "E"):
-            raise ValueError(f"unknown scheme {scheme!r}")
-        if scheme == "E" and increment_sampler is None:
-            raise ValueError("scheme 'E' needs an exact increment sampler")
+    def __init__(self, params: BNSParams):
         self.params = params
-        self.scheme = scheme
-        self.increment_sampler = increment_sampler
         self._normals: _BlockNormals | None = None
 
     def initial_state(self) -> tuple[float, float]:
@@ -363,14 +353,8 @@ class BnsDriver:
         if blk is None or blk._rng is not rng:
             blk = self._normals = _BlockNormals(rng)
         p = self.params
-        if self.scheme == "E":
-            dz = self.increment_sampler(gamma, rng)
-        else:
-            u = p.truncation.threshold(index, gamma)
-            if self.scheme == "P":
-                dz = levy.compound_poisson_increment(p.jump, u, gamma, p.compensate, rng)
-            else:
-                dz = levy.wienerized_increment(p.jump, u, gamma, p.compensate, rng)
+        u = p.truncation.threshold(index, gamma)
+        dz = levy.compound_poisson_increment(p.jump, u, gamma, p.compensate, rng)
         dw = math.sqrt(gamma) * blk.take()
         x, v = state
         if v < 0.0:

@@ -117,7 +117,8 @@ class Schedule:
         """Extend cached sequences/prefix sums through index ``n``.
 
         Single-writer: callers running concurrent readers must call this
-        up front (see the engine, which pre-extends before fan-out).
+        up front (the CLI extends through ``engine.window_sweep_reach``
+        before its replication fan-out).
         """
         if n <= self._n:
             return
@@ -200,22 +201,18 @@ class Schedule:
         # defined through this exact expression; see module docstring.
         return self._Gam[a] - self._Gam[b] <= T
 
-    def horizon_index(self, n: int, T: float, hint: int | None = None) -> int:
+    def horizon_index(self, n: int, T: float) -> int:
         """Largest ``k`` with ``Gamma_k - Gamma_n <= T``.
 
-        ``hint`` may carry a previous answer for a smaller ``n``; the search
-        then gallops from there, which is amortized O(1) during sequential
-        sweeps of ``n``.
+        Gallops up from ``n`` to bracket the boundary, then bisects: one
+        search costs O(log(k - n)).  Sequential sweeps over ``n`` walk the
+        answer forward instead (see the engine's window sweep).
         """
         if n < 0:
             raise ScheduleError(f"window start must be >= 0, got {n}")
         if not T > 0.0:
             raise ScheduleError(f"horizon must be positive, got {T}")
-        lo = n if hint is None else max(n, hint)
-        self.ensure(lo + 1)
-        if not self._diff_le(lo, n, T):
-            # hint overshot (possible when called with stale hints): restart
-            lo = n
+        lo = n
         # gallop to bracket the boundary, then bisect
         step = 1
         hi = lo + 1

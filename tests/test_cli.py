@@ -1,10 +1,12 @@
 """CLI: config parsing, validation, CSV emission, determinism."""
 
 import re
+import threading
 
 import pytest
 
-from statvol import cli
+from statvol import cli, engine
+from statvol.schedule import Schedule
 
 
 def write_config(tmp_path, name="run.cfg", **overrides):
@@ -96,6 +98,13 @@ class TestExitCodes:
             assert rc == 2, (command, key, value, err)
             assert key in err, (command, key, value, err)
 
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, n_iters=50)
+        out = tmp_path / "missing" / "o.csv"
+        rc = cli.main(["price-asian", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert str(out) in capsys.readouterr().err
+
     def test_ok_exit_0(self, tmp_path):
         cfg = write_config(tmp_path, n_iters=500)
         rc = cli.main(["price-asian", "--config", str(cfg), "--out",
@@ -155,6 +164,39 @@ class TestPriceAsianCommand:
         out = tmp_path / "o.csv"
         assert cli.main(["price-asian", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 4
+
+
+class TestScheduleReadOnlyDuringSweeps:
+    """Once a grid command has prepared its schedule, no sweep extends it."""
+
+    @pytest.mark.parametrize("command,overrides", [
+        ("price-asian", {}),
+        ("vol-surface", {"maturities": "0.5,1,2", "replications": 2, "threads": 2}),
+    ])
+    def test_engine_never_grows_the_cache(self, tmp_path, monkeypatch, command, overrides):
+        # n_iters = 4200 puts the last windows past the schedule's first
+        # cache block (indices up to 4096), so the preparation has to extend it
+        growth = {"before": 0, "during": 0}
+        swept = threading.Event()
+        ensure, run = Schedule.ensure, engine.run
+
+        def watched_ensure(self, n):
+            # self._n == 0 only while the constructor fills the first block
+            if n > self._n > 0:
+                growth["during" if swept.is_set() else "before"] += 1
+            ensure(self, n)
+
+        def watched_run(*args, **kwargs):
+            swept.set()
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(Schedule, "ensure", watched_ensure)
+        monkeypatch.setattr(engine, "run", watched_run)
+        cfg = write_config(tmp_path, n_iters=4200, **overrides)
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
+        assert swept.is_set()
+        assert growth["before"] > 0
+        assert growth["during"] == 0
 
 
 class TestVolSurfaceCommand:

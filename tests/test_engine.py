@@ -111,7 +111,7 @@ class TestPathBuffer:
         buf = PathBuffer(2, capacity=4)
         for i in range(10):
             buf.append((float(i), -float(i)))
-        assert buf.state(3) == (3.0, -3.0)
+        assert list(buf.coord_slice(1, 3, 3)) == [-3.0]
         assert list(buf.coord_slice(0, 2, 4)) == [2.0, 3.0, 4.0]
 
     def test_eviction_guards(self):
@@ -121,12 +121,12 @@ class TestPathBuffer:
         buf.evict_below(7)
         assert buf.retained_indices() == range(7, 12)
         with pytest.raises(BufferAccessError):
-            buf.state(6)
+            buf.coord_slice(0, 6, 6)
         with pytest.raises(BufferAccessError):
             buf.coord_slice(0, 6, 8)
         with pytest.raises(BufferAccessError):
-            buf.state(12)
-        assert buf.state(7) == (7.0,)
+            buf.coord_slice(0, 12, 12)
+        assert list(buf.coord_slice(0, 7, 7)) == [7.0]
 
     def test_compaction_preserves_content(self):
         buf = PathBuffer(1, capacity=8)
@@ -187,6 +187,16 @@ class TestRunBookkeeping:
         assert acc.stats().mean[0] == pytest.approx(
             sum(k * s.eta(k + 1) for k in range(5)) / s.H(5), rel=1e-14)
 
+    def test_needs_exactly_one_estimator(self):
+        s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
+        acc = MarginalAccumulator(dim=1)
+        with pytest.raises(ValueError, match="exactly one"):
+            engine.run(ConstantDriver(), s, lambda w: 0.0, T=1.0, n_iters=5,
+                       rng=stream(0, 0), marginal=acc)
+        with pytest.raises(ValueError, match="exactly one"):
+            engine.run(ConstantDriver(), s, None, T=1.0, n_iters=5, rng=stream(0, 0))
+        assert acc.count == 0
+
     def test_storage_contract_after_each_step(self):
         s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
         T = 1.0
@@ -241,8 +251,7 @@ class TestWindowIntegral:
     """Exact time integral of a stepwise path over its window: ``T * average``."""
 
     def _path(self, values, lengths, T):
-        t = np.concatenate(([0.0], np.cumsum(lengths[:-1])))
-        return PricePathView(np.asarray(values, dtype=float), t,
+        return PricePathView(np.asarray(values, dtype=float),
                              np.asarray(lengths, dtype=float), T)
 
     def test_unit_functional_gives_T(self):

@@ -14,12 +14,10 @@ from statvol.levy import (
     sample_jump_above,
     sample_jumps_above,
     small_jump_variance,
-    small_jump_variance_closed,
     tail_first_moment,
     tail_first_moment_closed,
     tail_intensity,
     tail_intensity_closed,
-    wienerized_increment,
 )
 from statvol.rng import stream
 
@@ -87,12 +85,6 @@ class TestTailFirstMoment:
 class TestSmallJumpVariance:
     def test_untempered_closed_form(self):
         assert small_jump_variance(STABLE, 1.0) == pytest.approx(0.01 / 1.5, rel=1e-12)
-        assert small_jump_variance_closed(STABLE, 1.0) == pytest.approx(0.01 / 1.5, rel=1e-14)
-
-    def test_quadrature_vs_closed_form(self):
-        for u in (1e-4, 0.01, 0.3, 2.0):
-            assert small_jump_variance(BENCH, u) == pytest.approx(
-                small_jump_variance_closed(BENCH, u), rel=1e-9)
 
     def test_monotone_in_threshold(self):
         assert small_jump_variance(BENCH, 0.5) < small_jump_variance(BENCH, 1.0)
@@ -168,32 +160,3 @@ class TestCompoundPoissonIncrement:
         kurt = (centered**4).mean() / draws.var() ** 2
         se_var = target_var * math.sqrt(max(kurt - 1.0, 0.0) / n)
         assert abs(draws.var(ddof=1) - target_var) < 3.0 * se_var
-
-
-class TestWienerizedIncrement:
-    def test_reduces_to_cp_at_tiny_variance(self):
-        rng1, rng2 = stream(12, 0), stream(12, 0)
-        u = 1e-12  # essentially no discarded jumps
-        a = wienerized_increment(BENCH, u, 0.01, False, rng1)
-        b = compound_poisson_increment(BENCH, u, 0.01, False, rng2)
-        assert a == pytest.approx(b, abs=1e-7)
-
-    def test_zero_jump_conditioned_variance(self):
-        # huge threshold: no jumps, so the draw is the pure Gaussian leg
-        rng = stream(13, 0)
-        u, gamma = 50.0, 0.04
-        n = 200_000
-        draws = np.array([wienerized_increment(BENCH, u, gamma, False, rng)
-                          for _ in range(n)])
-        target = gamma * small_jump_variance_closed(BENCH, u)
-        rel_se = math.sqrt(2.0 / n)
-        assert draws.var(ddof=1) == pytest.approx(target, rel=6.0 * rel_se)
-
-    def test_compensated_mean_near_zero(self):
-        rng = stream(14, 0)
-        u, gamma = 0.1, 0.5
-        n = 50_000
-        draws = np.array([wienerized_increment(BENCH, u, gamma, True, rng)
-                          for _ in range(n)])
-        se = draws.std(ddof=1) / math.sqrt(n)
-        assert abs(draws.mean()) < 3.0 * se

@@ -207,22 +207,6 @@ class TestBnsJointStep:
         engine.run(driver, s, functional, T=1.0, n_iters=3000, rng=rng)
         assert min(mins) >= 0.0
 
-    def test_scheme_E_requires_sampler(self):
-        with pytest.raises(ValueError):
-            BnsDriver(bench_bns(), scheme="E")
-
-    def test_exact_sampler_hook(self):
-        calls = []
-
-        def sampler(gamma, rng):
-            calls.append(gamma)
-            return 0.0
-
-        driver = BnsDriver(bench_bns(v_init=0.5), scheme="E", increment_sampler=sampler)
-        s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
-        engine.run(driver, s, lambda w: 0.0, T=0.5, n_iters=5, rng=stream(7, 0))
-        assert len(calls) > 0
-
 
 class TestBnsPricePath:
     def test_constant_x_gives_spot(self):

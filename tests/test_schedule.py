@@ -86,14 +86,6 @@ class TestHorizonIndex:
                     k += 1
                 assert N == k
 
-    def test_hint_paths_agree(self, benchmark_schedule):
-        s = benchmark_schedule
-        prev = None
-        for n in range(0, 300):
-            N = s.horizon_index(n, 1.0, hint=prev)
-            assert N == s.horizon_index(n, 1.0)
-            prev = N
-
     def test_monotone_in_n(self, benchmark_schedule):
         s = benchmark_schedule
         Ns = [s.horizon_index(n, 1.0) for n in range(500)]
