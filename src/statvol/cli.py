@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 from . import engine, oracles, pricing, schedule
@@ -55,14 +57,11 @@ class RunConfig:
     sigma_v: float = 0.1
     v_init: float | None = None
     y_init: float = 0.0
-    x_init: float = 0.0
     mu: float = 1.0
     jump_c: float = 0.01
     jump_lambda: float = 1.0
     jump_alpha: float = 0.5
     truncation_power: float = 1.0
-    truncation_umax: float = 1.0
-    compensate_jumps: bool = False
     c1: float = 1.0
     rho1: float = 1.0 / 3.0
     c2: float = 1.0
@@ -87,7 +86,7 @@ class RunConfig:
     scan_max: int = 1_000_000
 
 
-_BOOL_KEYS = {"parity", "compensate_jumps"}
+_BOOL_KEYS = {"parity"}
 _INT_KEYS = {"n_iters", "seed", "replications", "threads", "hist_bins",
              "oracle_paths", "scan_max"}
 _LIST_KEYS = {"strikes", "maturities"}
@@ -183,26 +182,26 @@ def _build_schedule(cfg: RunConfig) -> schedule.Schedule:
         raise ConfigError(str(exc)) from exc
 
 
-def _build_driver(cfg: RunConfig):
+_DRIVERS = {"heston": HestonDriver, "bns": BnsDriver}
+
+
+def _build_params(cfg: RunConfig):
+    """The model's validated parameter record; drivers are built on it."""
     try:
         if cfg.model == "heston":
             rho = 0.5 if cfg.rho is None else cfg.rho
-            params = HestonParams(
+            return HestonParams(
                 s0=cfg.s0, r=cfg.r, rho=rho, k=cfg.k, theta=cfg.theta,
                 sigma_v=cfg.sigma_v, v_init=cfg.v_init, y_init=cfg.y_init,
             )
-            return HestonDriver(params)
         rho = -1.0 if cfg.rho is None else cfg.rho
-        params = BNSParams(
+        return BNSParams(
             s0=cfg.s0, r=cfg.r, rho=rho, mu=cfg.mu,
             jump=TemperedStableMeasure(c=cfg.jump_c, lam=cfg.jump_lambda,
                                        alpha=cfg.jump_alpha),
-            x_init=cfg.x_init, v_init=cfg.v_init,
-            truncation=TruncationPolicy(power=cfg.truncation_power,
-                                        u_max=cfg.truncation_umax),
-            compensate=cfg.compensate_jumps,
+            v_init=cfg.v_init,
+            truncation=TruncationPolicy(power=cfg.truncation_power),
         )
-        return BnsDriver(params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -215,6 +214,20 @@ def _fmt(x) -> str:
     if "," in s or '"' in s:
         s = '"' + s.replace('"', '""') + '"'
     return s
+
+
+def _check_out(out: str) -> None:
+    """Fail before any simulation if ``out`` cannot be written; touches no file."""
+    if out == "-":
+        return
+    path = Path(out)
+    if path.exists():
+        writable = not path.is_dir() and os.access(path, os.W_OK)
+    else:
+        writable = path.parent.is_dir() and os.access(path.parent, os.W_OK | os.X_OK)
+    if not writable:
+        raise ConfigError(f"cannot write out {out}: not a writable file "
+                          "in an existing, writable directory")
 
 
 def _emit(out: str, header: list[str], rows: list[list]) -> None:
@@ -252,66 +265,53 @@ def _combined_rows(cfg: RunConfig, per_rep: list[list[pricing.PriceEstimate]]):
     return rows
 
 
-def _prepare_grid_run(cfg: RunConfig, T: float):
-    _build_driver(cfg)  # validate model parameters before any simulation
+def _replicate_grid(cfg: RunConfig, maturities, kind: str, estimate):
+    """Per maturity, every replication's ``estimate`` of the strike grid.
+
+    The model parameters are built and validated once; each replication
+    gets a fresh driver on them.  Replication ``rep`` of maturity index
+    ``ti`` consumes stream ``ti * replications + rep``.
+    """
+    params = _build_params(cfg)
     sched = _build_schedule(cfg)
-    # Extend exactly as far as the engine's sweeps will read, so the
-    # schedule is strictly read-only during the thread fan-out.
-    engine.window_sweep_reach(sched, T, cfg.n_iters)
-    return sched
+    # The schedule does not depend on the maturity.  Extend it exactly as far
+    # as the longest maturity's sweeps will read, so it is strictly read-only
+    # during the thread fan-out.
+    engine.window_sweep_reach(sched, max(maturities), cfg.n_iters)
+    new_driver = _DRIVERS[cfg.model]
+    per_maturity = []
+    for ti, T in enumerate(maturities):
+        specs = [AsianSpec(K=k, T=T, kind=kind, r=cfg.r) for k in cfg.strikes]
+
+        def worker(rep: int, _specs=specs, _ti=ti):
+            return estimate(new_driver(params), sched, _specs, cfg.n_iters,
+                            stream(cfg.seed, _ti * cfg.replications + rep))
+
+        per_maturity.append(_map_reps(cfg, worker))
+    return per_maturity
+
+
+def _price_strike_grid(cfg: RunConfig, estimate) -> None:
+    _validate(cfg)
+    [per_rep] = _replicate_grid(cfg, (cfg.maturity,), cfg.kind, estimate)
+    rows = _combined_rows(cfg, per_rep)
+    _emit(cfg.out, ["strike", "estimate", "std_error", "n", "seed"], rows)
 
 
 def cmd_price_asian(cfg: RunConfig) -> None:
-    _validate(cfg)
-    T = cfg.maturity
-    sched = _prepare_grid_run(cfg, T)
-    specs = [AsianSpec(K=k, T=T, kind=cfg.kind, r=cfg.r) for k in cfg.strikes]
-
-    def worker(rep: int):
-        driver = _build_driver(cfg)
-        return pricing.price_asian_grid(
-            driver, sched, specs, cfg.n_iters, stream(cfg.seed, rep),
-            use_parity=cfg.parity,
-        )
-
-    per_rep = _map_reps(cfg, worker)
-    rows = _combined_rows(cfg, per_rep)
-    _emit(cfg.out, ["strike", "estimate", "std_error", "n", "seed"], rows)
+    _price_strike_grid(cfg, partial(pricing.price_asian_grid, use_parity=cfg.parity))
 
 
 def cmd_price_european(cfg: RunConfig) -> None:
-    _validate(cfg)
-    T = cfg.maturity
-    sched = _prepare_grid_run(cfg, T)
-    specs = [AsianSpec(K=k, T=T, kind=cfg.kind, r=cfg.r) for k in cfg.strikes]
-
-    def worker(rep: int):
-        driver = _build_driver(cfg)
-        return pricing.price_european_grid(
-            driver, sched, specs, cfg.n_iters, stream(cfg.seed, rep))
-
-    per_rep = _map_reps(cfg, worker)
-    rows = _combined_rows(cfg, per_rep)
-    _emit(cfg.out, ["strike", "estimate", "std_error", "n", "seed"], rows)
+    _price_strike_grid(cfg, pricing.price_european_grid)
 
 
 def cmd_vol_surface(cfg: RunConfig) -> None:
     _validate(cfg)
     maturities = cfg.maturities if cfg.maturities is not None else (cfg.maturity,)
-    # The schedule does not depend on the maturity: one extended through the
-    # longest maturity's windows serves them all.
-    sched = _prepare_grid_run(cfg, max(maturities))
+    per_maturity = _replicate_grid(cfg, maturities, "call", pricing.price_european_grid)
     rows = []
-    for ti, T in enumerate(maturities):
-        specs = [AsianSpec(K=k, T=T, kind="call", r=cfg.r) for k in cfg.strikes]
-
-        def worker(rep: int, _specs=specs, _ti=ti):
-            driver = _build_driver(cfg)
-            return pricing.price_european_grid(
-                driver, sched, _specs, cfg.n_iters,
-                stream(cfg.seed, _ti * cfg.replications + rep))
-
-        per_rep = _map_reps(cfg, worker)
+    for T, per_rep in zip(maturities, per_maturity):
         for i, k in enumerate(cfg.strikes):
             price = sum(per_rep[r][i].value for r in range(len(per_rep))) / len(per_rep)
             try:
@@ -327,7 +327,7 @@ def cmd_vol_surface(cfg: RunConfig) -> None:
 def cmd_stationary_stats(cfg: RunConfig) -> None:
     _validate(cfg)
     sched = _build_schedule(cfg)
-    driver = _build_driver(cfg)
+    driver = _DRIVERS[cfg.model](_build_params(cfg))
     vol_coord = 0 if cfg.model == "heston" else 1
     marg = MarginalAccumulator(dim=driver.dim, bins=cfg.hist_bins,
                                lo=cfg.hist_lo, hi=cfg.hist_hi)
@@ -374,12 +374,12 @@ def cmd_oracle(cfg: RunConfig) -> None:
     if not cfg.oracle_fine_step <= 1e-3 * cfg.maturity:
         raise ConfigError(f"oracle_fine_step must be <= 1e-3 * maturity = "
                           f"{1e-3 * cfg.maturity}, got {cfg.oracle_fine_step}")
-    driver = _build_driver(cfg)
+    params = _build_params(cfg)
     rows = []
     for i, k in enumerate(cfg.strikes):
         spec = AsianSpec(K=k, T=cfg.maturity, kind=cfg.kind, r=cfg.r)
         est = oracles.cir_direct_stationary_price(
-            driver.params, spec, cfg.oracle_paths, cfg.oracle_fine_step,
+            params, spec, cfg.oracle_paths, cfg.oracle_fine_step,
             stream(cfg.seed, i))
         rows.append([k, est.value, est.se, est.n_paths, cfg.seed])
     _emit(cfg.out, ["strike", "estimate", "std_error", "n_paths", "seed"], rows)
@@ -429,6 +429,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg.parity = args.parity == "on"
         if args.threads is not None:
             cfg.threads = args.threads
+        _check_out(cfg.out)
         _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -7,14 +7,15 @@ The driving noise is a pure-jump subordinator with Levy density
 with ``alpha in (0, 1)`` (finite variation, infinite activity).  Exact
 increments are not simulable, so a step uses only the jumps above a
 vanishing threshold ``u``: a compound Poisson increment from the jumps with
-size > u, optionally compensated by the mean of the retained jumps.
+size > u.  It is never compensated: a subordinator is non-decreasing, and
+the variance it drives must only jump up.
 
 Tail quantities are integrated by adaptive quadrature to 1e-10 relative
-accuracy (:func:`tail_intensity`, :func:`tail_first_moment`, and
-:func:`small_jump_variance` for the discarded jumps); the ``*_closed``
-variants evaluate the tail integrals through incomplete gamma functions and
-are what the per-step samplers call.  Tests pin the two routes against each
-other and against an independent high-precision oracle.
+accuracy (:func:`tail_intensity`, and :func:`small_jump_variance` for the
+discarded jumps); :func:`tail_intensity_closed` evaluates the jump rate
+through incomplete gamma functions and is what the per-step sampler calls.
+Tests pin the two routes against each other and against an independent
+high-precision oracle.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ __all__ = [
     "TruncationPolicy",
     "tail_intensity",
     "tail_intensity_closed",
-    "tail_first_moment",
-    "tail_first_moment_closed",
-    "tail_second_moment_closed",
     "small_jump_variance",
     "sample_jump_above",
     "sample_jumps_above",
@@ -72,26 +70,23 @@ class TemperedStableMeasure:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Jump-size threshold rule ``u_n = min(u_max, gamma_n ** power)``.
+    """Jump-size threshold rule ``u_n = min(1, gamma_n ** power)``.
 
     Must be positive and non-increasing with ``u_n -> 0``; any power >= 1
-    applied to a non-increasing step sequence with ``gamma_1 <= u_max``
-    satisfies this.  ``power=1`` (threshold equal to the step) is the
-    default; larger powers retain more small jumps per step, shrinking the
-    truncation bias at a modest cost in extra Poisson draws.
+    applied to a non-increasing step sequence satisfies this.  ``power=1``
+    (threshold equal to the step) is the default; larger powers retain more
+    small jumps per step, shrinking the truncation bias at a modest cost in
+    extra Poisson draws.
     """
 
     power: float = 1.0
-    u_max: float = 1.0
 
     def __post_init__(self):
         if not self.power >= 1.0:
             raise ValueError(f"threshold power must be >= 1, got {self.power}")
-        if not self.u_max > 0.0:
-            raise ValueError(f"u_max must be positive, got {self.u_max}")
 
-    def threshold(self, n: int, gamma: float) -> float:
-        return min(self.u_max, gamma**self.power)
+    def threshold(self, gamma: float) -> float:
+        return min(1.0, gamma**self.power)
 
 
 # -- tail integrals ----------------------------------------------------------
@@ -136,37 +131,6 @@ def tail_intensity_closed(m: TemperedStableMeasure, u: float) -> float:
     if m.lam == 0.0:
         return m.c * u ** (-m.alpha) / m.alpha
     return m.c * m.lam**m.alpha * _upper_gamma(-m.alpha, m.lam * u)
-
-
-def tail_first_moment(m: TemperedStableMeasure, u: float) -> float:
-    """``int_u^inf y pi(dy)`` by quadrature; the compensator rate of retained jumps."""
-    _check_u(u)
-    if m.lam == 0.0:
-        raise ValueError("tail first moment diverges without tempering")
-    scale = m.c * math.exp(-m.lam * u)
-
-    def f(z: float) -> float:
-        return math.exp(-m.lam * z) * (z + u) ** (-m.alpha)
-
-    val, _ = integrate.quad(f, 0.0, np.inf, epsabs=0.0, epsrel=_QUAD_RTOL, limit=200)
-    return scale * val
-
-
-def tail_first_moment_closed(m: TemperedStableMeasure, u: float) -> float:
-    _check_u(u)
-    if m.lam == 0.0:
-        raise ValueError("tail first moment diverges without tempering")
-    a = 1.0 - m.alpha  # positive
-    return m.c * m.lam ** (m.alpha - 1.0) * special.gammaincc(a, m.lam * u) * math.gamma(a)
-
-
-def tail_second_moment_closed(m: TemperedStableMeasure, u: float) -> float:
-    """``int_u^inf y^2 pi(dy)`` in closed form (needs lam > 0)."""
-    _check_u(u)
-    if m.lam == 0.0:
-        raise ValueError("tail second moment diverges without tempering")
-    a = 2.0 - m.alpha
-    return m.c * m.lam ** (m.alpha - 2.0) * special.gammaincc(a, m.lam * u) * math.gamma(a)
 
 
 def small_jump_variance(m: TemperedStableMeasure, u: float) -> float:
@@ -229,14 +193,13 @@ def compound_poisson_increment(
     m: TemperedStableMeasure,
     u: float,
     gamma: float,
-    compensate: bool,
     rng: np.random.Generator,
 ) -> float:
     """Increment over a step of length ``gamma`` from the jumps above ``u``.
 
-    Draws ``Poisson(gamma * Lambda(u))`` jumps, each from the tail density;
-    with ``compensate`` the mean ``gamma * int_{y>u} y pi(dy)`` is
-    subtracted, making the increment centered.
+    Draws ``Poisson(gamma * Lambda(u))`` jumps, each from the tail density,
+    and returns their sum: non-negative, with mean ``gamma * int_{y>u} y
+    pi(dy)`` and variance ``gamma * int_{y>u} y^2 pi(dy)``.
     """
     if not gamma > 0.0:
         raise ValueError(f"step must be positive, got {gamma}")
@@ -245,6 +208,4 @@ def compound_poisson_increment(
     total = 0.0
     for _ in range(n):
         total += sample_jump_above(m, u, rng)
-    if compensate:
-        total -= gamma * tail_first_moment_closed(m, u)
     return total

@@ -114,17 +114,21 @@ class HestonParams:
 
 @dataclass(frozen=True)
 class BNSParams:
-    """Log-price/subordinator SSV parameters plus scheme initial values."""
+    """Log-price/subordinator SSV parameters plus scheme initial values.
+
+    The scheme's log price starts at 0: each window re-bases it at its own
+    start, so no starting value would reach a price.  ``truncation`` sets
+    the jump-size threshold of the subordinator increments, which are never
+    compensated (the variance only jumps up).
+    """
 
     s0: float
     r: float
     rho: float
     mu: float
     jump: TemperedStableMeasure
-    x_init: float = 0.0
     v_init: float | None = None
     truncation: TruncationPolicy = field(default_factory=TruncationPolicy)
-    compensate: bool = False
 
     def __post_init__(self):
         if not self.s0 > 0.0:
@@ -249,8 +253,8 @@ def heston_price_path(window: Window, params: HestonParams) -> PricePathView:
     y = window.states(1)
     t = window.grid_times
     ell = window.seg_lengths
-    iv = _shifted_cumsum(v[:-1] * ell[:-1]) if len(v) > 1 else np.zeros(1)
-    iy = _shifted_cumsum(y[:-1] * ell[:-1]) if len(y) > 1 else np.zeros(1)
+    iv = _shifted_cumsum(v[:-1] * ell[:-1])
+    iy = _shifted_cumsum(y[:-1] * ell[:-1])
     rho_c = math.sqrt(1.0 - params.rho**2)
     lam = (v - v[0] - params.k * params.theta * t + params.k * iv) / params.sigma_v
     mart = y - y[0] + iy
@@ -346,15 +350,15 @@ class BnsDriver:
         self._normals: _BlockNormals | None = None
 
     def initial_state(self) -> tuple[float, float]:
-        return (self.params.x_init, self.params.v_init)
+        return (0.0, self.params.v_init)
 
     def step(self, state, index, gamma, rng):
         blk = self._normals
         if blk is None or blk._rng is not rng:
             blk = self._normals = _BlockNormals(rng)
         p = self.params
-        u = p.truncation.threshold(index, gamma)
-        dz = levy.compound_poisson_increment(p.jump, u, gamma, p.compensate, rng)
+        u = p.truncation.threshold(gamma)
+        dz = levy.compound_poisson_increment(p.jump, u, gamma, rng)
         dw = math.sqrt(gamma) * blk.take()
         x, v = state
         if v < 0.0:

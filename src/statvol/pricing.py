@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine
-from .models import growth_rate
+from .models import PricePathView, growth_rate
 from .schedule import Schedule
 
 __all__ = [
@@ -146,28 +146,6 @@ def _common_T_r(specs: list[AsianSpec]) -> tuple[float, float]:
     return Ts.pop(), rs.pop()
 
 
-def _asian_functional(driver, strikes: np.ndarray, disc: float):
-    def functional(window: engine.Window) -> np.ndarray:
-        a = driver.price_path(window).average()
-        d = a - strikes
-        return np.concatenate(
-            [disc * np.maximum(d, 0.0), disc * np.maximum(-d, 0.0), [a]]
-        )
-
-    return functional
-
-
-def _european_functional(driver, strikes: np.ndarray, disc: float):
-    def functional(window: engine.Window) -> np.ndarray:
-        s_T = driver.price_path(window).terminal()
-        d = s_T - strikes
-        return np.concatenate(
-            [disc * np.maximum(d, 0.0), disc * np.maximum(-d, 0.0), [s_T]]
-        )
-
-    return functional
-
-
 def _naive_se(avg: engine.FunctionalAverage, avg2: engine.FunctionalAverage) -> np.ndarray:
     mean = np.asarray(avg.value, dtype=float)
     var = np.maximum(np.asarray(avg2.value, dtype=float) - mean**2, 0.0)
@@ -225,6 +203,36 @@ def _assemble(
     return out
 
 
+def _price_grid(
+    driver,
+    sched: Schedule,
+    specs: list[AsianSpec],
+    n_iters: int,
+    rng: np.random.Generator,
+    statistic,
+    use_parity: bool,
+) -> list[PriceEstimate]:
+    """Call and put prices on ``statistic(price path)`` for a strike grid.
+
+    One sweep folds, per window, the discounted call and put payoffs of
+    every strike and the statistic itself, so the per-strike cost beyond
+    the trajectory is one payoff evaluation per window.
+    """
+    T, r = _common_T_r(specs)
+    strikes = np.array([s.K for s in specs], dtype=float)
+    disc = math.exp(-r * T)
+
+    def functional(window: engine.Window) -> np.ndarray:
+        a = statistic(driver.price_path(window))
+        d = a - strikes
+        return np.concatenate(
+            [disc * np.maximum(d, 0.0), disc * np.maximum(-d, 0.0), [a]]
+        )
+
+    result = engine.run(driver, sched, functional, T, n_iters, rng)
+    return _assemble(specs, strikes, result, driver.params, use_parity, T, r)
+
+
 def price_asian_grid(
     driver,
     sched: Schedule,
@@ -233,17 +241,9 @@ def price_asian_grid(
     rng: np.random.Generator,
     use_parity: bool = True,
 ) -> list[PriceEstimate]:
-    """Estimate a strike grid of Asian prices from one trajectory.
-
-    All windows are shared across strikes, so the per-strike cost beyond
-    the trajectory itself is one payoff evaluation per window.
-    """
-    T, r = _common_T_r(specs)
-    strikes = np.array([s.K for s in specs], dtype=float)
-    disc = math.exp(-r * T)
-    functional = _asian_functional(driver, strikes, disc)
-    result = engine.run(driver, sched, functional, T, n_iters, rng)
-    return _assemble(specs, strikes, result, driver.params, use_parity, T, r)
+    """Estimate a strike grid of Asian prices from one trajectory."""
+    return _price_grid(driver, sched, specs, n_iters, rng, PricePathView.average,
+                       use_parity)
 
 
 def price_asian(
@@ -266,12 +266,7 @@ def price_european_grid(
     rng: np.random.Generator,
 ) -> list[PriceEstimate]:
     """Estimate terminal-value (European) prices on a shared trajectory."""
-    T, r = _common_T_r(specs)
-    strikes = np.array([s.K for s in specs], dtype=float)
-    disc = math.exp(-r * T)
-    functional = _european_functional(driver, strikes, disc)
-    result = engine.run(driver, sched, functional, T, n_iters, rng)
-    return _assemble(specs, strikes, result, driver.params, False, T, r)
+    return _price_grid(driver, sched, specs, n_iters, rng, PricePathView.terminal, False)
 
 
 def price_european(

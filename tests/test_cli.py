@@ -2,6 +2,9 @@
 
 import re
 import threading
+import warnings
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -45,10 +48,26 @@ class TestConfigParsing:
         assert cfg.n_iters == 123
 
     def test_unknown_key_rejected(self, tmp_path):
-        p = tmp_path / "c.cfg"
-        p.write_text("modle = heston\n")
-        with pytest.raises(cli.ConfigError, match="unknown key"):
-            cli.load_config(p)
+        # a misspelling, and keys of removed model options
+        for key, raw in [("modle", "heston"), ("compensate_jumps", "on"),
+                         ("x_init", "3"), ("truncation_umax", "0.5")]:
+            p = tmp_path / "c.cfg"
+            p.write_text(f"{key} = {raw}\n")
+            with pytest.raises(cli.ConfigError, match=f"unknown key '{key}'"):
+                cli.load_config(p)
+
+    def test_schema_documents_exactly_the_config_keys(self):
+        text = (Path(cli.__file__).parent / "config_schema.txt").read_text()
+        # the key table follows the first bare '#' line; an entry names its
+        # keys (comma-separated) before a run of spaces, and continuation
+        # lines start indented
+        table = text.split("\n#\n", 1)[1]
+        documented = set()
+        for line in table.splitlines():
+            entry = line[2:]
+            if entry and not entry.startswith(" "):
+                documented.update(re.split(r"\s{2,}", entry, maxsplit=1)[0].split(", "))
+        assert documented == {f.name for f in fields(cli.RunConfig)}
 
     def test_bad_value_rejected(self, tmp_path):
         # unparsable, and non-finite numbers (scalar keys and list elements)
@@ -98,12 +117,21 @@ class TestExitCodes:
             assert rc == 2, (command, key, value, err)
             assert key in err, (command, key, value, err)
 
-    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, monkeypatch):
+        swept, run = [], engine.run
+
+        def watched_run(*args, **kwargs):
+            swept.append(1)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "run", watched_run)
         cfg = write_config(tmp_path, n_iters=50)
-        out = tmp_path / "missing" / "o.csv"
-        rc = cli.main(["price-asian", "--config", str(cfg), "--out", str(out)])
-        assert rc == 2
-        assert str(out) in capsys.readouterr().err
+        # a missing directory, and a directory in place of the file
+        for out in (tmp_path / "missing" / "o.csv", tmp_path):
+            rc = cli.main(["price-asian", "--config", str(cfg), "--out", str(out)])
+            assert rc == 2
+            assert str(out) in capsys.readouterr().err
+        assert not swept  # failed before any simulation
 
     def test_ok_exit_0(self, tmp_path):
         cfg = write_config(tmp_path, n_iters=500)
@@ -212,6 +240,20 @@ class TestVolSurfaceCommand:
         for line in lines[1:]:
             status = line.split(",")[-1]
             assert status in ("ok", "band_violation")
+
+    def test_scheme_warning_raised_once(self, tmp_path):
+        # the benchmark Heston parameters violate the sufficient
+        # scheme-convergence condition; the run validates them once, not
+        # once per replication and maturity
+        cfg = write_config(tmp_path, n_iters=200, maturities="0.5,1,2", replications=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["vol-surface", "--config", str(cfg), "--out",
+                           str(tmp_path / "s.csv")])
+        assert rc == 0
+        scheme = [w for w in caught if issubclass(w.category, RuntimeWarning)
+                  and "scheme-convergence" in str(w.message)]
+        assert len(scheme) == 1
 
     def test_single_point_composes_with_inversion(self, tmp_path):
         cfg = write_config(tmp_path, n_iters=4000, strikes="50", maturity=1.0)

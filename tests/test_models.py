@@ -126,9 +126,12 @@ class TestHestonPricePath:
 
     def test_starts_at_spot(self):
         p = bench_heston()
-        w = make_window([(0.012, 0.3), (0.009, 0.1)], [0.4, 0.2], 0.6)
-        path = heston_price_path(w, p)
-        assert path.values[0] == pytest.approx(p.s0)
+        # the one-point window has no segment before its last grid point
+        for w in (make_window([(0.012, 0.3), (0.009, 0.1)], [0.4, 0.2], 0.6),
+                  make_window([(0.012, 0.3)], [0.6], 0.6)):
+            path = heston_price_path(w, p)
+            assert len(path.values) == len(w)
+            assert path.values[0] == pytest.approx(p.s0)
 
     def test_constant_mean_variance_kills_lambda(self):
         # v identically theta: Lambda(t) = 0, so rho never enters
