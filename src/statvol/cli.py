@@ -292,7 +292,6 @@ def _replicate_grid(cfg: RunConfig, maturities, kind: str, estimate):
 
 
 def _price_strike_grid(cfg: RunConfig, estimate) -> None:
-    _validate(cfg)
     [per_rep] = _replicate_grid(cfg, (cfg.maturity,), cfg.kind, estimate)
     rows = _combined_rows(cfg, per_rep)
     _emit(cfg.out, ["strike", "estimate", "std_error", "n", "seed"], rows)
@@ -307,7 +306,6 @@ def cmd_price_european(cfg: RunConfig) -> None:
 
 
 def cmd_vol_surface(cfg: RunConfig) -> None:
-    _validate(cfg)
     maturities = cfg.maturities if cfg.maturities is not None else (cfg.maturity,)
     per_maturity = _replicate_grid(cfg, maturities, "call", pricing.price_european_grid)
     rows = []
@@ -325,21 +323,19 @@ def cmd_vol_surface(cfg: RunConfig) -> None:
 
 
 def cmd_stationary_stats(cfg: RunConfig) -> None:
-    _validate(cfg)
     sched = _build_schedule(cfg)
     driver = _DRIVERS[cfg.model](_build_params(cfg))
-    vol_coord = 0 if cfg.model == "heston" else 1
-    marg = MarginalAccumulator(dim=driver.dim, bins=cfg.hist_bins,
+    # both drivers carry the variance first: fold that coordinate alone
+    marg = MarginalAccumulator(dim=1, bins=cfg.hist_bins,
                                lo=cfg.hist_lo, hi=cfg.hist_hi)
     res = engine.run(driver, sched, functional=None, T=None, n_iters=cfg.n_iters,
                      rng=stream(cfg.seed, 0), marginal=marg)
     rows = []
     for n, mean, var in res.marginal_checkpoints:
-        rows.append(["moment", n, float(mean[vol_coord]), float(var[vol_coord]),
-                     "", "", ""])
+        rows.append(["moment", n, float(mean[0]), float(var[0]), "", "", ""])
     st = marg.stats()
     edges = st.bin_edges
-    hist = st.histogram[vol_coord]
+    [hist] = st.histogram
     rows.append(["histogram", cfg.n_iters, "", "", "-inf", edges[0], hist[0]])
     for b in range(cfg.hist_bins):
         rows.append(["histogram", cfg.n_iters, "", "", edges[b], edges[b + 1], hist[b + 1]])
@@ -348,7 +344,6 @@ def cmd_stationary_stats(cfg: RunConfig) -> None:
 
 
 def cmd_check_schedule(cfg: RunConfig) -> None:
-    _validate(cfg)
     sched = _build_schedule(cfg)
     try:
         diags = [
@@ -365,7 +360,6 @@ def cmd_check_schedule(cfg: RunConfig) -> None:
 
 
 def cmd_oracle(cfg: RunConfig) -> None:
-    _validate(cfg)
     if cfg.model != "heston":
         raise ConfigError("the oracle command supports only model=heston")
     # Checked here, not in _validate: only the oracle ties its grid step to
@@ -429,6 +423,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg.parity = args.parity == "on"
         if args.threads is not None:
             cfg.threads = args.threads
+        _validate(cfg)
         _check_out(cfg.out)
         _COMMANDS[args.command](cfg)
     except ConfigError as exc:

@@ -12,19 +12,21 @@ result into a running weighted average through the recurrence
     value <- value + (eta_{j+1} / H_{j+1}) * (F(window_j) - value),
 
 which reproduces the explicit weighted mean ``(1/H_n) sum eta_k F(window_{k-1})``
-without storing the history.  The window's end ``N_j`` is walked by a
-monotone pointer over Gamma, with the predicate of
-:meth:`Schedule.horizon_index`, so ``N_j = N(j, T)`` exactly.  Windows are
-views into a shared buffer, never copies; entries below the current window
-start are evicted as the sweep advances, so live storage stays at one
-window's length.  The trajectory runs exactly to the last window's end,
+without storing the history.  There is no engine-side second moment: a
+caller that wants one returns the squares as part of the functional's
+value.  The window's end ``N_j`` is walked by a monotone pointer over
+Gamma, with the predicate of :meth:`Schedule.horizon_index`, so
+``N_j = N(j, T)`` exactly.  Windows are views into a shared buffer, never
+copies; entries below the current window start are evicted as the sweep
+advances, so live storage stays at one window's length.  The trajectory runs exactly to the last window's end,
 ``N(n-1, T)``; :func:`window_sweep_reach` gives the last schedule index the
 sweep reads.
 
 *Marginal sweep* (a marginal accumulator).  Iteration ``j`` folds the state
 at grid index ``j`` with weight ``eta_{j+1}`` into the weighted occupation
-measure.  It keeps no buffer and builds no windows, simulates nothing past
-index ``n-1`` and needs no horizon ``T``.
+measure of the coordinates the accumulator was built for.  It keeps no
+buffer and builds no windows, simulates nothing past index ``n-1`` and
+needs no horizon ``T``.
 
 The trajectory itself is produced by a *driver*: any object with
 
@@ -231,9 +233,10 @@ class MarginalAccumulator:
     """Weighted moment sums and fixed-bin histograms of the point marginal.
 
     Fed with ``(eta_k, state at grid index k-1)`` pairs, it tracks the
-    weighted occupation of the state space: per-coordinate moment sums up to
-    order three plus a histogram with explicit under/overflow bins.  Total
-    accumulated weight equals ``H_n``.
+    weighted occupation of the first ``dim`` state coordinates (later ones
+    are not read): per-coordinate moment sums up to order three plus a
+    histogram with explicit under/overflow bins.  Total accumulated weight
+    equals ``H_n``.
     """
 
     def __init__(self, dim: int, bins: int = 200, lo: float = 0.0, hi: float = 1.0):
@@ -294,7 +297,6 @@ class RunResult:
 
     n_iters: int
     average: FunctionalAverage | None
-    second_moment: FunctionalAverage | None
     checkpoints: list = field(default_factory=list)  # (n, value) pairs
     marginal_checkpoints: list = field(default_factory=list)  # (n, mean, variance)
 
@@ -348,10 +350,11 @@ def run(
     Exactly one of ``functional`` and ``marginal`` must be given.
 
     With a ``functional``, iteration ``j`` (zero-based) evaluates it on the
-    window of length ``T`` starting at grid index ``j`` and folds the value
-    and its square in with weight ``eta_{j+1}``.  While the functional runs,
-    the buffer retains exactly the indices ``[j, horizon_index(j, T)]``; the
-    trajectory ends at ``horizon_index(n_iters - 1, T)``.
+    window of length ``T`` starting at grid index ``j`` and folds its value
+    in with weight ``eta_{j+1}``; no other statistic of the value is kept.
+    While the functional runs, the buffer retains exactly the indices
+    ``[j, horizon_index(j, T)]``; the trajectory ends at
+    ``horizon_index(n_iters - 1, T)``.
 
     With a ``marginal`` accumulator, iteration ``j`` feeds it the state at
     index ``j`` with weight ``eta_{j+1}``; the trajectory ends at index
@@ -381,7 +384,7 @@ def run(
             if j + 1 in cp_grid:
                 st = marginal.stats()
                 marginal_checkpoints.append((j + 1, st.mean.copy(), st.variance.copy()))
-        return RunResult(n_iters=n_iters, average=None, second_moment=None,
+        return RunResult(n_iters=n_iters, average=None,
                          marginal_checkpoints=marginal_checkpoints)
 
     # Every schedule index the sweep reads lies at or below the reach:
@@ -394,7 +397,6 @@ def run(
     buf = PathBuffer(driver.dim)
     buf.append(state)
     avg = FunctionalAverage()
-    avg2 = FunctionalAverage()
     checkpoints = []
     N = 0  # end of the current window, N(j, T)
     for j in range(n_iters):
@@ -414,12 +416,9 @@ def run(
         ell[:m] = gam[j + 1 : N + 1]
         ell[m] = T - t[m]
         f = functional(Window(buf, j, N, T, t, ell))
-        eta_j = float(eta[j + 1])
-        avg.update(eta_j, f)
-        avg2.update(eta_j, f * f)
+        avg.update(float(eta[j + 1]), f)
         if j + 1 in cp_grid:
             checkpoints.append((j + 1, avg.copy_value()))
         buf.evict_below(j + 1)
 
-    return RunResult(n_iters=n_iters, average=avg, second_moment=avg2,
-                     checkpoints=checkpoints)
+    return RunResult(n_iters=n_iters, average=avg, checkpoints=checkpoints)

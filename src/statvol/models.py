@@ -2,7 +2,8 @@
 
 Two models are provided, each as a driver for the windowed-average engine
 together with the map from a state window to the corresponding price path
-over ``[0, T]``.
+over ``[0, T]``.  Both states carry the variance ``v`` first, so a marginal
+accumulator of dimension 1 folds the variance alone in either model.
 
 Square-root (Heston-type) model
     d S = S (r dt + sqrt((1-rho^2) v) dW1 + rho sqrt(v) dW2)
@@ -28,9 +29,9 @@ Log-price/subordinator (BNS-type) model
     d v = -mu v dt + dZ
 
   with ``Z`` a tempered-stable subordinator.  One subordinator increment
-  feeds both equations (leverage).  Only the pair ``(v, X-increments)`` is
-  stationary, so each window is re-based at its own start:
-  ``S_t = s0 * exp(X_t - X_0)``.
+  feeds both equations (leverage).  The scheme evolves ``(v, X)``; only
+  ``v`` and the increments of ``X`` are stationary, so each window is
+  re-based at its own start: ``S_t = s0 * exp(X_t - X_0)``.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ __all__ = [
     "HestonDriver",
     "BnsDriver",
     "heston_invariant_gamma",
-    "heston_invariant_moments",
     "bns_jump_cumulant_rate",
     "growth_rate",
 ]
@@ -149,11 +149,6 @@ def heston_invariant_gamma(params: HestonParams) -> tuple[float, float]:
     shape = 2.0 * params.k * params.theta / params.sigma_v**2
     scale = params.sigma_v**2 / (2.0 * params.k)
     return shape, scale
-
-
-def heston_invariant_moments(params: HestonParams) -> tuple[float, float]:
-    """(mean, variance) of the invariant law of v."""
-    return params.theta, params.theta * params.sigma_v**2 / (2.0 * params.k)
 
 
 def bns_jump_cumulant_rate(params: BNSParams) -> float:
@@ -299,7 +294,6 @@ class HestonDriver:
     """
 
     dim = 2
-    model_name = "heston"
 
     def __init__(self, params: HestonParams):
         self.params = params
@@ -329,28 +323,29 @@ class HestonDriver:
 
 
 def bns_price_path(window: Window, params: BNSParams) -> PricePathView:
-    """Price path over an (x, v) window, re-based so the window prices from spot."""
-    x = window.states(0)
+    """Price path over a (v, x) window, re-based so the window prices from spot."""
+    x = window.states(1)
     values = params.s0 * np.exp(x - x[0])
     return PricePathView(values, window.seg_lengths, window.T)
 
 
 class BnsDriver:
-    """Engine driver for the (x, v) scheme.
+    """Engine driver for the (v, x) scheme: variance first, as in :class:`HestonDriver`.
 
     The subordinator increment over each step is the truncated compound
-    Poisson sum of the jumps above the policy's threshold ``u_n``.
+    Poisson sum of the jumps above the policy's threshold ``u_n``.  A step
+    whose new variance is negative (``gamma * mu > 1``) raises, so no state
+    it returns has ``v < 0``.
     """
 
     dim = 2
-    model_name = "bns"
 
     def __init__(self, params: BNSParams):
         self.params = params
         self._normals: _BlockNormals | None = None
 
     def initial_state(self) -> tuple[float, float]:
-        return (0.0, self.params.v_init)
+        return (self.params.v_init, 0.0)
 
     def step(self, state, index, gamma, rng):
         blk = self._normals
@@ -360,14 +355,14 @@ class BnsDriver:
         u = p.truncation.threshold(gamma)
         dz = levy.compound_poisson_increment(p.jump, u, gamma, rng)
         dw = math.sqrt(gamma) * blk.take()
-        x, v = state
-        if v < 0.0:
-            raise ValueError(f"variance went negative ({v}); need gamma*mu <= 1")
+        v, x = state
         # One subordinator increment enters both equations: the log price
         # jumps by rho * dz <= 0 exactly when the variance jumps by dz >= 0.
         x1 = x + gamma * (p.r - 0.5 * v) + math.sqrt(v) * dw + p.rho * dz
         v1 = v - gamma * p.mu * v + dz
-        return x1, v1
+        if v1 < 0.0:
+            raise ValueError(f"variance went negative ({v1}); need gamma*mu <= 1")
+        return v1, x1
 
     def price_path(self, window: Window) -> PricePathView:
         return bns_price_path(window, self.params)

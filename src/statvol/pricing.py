@@ -13,10 +13,11 @@ and the exact call-put gap ``e^{-rT} (E[A] - K)`` is known in closed form
 leg and reconstructing the other through the gap is the variance-reduced
 ("parity on") estimator.
 
-Standard errors come from the weighted second moment of the payoffs with
-effective sample size ``H_n^2 / sum eta_k^2``; overlapping windows make
-consecutive payoffs strongly correlated, so these bands understate the
-error of a single run.  Replication-level spread (fresh seeds) is the
+Standard errors come from the squared payoffs, which the functional
+returns after the payoffs so that the engine's one weighted average folds
+both, with effective sample size ``H_n^2 / sum eta_k^2``; overlapping
+windows make consecutive payoffs strongly correlated, so these bands
+understate the error of a single run.  Replication-level spread (fresh seeds) is the
 honest band and is what the cross-validation checks use.
 """
 
@@ -79,7 +80,7 @@ class PriceEstimate:
     ``value`` is the reported price: the direct estimator, or the
     parity-reconstructed one when ``used_parity``.  ``direct`` and
     ``other_direct`` are the raw call/put legs estimated on the same
-    windows; ``companion`` is the parity-paired estimate of the same leg.
+    windows.
     """
 
     K: float
@@ -92,7 +93,6 @@ class PriceEstimate:
     other_direct: float
     mean_average: float
     used_parity: bool
-    companion: float | None = None
     checkpoints: list = field(default_factory=list)  # (n, value) pairs
 
 
@@ -146,9 +146,14 @@ def _common_T_r(specs: list[AsianSpec]) -> tuple[float, float]:
     return Ts.pop(), rs.pop()
 
 
-def _naive_se(avg: engine.FunctionalAverage, avg2: engine.FunctionalAverage) -> np.ndarray:
-    mean = np.asarray(avg.value, dtype=float)
-    var = np.maximum(np.asarray(avg2.value, dtype=float) - mean**2, 0.0)
+def _naive_se(avg: engine.FunctionalAverage, n_legs: int) -> np.ndarray:
+    """Weighted standard errors of the first ``n_legs`` values.
+
+    The functional returns their squares last, after the one statistic.
+    """
+    vec = np.asarray(avg.value, dtype=float)
+    mean = vec[:n_legs]
+    var = np.maximum(vec[n_legs + 1:] - mean**2, 0.0)
     return np.sqrt(var * avg.weight_sq_total) / avg.weight_total
 
 
@@ -163,7 +168,7 @@ def _assemble(
 ) -> list[PriceEstimate]:
     nk = len(strikes)
     vec = np.asarray(result.average.value, dtype=float)
-    se = _naive_se(result.average, result.second_moment)
+    se = _naive_se(result.average, 2 * nk)
     disc = math.exp(-r * T)
     daf = discounted_average_forward(params, T)
     fwd = forward_average(params.s0, r, T)
@@ -195,7 +200,6 @@ def _assemble(
                 other_direct=float(vec[other]),
                 mean_average=mean_a,
                 used_parity=use_parity,
-                companion=float(vec[other]) + shift if use_parity else None,
                 checkpoints=[(n, value_of(np.asarray(v, dtype=float)))
                              for n, v in result.checkpoints],
             )
@@ -215,8 +219,9 @@ def _price_grid(
     """Call and put prices on ``statistic(price path)`` for a strike grid.
 
     One sweep folds, per window, the discounted call and put payoffs of
-    every strike and the statistic itself, so the per-strike cost beyond
-    the trajectory is one payoff evaluation per window.
+    every strike, the statistic itself and the squared payoffs, so the
+    per-strike cost beyond the trajectory is one payoff evaluation per
+    window.
     """
     T, r = _common_T_r(specs)
     strikes = np.array([s.K for s in specs], dtype=float)
@@ -225,9 +230,8 @@ def _price_grid(
     def functional(window: engine.Window) -> np.ndarray:
         a = statistic(driver.price_path(window))
         d = a - strikes
-        return np.concatenate(
-            [disc * np.maximum(d, 0.0), disc * np.maximum(-d, 0.0), [a]]
-        )
+        legs = disc * np.concatenate([np.maximum(d, 0.0), np.maximum(-d, 0.0)])
+        return np.concatenate([legs, [a], legs * legs])
 
     result = engine.run(driver, sched, functional, T, n_iters, rng)
     return _assemble(specs, strikes, result, driver.params, use_parity, T, r)

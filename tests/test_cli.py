@@ -280,6 +280,19 @@ class TestStationaryStatsCommand:
         final_mean = float(moments[-1].split(",")[2])
         assert 0.005 < final_mean < 0.02
 
+    def test_bns_variance_marginal(self, tmp_path):
+        # the stationary mean of v is c Gamma(1-alpha) lam^(alpha-1) / mu = 0.0177
+        cfg = write_config(tmp_path, model="bns", rho=-1.0, mu=1.0, n_iters=2000,
+                           hist_lo=0.0, hist_hi=0.05)
+        out = tmp_path / "m.csv"
+        assert cli.main(["stationary-stats", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+        means = [float(r[2]) for r in rows if r[0] == "moment"]
+        assert all(m > 0.0 for m in means)
+        assert 0.005 <= means[-1] <= 0.04
+        mass = sum(float(r[-1]) for r in rows if r[0] == "histogram")
+        assert mass == pytest.approx(1.0, abs=1e-12)
+
 
 class TestCheckScheduleCommand:
     def test_three_conditions_reported(self, tmp_path):

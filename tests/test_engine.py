@@ -166,6 +166,23 @@ class TestRunBookkeeping:
         assert seen[-1][2].retained_indices() == range(3, 4)
         assert driver.simulated == [1, 2, 3]
 
+    def test_one_fold_per_window(self, monkeypatch):
+        # the engine folds the functional's value once per window and keeps
+        # no statistic of its own beside it
+        s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
+        folds = []
+        update = FunctionalAverage.update
+
+        def counting(self, eta, f_value):
+            folds.append(eta)
+            return update(self, eta, f_value)
+
+        monkeypatch.setattr(FunctionalAverage, "update", counting)
+        res = engine.run(ConstantDriver(), s, lambda w: 2.0, T=1.0, n_iters=40,
+                         rng=stream(0, 0))
+        assert folds == [s.eta(k) for k in range(1, 41)]
+        assert res.average.value == pytest.approx(2.0, abs=1e-14)
+
     def test_marginal_sweep_is_window_free(self, monkeypatch):
         # without a functional the sweep reads states 0..n-1 only: no
         # horizon search, nothing simulated past index n-1

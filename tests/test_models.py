@@ -1,5 +1,6 @@
 """Model dynamics, drivers, and price-path reconstruction."""
 
+import dataclasses
 import math
 import warnings
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from statvol import engine
-from statvol.engine import PathBuffer, Window
+from statvol.engine import DriverStepError, PathBuffer, Window
 from statvol.levy import TemperedStableMeasure
 from statvol.models import (
     BNSParams,
@@ -18,7 +19,6 @@ from statvol.models import (
     bns_jump_cumulant_rate,
     growth_rate,
     heston_invariant_gamma,
-    heston_invariant_moments,
     heston_price_path,
 )
 from statvol.rng import stream
@@ -82,9 +82,8 @@ class TestParamValidation:
         p = bench_heston()
         shape, scale = heston_invariant_gamma(p)
         assert shape == pytest.approx(4.0)
-        assert shape * scale == pytest.approx(p.theta)
-        mean, var = heston_invariant_moments(p)
-        assert (mean, var) == (pytest.approx(0.01), pytest.approx(2.5e-5))
+        assert shape * scale == pytest.approx(0.01)  # mean theta
+        assert shape * scale**2 == pytest.approx(2.5e-5)  # variance theta sigma_v^2 / 2k
 
 
 class TestHestonJointStep:
@@ -172,11 +171,11 @@ class TestHestonPricePath:
 
 
 class TestBnsJointStep:
-    """The joint (x, v) transition of :class:`BnsDriver`."""
+    """The joint (v, x) transition of :class:`BnsDriver`."""
 
     def test_deterministic_drift(self):
         p = bench_bns(v_init=0.0)
-        x, v = BnsDriver(p).step((1.0, 0.0), 1, 0.2, ZeroRng())
+        v, x = BnsDriver(p).step((0.0, 1.0), 1, 0.2, ZeroRng())
         assert x == pytest.approx(1.0 + 0.2 * p.r)
         assert v == 0.0
 
@@ -191,7 +190,7 @@ class TestBnsJointStep:
 
         p = bench_bns(v_init=0.0)
         x0, v0 = 0.0, 0.01
-        x, v = BnsDriver(p).step((x0, v0), 1, 1e-9, OneJumpRng())
+        v, x = BnsDriver(p).step((v0, x0), 1, 1e-9, OneJumpRng())
         dv = v - v0 * (1.0 - 1e-9 * p.mu)
         assert dv > 0.0
         assert x - x0 == pytest.approx(p.rho * dv, abs=1e-8)
@@ -204,33 +203,45 @@ class TestBnsJointStep:
         mins = []
 
         def functional(w):
-            mins.append(float(np.min(w.states(1))))
+            mins.append(float(np.min(w.states(0))))
             return 0.0
 
         engine.run(driver, s, functional, T=1.0, n_iters=3000, rng=rng)
         assert min(mins) >= 0.0
 
+    def test_negative_variance_fails_at_its_own_index(self):
+        # gamma_1 * mu = 5 and no jumps: the step to index 1 returns
+        # v = -4 v_init, the last state a two-point marginal sweep folds
+        p = dataclasses.replace(bench_bns(), mu=5.0)
+        s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
+        marg = engine.MarginalAccumulator(dim=1)
+        with pytest.raises(DriverStepError) as err:
+            engine.run(BnsDriver(p), s, None, T=None, n_iters=2, rng=ZeroRng(),
+                       marginal=marg)
+        assert err.value.index == 1
+        assert marg.count == 1
+
 
 class TestBnsPricePath:
     def test_constant_x_gives_spot(self):
         p = bench_bns()
-        w = make_window([(0.7, 0.01)] * 3, [0.5, 0.5, 0.5], 1.5)
+        w = make_window([(0.01, 0.7)] * 3, [0.5, 0.5, 0.5], 1.5)
         path = bns_price_path(w, p)
         assert path.values == pytest.approx([50.0, 50.0, 50.0])
 
     def test_rebased_exponential(self):
         p = bench_bns()
-        w = make_window([(0.0, 0.01), (0.1, 0.01)], [1.0, 0.5], 1.5)
+        w = make_window([(0.01, 0.0), (0.01, 0.1)], [1.0, 0.5], 1.5)
         path = bns_price_path(w, p)
         assert path.values == pytest.approx([50.0, 50.0 * math.exp(0.1)])
-        w2 = make_window([(5.0, 0.01), (5.1, 0.01)], [1.0, 0.5], 1.5)
+        w2 = make_window([(0.01, 5.0), (0.01, 5.1)], [1.0, 0.5], 1.5)
         assert bns_price_path(w2, p).values == pytest.approx(path.values)
 
     def test_positivity(self):
         p = bench_bns()
         rng = stream(8, 0)
         xs = rng.standard_normal(20).cumsum()
-        w = make_window([(x, 0.01) for x in xs], [0.1] * 20, 2.0)
+        w = make_window([(0.01, x) for x in xs], [0.1] * 20, 2.0)
         assert np.all(bns_price_path(w, p).values > 0.0)
 
 

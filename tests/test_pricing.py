@@ -43,7 +43,6 @@ class ZeroVolDriver:
     """Degenerate model: v = 0 and y = 0 forever, rho = 0."""
 
     dim = 2
-    model_name = "heston"
 
     def __init__(self):
         self.params = bench_heston(rho=0.0)
