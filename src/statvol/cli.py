@@ -161,8 +161,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("strikes must be non-empty")
     if any(k < 0.0 for k in cfg.strikes):
         raise ConfigError(f"strikes must be >= 0, got {cfg.strikes}")
-    if cfg.maturities is not None and any(t <= 0.0 for t in cfg.maturities):
-        raise ConfigError(f"maturities must be positive, got {cfg.maturities}")
+    if cfg.maturities is not None and (not cfg.maturities or min(cfg.maturities) <= 0.0):
+        raise ConfigError(f"maturities must be non-empty and positive, got {cfg.maturities}")
     if cfg.hist_bins < 1:
         raise ConfigError(f"hist_bins must be >= 1, got {cfg.hist_bins}")
     if not cfg.hist_hi > cfg.hist_lo:

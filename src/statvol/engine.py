@@ -14,18 +14,19 @@ result into a running weighted average through the recurrence
 which reproduces the explicit weighted mean ``(1/H_n) sum eta_k F(window_{k-1})``
 without storing the history.  There is no engine-side second moment: a
 caller that wants one returns the squares as part of the functional's
-value.  The window's end ``N_j`` is walked by a monotone pointer over
-Gamma, with the predicate of :meth:`Schedule.horizon_index`, so
-``N_j = N(j, T)`` exactly.  Windows are views into a shared buffer, never
-copies; entries below the current window start are evicted as the sweep
-advances, so live storage stays at one window's length.  The trajectory runs exactly to the last window's end,
-``N(n-1, T)``; :func:`window_sweep_reach` gives the last schedule index the
-sweep reads.
+value.  The sweep works in blocks of up to ``_BLOCK`` window starts
+``j0 .. j1-1``.  A block takes its window ends ``N_j = N(j, T)`` from
+:meth:`Schedule.horizon_indices`, holds the states of ``[j0, N_{j1-1}]`` in
+one ``(dim, width)`` array that begins with the previous block's overlap
+``[j0, N_{j0-1}]``, and hands each window a view of its columns, never a
+copy.  Stored states span one block of starts plus one window, whatever ``n``.
+The trajectory runs exactly to the last window's end, ``N(n-1, T)``;
+:func:`window_sweep_reach` gives the last schedule index the sweep reads.
 
 *Marginal sweep* (a marginal accumulator).  Iteration ``j`` folds the state
 at grid index ``j`` with weight ``eta_{j+1}`` into the weighted occupation
-measure of the coordinates the accumulator was built for.  It keeps no
-buffer and builds no windows, simulates nothing past index ``n-1`` and
+measure of the coordinates the accumulator was built for.  It stores no
+states and builds no windows, simulates nothing past index ``n-1`` and
 needs no horizon ``T``.
 
 The trajectory itself is produced by a *driver*: any object with
@@ -51,9 +52,7 @@ import numpy as np
 from .schedule import Schedule
 
 __all__ = [
-    "BufferAccessError",
     "DriverStepError",
-    "PathBuffer",
     "Window",
     "FunctionalAverage",
     "MarginalAccumulator",
@@ -63,9 +62,8 @@ __all__ = [
     "window_sweep_reach",
 ]
 
-
-class BufferAccessError(IndexError):
-    """Read of an evicted or not-yet-simulated trajectory index."""
+# Window starts per block of the window sweep.
+_BLOCK = 4096
 
 
 class DriverStepError(RuntimeError):
@@ -76,83 +74,11 @@ class DriverStepError(RuntimeError):
         self.index = index
 
 
-class PathBuffer:
-    """Contiguous range of trajectory states, indexed by global grid index.
-
-    Retains exactly the indices ``[start, end]``; reads outside that range
-    raise :class:`BufferAccessError`.  Storage compacts in place when the
-    evicted prefix dominates, so memory stays proportional to the live span.
-    """
-
-    __slots__ = ("dim", "_cols", "_base", "_start", "_end")
-
-    def __init__(self, dim: int, capacity: int = 1024):
-        self.dim = dim
-        self._cols = [np.empty(capacity) for _ in range(dim)]
-        self._base = 0  # global index stored at physical slot 0
-        self._start = 0  # smallest retained global index
-        self._end = -1  # largest stored global index
-
-    @property
-    def start(self) -> int:
-        return self._start
-
-    @property
-    def end(self) -> int:
-        return self._end
-
-    def append(self, state: Sequence[float]) -> None:
-        pos = self._end + 1 - self._base
-        cap = len(self._cols[0])
-        if pos >= cap:
-            self._compact_or_grow()
-            pos = self._end + 1 - self._base
-        for c in range(self.dim):
-            self._cols[c][pos] = state[c]
-        self._end += 1
-
-    def _compact_or_grow(self) -> None:
-        live_lo = self._start - self._base
-        live_n = self._end - self._start + 1
-        cap = len(self._cols[0])
-        if live_lo >= cap // 2:
-            # plenty of dead prefix: slide live data to the front
-            for c in range(self.dim):
-                self._cols[c][:live_n] = self._cols[c][live_lo : live_lo + live_n]
-            self._base = self._start
-        else:
-            new_cap = cap * 2
-            for c in range(self.dim):
-                grown = np.empty(new_cap)
-                grown[:live_n] = self._cols[c][live_lo : live_lo + live_n]
-                self._cols[c] = grown
-            self._base = self._start
-
-    def evict_below(self, index: int) -> None:
-        """Drop all indices strictly below ``index``."""
-        if index > self._start:
-            self._start = min(index, self._end + 1)
-
-    def _check_range(self, lo: int, hi: int) -> None:
-        if lo < self._start or hi > self._end:
-            raise BufferAccessError(
-                f"indices [{lo}, {hi}] outside retained range "
-                f"[{self._start}, {self._end}]"
-            )
-
-    def coord_slice(self, coord: int, lo: int, hi: int) -> np.ndarray:
-        """View of coordinate ``coord`` over global indices ``lo..hi`` inclusive."""
-        self._check_range(lo, hi)
-        p = lo - self._base
-        return self._cols[coord][p : p + (hi - lo + 1)]
-
-    def retained_indices(self) -> range:
-        return range(self._start, self._end + 1)
-
-
 class Window:
     """Stepwise-constant path over ``[0, T]``, shifted to start at grid index ``start``.
 
+    ``cols`` holds the states of global indices ``start .. end``, one row
+    per coordinate (a view into the sweep's block array, never a copy).
     Grid point ``i`` sits at local time ``grid_times[i]`` and carries the
     state of global index ``start + i``; the path holds that value for the
     following ``seg_lengths[i]`` time units.  The final segment is the
@@ -160,21 +86,19 @@ class Window:
     lengths always sum to ``T`` exactly.
     """
 
-    __slots__ = ("_buf", "start", "end", "T", "grid_times", "seg_lengths")
+    __slots__ = ("_cols", "start", "end", "T", "grid_times", "seg_lengths")
 
     def __init__(
         self,
-        buf: PathBuffer,
+        cols: np.ndarray,
         start: int,
-        end: int,
         T: float,
         grid_times: np.ndarray,
         seg_lengths: np.ndarray,
     ):
-        buf._check_range(start, end)
-        self._buf = buf
+        self._cols = cols
         self.start = start
-        self.end = end
+        self.end = start + cols.shape[1] - 1
         self.T = T
         self.grid_times = grid_times
         self.seg_lengths = seg_lengths
@@ -184,7 +108,7 @@ class Window:
 
     def states(self, coord: int) -> np.ndarray:
         """Values of one state coordinate at the window grid points."""
-        return self._buf.coord_slice(coord, self.start, self.end)
+        return self._cols[coord]
 
 
 class FunctionalAverage:
@@ -316,7 +240,7 @@ def window_sweep_reach(sched: Schedule, T: float, n_iters: int) -> int:
     """Last schedule index a window sweep of ``n_iters`` windows of length ``T`` reads.
 
     That is the last window's end ``N(n_iters - 1, T)`` plus one, the index
-    the horizon pointer looks at to stop; it also covers ``eta_{n_iters}``.
+    the window-end search reads to stop; it also covers ``eta_{n_iters}``.
     The schedule is extended through it, so a caller that runs this before
     fanning out sweeps leaves them nothing to extend.
     """
@@ -352,9 +276,11 @@ def run(
     With a ``functional``, iteration ``j`` (zero-based) evaluates it on the
     window of length ``T`` starting at grid index ``j`` and folds its value
     in with weight ``eta_{j+1}``; no other statistic of the value is kept.
-    While the functional runs, the buffer retains exactly the indices
-    ``[j, horizon_index(j, T)]``; the trajectory ends at
-    ``horizon_index(n_iters - 1, T)``.
+    Starts go in blocks of up to ``_BLOCK``: a block first simulates every
+    state its windows read, up to the end of its last window, then
+    evaluates and folds its windows in order.  The trajectory ends at
+    ``horizon_index(n_iters - 1, T)``.  A failing step raises
+    :class:`DriverStepError` carrying its own index.
 
     With a ``marginal`` accumulator, iteration ``j`` feeds it the state at
     index ``j`` with weight ``eta_{j+1}``; the trajectory ends at index
@@ -394,31 +320,27 @@ def run(
     eta = sched.eta_slice(0, end)
     Gam = sched.Gamma_slice(0, end)
 
-    buf = PathBuffer(driver.dim)
-    buf.append(state)
     avg = FunctionalAverage()
     checkpoints = []
-    N = 0  # end of the current window, N(j, T)
-    for j in range(n_iters):
-        # N(j, T) >= max(N(j-1, T), j): walk on with Schedule._diff_le's predicate
-        if N < j:
-            N = j
-        G0 = Gam[j]
-        while Gam[N + 1] - G0 <= T:
-            N += 1
-        for k in range(buf.end + 1, N + 1):
+    path = [state]  # states from index j0 to the last one simulated
+    for j0 in range(0, n_iters, _BLOCK):
+        j1 = min(j0 + _BLOCK, n_iters)
+        ends = sched.horizon_indices(np.arange(j0, j1), T).tolist()
+        for k in range(j0 + len(path), ends[-1] + 1):
             state = _step(driver, state, k, float(gam[k]), rng)
-            buf.append(state)
+            path.append(state)
+        cols = np.array(path).T.copy()  # one contiguous row per coordinate
 
-        m = N - j
-        t = Gam[j : N + 1] - G0
-        ell = np.empty(m + 1)
-        ell[:m] = gam[j + 1 : N + 1]
-        ell[m] = T - t[m]
-        f = functional(Window(buf, j, N, T, t, ell))
-        avg.update(float(eta[j + 1]), f)
-        if j + 1 in cp_grid:
-            checkpoints.append((j + 1, avg.copy_value()))
-        buf.evict_below(j + 1)
+        for j, N in zip(range(j0, j1), ends):
+            m = N - j
+            t = Gam[j : N + 1] - Gam[j]
+            ell = np.empty(m + 1)
+            ell[:m] = gam[j + 1 : N + 1]
+            ell[m] = T - t[m]
+            f = functional(Window(cols[:, j - j0 : N - j0 + 1], j, T, t, ell))
+            avg.update(float(eta[j + 1]), f)
+            if j + 1 in cp_grid:
+                checkpoints.append((j + 1, avg.copy_value()))
+        del path[: j1 - j0]  # the overlap [j1, N_{j1-1}] stays for the next block
 
     return RunResult(n_iters=n_iters, average=avg, checkpoints=checkpoints)

@@ -12,7 +12,8 @@ the variance it drives must only jump up.
 
 Tail quantities are integrated by adaptive quadrature to 1e-10 relative
 accuracy (:func:`tail_intensity`, and :func:`small_jump_variance` for the
-discarded jumps); :func:`tail_intensity_closed` evaluates the jump rate
+discarded jumps; both import ``scipy.integrate`` on first use, and no
+command calls them); :func:`tail_intensity_closed` evaluates the jump rate
 through incomplete gamma functions and is what the per-step sampler calls.
 Tests pin the two routes against each other and against an independent
 high-precision oracle.
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 __all__ = [
     "TemperedStableMeasure",
@@ -113,6 +114,7 @@ def tail_intensity(m: TemperedStableMeasure, u: float) -> float:
     def f(w: float) -> float:
         return math.exp(-m.lam * w ** (-inv_alpha)) if w > 0.0 else 0.0
 
+    from scipy import integrate  # imported here, so importing statvol skips it
     val, _ = integrate.quad(
         f, 0.0, u ** (-m.alpha), epsabs=0.0, epsrel=_QUAD_RTOL, limit=200
     )
@@ -145,6 +147,7 @@ def small_jump_variance(m: TemperedStableMeasure, u: float) -> float:
         y = s * s
         return 2.0 * s * y ** (1.0 - m.alpha) * math.exp(-m.lam * y)
 
+    from scipy import integrate
     val, _ = integrate.quad(
         f, 0.0, math.sqrt(u), epsabs=0.0, epsrel=_QUAD_RTOL, limit=200
     )

@@ -205,8 +205,8 @@ class Schedule:
         """Largest ``k`` with ``Gamma_k - Gamma_n <= T``.
 
         Gallops up from ``n`` to bracket the boundary, then bisects: one
-        search costs O(log(k - n)).  Sequential sweeps over ``n`` walk the
-        answer forward instead (see the engine's window sweep).
+        search costs O(log(k - n)).  Sweeps over many starts use
+        :meth:`horizon_indices`, which calls this once for its largest start.
         """
         if n < 0:
             raise ScheduleError(f"window start must be >= 0, got {n}")
@@ -249,7 +249,7 @@ class Schedule:
         return hi
 
     def horizon_indices(self, ks: np.ndarray, T: float) -> np.ndarray:
-        """Vectorized ``horizon_index`` over an array of start indices."""
+        """Vectorized ``horizon_index`` over start indices: the engine's window-end map."""
         ks = np.asarray(ks, dtype=np.int64)
         if ks.size == 0:
             return ks.copy()

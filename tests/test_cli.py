@@ -1,6 +1,9 @@
 """CLI: config parsing, validation, CSV emission, determinism."""
 
+import os
 import re
+import subprocess
+import sys
 import threading
 import warnings
 from dataclasses import fields
@@ -109,6 +112,8 @@ class TestExitCodes:
             ("oracle", "oracle_paths", 1),
             ("oracle", "oracle_fine_step", 0.0),
             ("oracle", "oracle_fine_step", 0.5),
+            ("vol-surface", "maturities", ","),
+            ("vol-surface", "maturities", ""),
         ]
         for command, key, value in cases:
             cfg = write_config(tmp_path, **{key: value})
@@ -316,3 +321,13 @@ class TestOracleCommand:
         assert len(lines) == 2
         bad = write_config(tmp_path, name="bns.cfg", model="bns", rho=-1.0)
         assert cli.main(["oracle", "--config", str(bad), "--out", str(out)]) == 2
+
+
+def test_cli_import_leaves_quadrature_unloaded():
+    # scipy.integrate serves only the quadrature in levy, which no command
+    # calls; importing it would add its load time to every run's set-up
+    src = str(Path(cli.__file__).parents[1])
+    code = "import sys, statvol.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

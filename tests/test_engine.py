@@ -1,4 +1,4 @@
-"""Engine: running averages, buffer/window bookkeeping, marginals."""
+"""Engine: running averages, block/window bookkeeping, marginals."""
 
 import math
 
@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statvol import engine
-from statvol.engine import (
-    BufferAccessError,
-    DriverStepError,
-    FunctionalAverage,
-    MarginalAccumulator,
-    PathBuffer,
-)
+from statvol.engine import DriverStepError, FunctionalAverage, MarginalAccumulator
 from statvol.models import PricePathView
 from statvol.rng import stream
 from statvol.schedule import Schedule, make_polynomial_schedule
@@ -48,8 +42,12 @@ class CountingDriver(ConstantDriver):
 
 
 class FailingDriver(ConstantDriver):
+    def __init__(self, bad):
+        super().__init__()
+        self.bad = bad
+
     def step(self, state, index, gamma, rng):
-        if index == 5:
+        if index == self.bad:
             raise ValueError("boom")
         return state
 
@@ -106,36 +104,6 @@ class TestFunctionalAverage:
         assert avg.value == pytest.approx([3.0, 1.0])
 
 
-class TestPathBuffer:
-    def test_append_read_roundtrip(self):
-        buf = PathBuffer(2, capacity=4)
-        for i in range(10):
-            buf.append((float(i), -float(i)))
-        assert list(buf.coord_slice(1, 3, 3)) == [-3.0]
-        assert list(buf.coord_slice(0, 2, 4)) == [2.0, 3.0, 4.0]
-
-    def test_eviction_guards(self):
-        buf = PathBuffer(1, capacity=4)
-        for i in range(12):
-            buf.append((float(i),))
-        buf.evict_below(7)
-        assert buf.retained_indices() == range(7, 12)
-        with pytest.raises(BufferAccessError):
-            buf.coord_slice(0, 6, 6)
-        with pytest.raises(BufferAccessError):
-            buf.coord_slice(0, 6, 8)
-        with pytest.raises(BufferAccessError):
-            buf.coord_slice(0, 12, 12)
-        assert list(buf.coord_slice(0, 7, 7)) == [7.0]
-
-    def test_compaction_preserves_content(self):
-        buf = PathBuffer(1, capacity=8)
-        for i in range(200):
-            buf.append((float(i),))
-            buf.evict_below(max(0, i - 3))
-        assert list(buf.coord_slice(0, 196, 199)) == [196.0, 197.0, 198.0, 199.0]
-
-
 class TestRunBookkeeping:
     def test_constant_functional_gives_one(self):
         s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
@@ -150,20 +118,18 @@ class TestRunBookkeeping:
         assert res.average.value == pytest.approx(2.25, abs=1e-14)
 
     def test_unit_step_window_pairs_and_eviction(self):
-        # constant step 1, T = 1.5: window j spans indices (j, j+1); the
-        # trajectory ends at the last window's end N(2, T) = 3, and after the
-        # last iteration the buffer holds only that index
+        # constant step 1, T = 1.5: window j spans indices (j, j+1), and the
+        # trajectory ends at the last window's end N(2, T) = 3
         s = make_polynomial_schedule(1.0, 0.0, 1.0, 1e-12)
         driver = CountingDriver()
         seen = []
 
         def functional(w):
-            seen.append((w.start, w.end, w._buf))
+            seen.append((w.start, w.end))
             return 0.0
 
         engine.run(driver, s, functional, T=1.5, n_iters=3, rng=stream(0, 0))
-        assert [(a, b) for a, b, _ in seen] == [(0, 1), (1, 2), (2, 3)]
-        assert seen[-1][2].retained_indices() == range(3, 4)
+        assert seen == [(0, 1), (1, 2), (2, 3)]
         assert driver.simulated == [1, 2, 3]
 
     def test_one_fold_per_window(self, monkeypatch):
@@ -215,44 +181,50 @@ class TestRunBookkeeping:
         assert acc.count == 0
 
     def test_storage_contract_after_each_step(self):
+        # n_iters crosses two block boundaries; the driver's state is its
+        # index, so each window shows exactly which states it was handed
         s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
-        T = 1.0
-        contract_ok = []
-
-        class Spy(ConstantDriver):
-            pass
-
-        buf_holder = {}
+        T, n = 1.0, 9000
+        assert n > 2 * engine._BLOCK
+        # window lengths grow with the start, so the last window is the longest
+        widest = engine._BLOCK + s.horizon_index(n - 1, T) - (n - 1)
+        starts, bad = [], []
 
         def functional(w):
-            # at evaluation time the buffer must retain exactly [j, N(j, T)]
-            buf = w._buf
-            buf_holder["buf"] = buf
-            contract_ok.append(
-                buf.retained_indices() == range(w.start, s.horizon_index(w.start, T) + 1)
-            )
+            starts.append(w.start)
+            if not (w.end == s.horizon_index(w.start, T)
+                    and np.array_equal(w.states(0), np.arange(w.start, w.end + 1))
+                    and w.states(0).base.shape[1] <= widest):
+                bad.append(w.start)
             return 0.0
 
-        engine.run(Spy(), s, functional, T=T, n_iters=200, rng=stream(0, 0))
-        assert all(contract_ok)
+        engine.run(CountingDriver(), s, functional, T=T, n_iters=n, rng=stream(0, 0))
+        assert starts == list(range(n))
+        assert bad == []
 
+    # Index 5000 lies past the first block's states [0, N(4095, 3.0)], so the
+    # failure surfaces while the second block simulates.
     def test_driver_error_carries_index(self):
         s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
-        with pytest.raises(DriverStepError) as err:
-            engine.run(FailingDriver(), s, lambda w: 0.0, T=3.0,
-                       n_iters=50, rng=stream(0, 0))
-        assert err.value.index == 5
+        assert s.horizon_index(engine._BLOCK - 1, 3.0) < 5000
+        for bad, n in ((5, 50), (5000, 6000)):
+            with pytest.raises(DriverStepError) as err:
+                engine.run(FailingDriver(bad), s, lambda w: 0.0, T=3.0,
+                           n_iters=n, rng=stream(0, 0))
+            assert err.value.index == bad
 
     def test_nonfinite_state_rejected(self):
-        class NanDriver(ConstantDriver):
+        class NanDriver(FailingDriver):
             def step(self, state, index, gamma, rng):
-                return (math.nan,) if index == 3 else state
+                return (math.nan,) if index == self.bad else state
 
         s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
-        with pytest.raises(DriverStepError) as err:
-            engine.run(NanDriver(), s, lambda w: 0.0, T=3.0,
-                       n_iters=50, rng=stream(0, 0))
-        assert err.value.index == 3
+        assert s.horizon_index(engine._BLOCK - 1, 3.0) < 5000
+        for bad, n in ((3, 50), (5000, 6000)):
+            with pytest.raises(DriverStepError) as err:
+                engine.run(NanDriver(bad), s, lambda w: 0.0, T=3.0,
+                           n_iters=n, rng=stream(0, 0))
+            assert err.value.index == bad
 
     def test_checkpoint_grid(self):
         s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from statvol import engine
-from statvol.engine import DriverStepError, PathBuffer, Window
+from statvol.engine import DriverStepError, Window
 from statvol.levy import TemperedStableMeasure
 from statvol.models import (
     BNSParams,
@@ -37,14 +37,12 @@ def bench_bns(**kw):
                      jump=TemperedStableMeasure(c=0.01, lam=1.0, alpha=0.5), **kw)
 
 
-def make_window(states, lengths, T, dim=2):
+def make_window(states, lengths, T):
     """Assemble a window from explicit per-grid-point states."""
-    buf = PathBuffer(dim)
-    for s in states:
-        buf.append(s)
+    cols = np.ascontiguousarray(np.array(states, dtype=float).T)
     lengths = np.asarray(lengths, dtype=float)
     t = np.concatenate(([0.0], np.cumsum(lengths[:-1])))
-    return Window(buf, 0, len(states) - 1, T, t, lengths)
+    return Window(cols, 0, T, t, lengths)
 
 
 class ZeroRng:
