@@ -273,11 +273,7 @@ def _replicate_grid(cfg: RunConfig, maturities, kind: str, estimate):
     ``ti`` consumes stream ``ti * replications + rep``.
     """
     params = _build_params(cfg)
-    sched = _build_schedule(cfg)
-    # The schedule does not depend on the maturity.  Extend it exactly as far
-    # as the longest maturity's sweeps will read, so it is strictly read-only
-    # during the thread fan-out.
-    engine.window_sweep_reach(sched, max(maturities), cfg.n_iters)
+    sched = _build_schedule(cfg)  # one for every maturity and replication
     new_driver = _DRIVERS[cfg.model]
     per_maturity = []
     for ti, T in enumerate(maturities):

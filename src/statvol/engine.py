@@ -19,9 +19,9 @@ value.  The sweep works in blocks of up to ``_BLOCK`` window starts
 :meth:`Schedule.horizon_indices`, holds the states of ``[j0, N_{j1-1}]`` in
 one ``(dim, width)`` array that begins with the previous block's overlap
 ``[j0, N_{j0-1}]``, and hands each window a view of its columns, never a
-copy.  Stored states span one block of starts plus one window, whatever ``n``.
-The trajectory runs exactly to the last window's end, ``N(n-1, T)``;
-:func:`window_sweep_reach` gives the last schedule index the sweep reads.
+copy.  Stored states span one block of starts plus one window, whatever ``n``,
+and so do the block's gamma, eta and Gamma slices.  The trajectory runs
+exactly to the last window's end, ``N(n-1, T)``.
 
 *Marginal sweep* (a marginal accumulator).  Iteration ``j`` folds the state
 at grid index ``j`` with weight ``eta_{j+1}`` into the weighted occupation
@@ -59,7 +59,6 @@ __all__ = [
     "MarginalStats",
     "RunResult",
     "run",
-    "window_sweep_reach",
 ]
 
 # Window starts per block of the window sweep.
@@ -236,19 +235,6 @@ def _checkpoint_grid(n_iters: int) -> list[int]:
     return grid
 
 
-def window_sweep_reach(sched: Schedule, T: float, n_iters: int) -> int:
-    """Last schedule index a window sweep of ``n_iters`` windows of length ``T`` reads.
-
-    That is the last window's end ``N(n_iters - 1, T)`` plus one, the index
-    the window-end search reads to stop; it also covers ``eta_{n_iters}``.
-    The schedule is extended through it, so a caller that runs this before
-    fanning out sweeps leaves them nothing to extend.
-    """
-    reach = sched.horizon_index(n_iters - 1, T) + 1
-    sched.ensure(reach)
-    return reach
-
-
 def _step(driver, state, k: int, gamma: float, rng):
     """The driver's step to grid index ``k``, failures tagged with ``k``."""
     try:
@@ -293,32 +279,27 @@ def run(
         raise ValueError(f"need at least one iteration, got {n_iters}")
     if (functional is None) == (marginal is None):
         raise ValueError("give exactly one of a functional and a marginal accumulator")
-    if functional is not None and (T is None or not T > 0.0):
-        raise ValueError(f"window horizon must be positive, got {T}")
+    if functional is not None and (T is None or not 0.0 < T < math.inf):
+        raise ValueError(f"window horizon must be positive and finite, got {T}")
 
     cp_grid = set(_checkpoint_grid(n_iters))
     state = tuple(float(x) for x in driver.initial_state())
 
     if marginal is not None:
-        gam = sched.gamma_slice(0, n_iters + 1)
-        eta = sched.eta_slice(0, n_iters + 1)
         marginal_checkpoints = []
-        for j in range(n_iters):
-            if j:
-                state = _step(driver, state, j, float(gam[j]), rng)
-            marginal.update(float(eta[j + 1]), state)
-            if j + 1 in cp_grid:
-                st = marginal.stats()
-                marginal_checkpoints.append((j + 1, st.mean.copy(), st.variance.copy()))
+        for j0 in range(0, n_iters, _BLOCK):
+            j1 = min(j0 + _BLOCK, n_iters)
+            gam = sched.gamma_slice(j0, j1)
+            eta = sched.eta_slice(j0 + 1, j1 + 1)
+            for j in range(j0, j1):
+                if j:
+                    state = _step(driver, state, j, float(gam[j - j0]), rng)
+                marginal.update(float(eta[j - j0]), state)
+                if j + 1 in cp_grid:
+                    st = marginal.stats()
+                    marginal_checkpoints.append((j + 1, st.mean.copy(), st.variance.copy()))
         return RunResult(n_iters=n_iters, average=None,
                          marginal_checkpoints=marginal_checkpoints)
-
-    # Every schedule index the sweep reads lies at or below the reach:
-    # extend the cache once, keep the views.
-    end = window_sweep_reach(sched, T, n_iters) + 1
-    gam = sched.gamma_slice(0, end)
-    eta = sched.eta_slice(0, end)
-    Gam = sched.Gamma_slice(0, end)
 
     avg = FunctionalAverage()
     checkpoints = []
@@ -326,19 +307,23 @@ def run(
     for j0 in range(0, n_iters, _BLOCK):
         j1 = min(j0 + _BLOCK, n_iters)
         ends = sched.horizon_indices(np.arange(j0, j1), T).tolist()
+        # the block's schedule over [j0, N_{j1-1}], indexed from j0
+        gam = sched.gamma_slice(j0, ends[-1] + 1)
+        Gam = sched.Gamma_slice(j0, ends[-1] + 1)
+        eta = sched.eta_slice(j0 + 1, j1 + 1)
         for k in range(j0 + len(path), ends[-1] + 1):
-            state = _step(driver, state, k, float(gam[k]), rng)
+            state = _step(driver, state, k, float(gam[k - j0]), rng)
             path.append(state)
         cols = np.array(path).T.copy()  # one contiguous row per coordinate
 
         for j, N in zip(range(j0, j1), ends):
-            m = N - j
-            t = Gam[j : N + 1] - Gam[j]
-            ell = np.empty(m + 1)
-            ell[:m] = gam[j + 1 : N + 1]
-            ell[m] = T - t[m]
-            f = functional(Window(cols[:, j - j0 : N - j0 + 1], j, T, t, ell))
-            avg.update(float(eta[j + 1]), f)
+            a, b = j - j0, N - j0
+            t = Gam[a : b + 1] - Gam[a]
+            ell = np.empty(b - a + 1)
+            ell[:-1] = gam[a + 1 : b + 1]
+            ell[-1] = T - t[-1]
+            f = functional(Window(cols[:, a : b + 1], j, T, t, ell))
+            avg.update(float(eta[a]), f)
             if j + 1 in cp_grid:
                 checkpoints.append((j + 1, avg.copy_value()))
         del path[: j1 - j0]  # the overlap [j1, N_{j1-1}] stays for the next block

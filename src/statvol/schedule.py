@@ -30,6 +30,7 @@ documented scan range.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,23 +45,17 @@ __all__ = [
     "check_series_condition",
 ]
 
-# Prefix sums are extended in blocks: within a block numpy's cumsum is used
-# (error <= block_size * eps of the block sum) and block offsets are chained
-# with exactly rounded block totals (math.fsum) plus Kahan compensation, so
-# Gamma_n at n ~ 1e6 stays within ~1e-13 relative of the exact sum.
+# Prefix sums are built in aligned blocks of indices m*B+1 .. (m+1)*B.  Within
+# a block numpy's cumsum runs from the block's anchor (error <= B * eps of the
+# block sum); the block's last entry, which is the next block's anchor, is the
+# anchor plus the exactly rounded block total (math.fsum), so cumsum error does
+# not carry across blocks and Gamma_n at n ~ 1e6 stays within ~1e-13 relative
+# of the exact sum.
 _BLOCK = 4096
 
 
 class ScheduleError(ValueError):
     """Invalid schedule parameters or arguments."""
-
-
-def _read_only(view: np.ndarray) -> np.ndarray:
-    # A view shares memory with the cache that every run on this schedule
-    # reads.  It stays valid when ensure() later grows the cache, because
-    # growth copies into new arrays and leaves the viewed values in place.
-    view.flags.writeable = False
-    return view
 
 
 @dataclass(frozen=True)
@@ -82,15 +77,18 @@ class Diagnostic:
 
 
 class Schedule:
-    """Cached polynomial step/weight sequences with extendable prefix sums.
+    """Polynomial step/weight sequences and their prefix sums, regenerated on demand.
 
-    Instances are effectively immutable: ``ensure(n)`` may grow the cached
-    prefix arrays (single-writer; not thread safe), after which any number
-    of threads may read concurrently.  Index 0 is the empty prefix
-    (``Gamma_0 = H_0 = 0``); sequence values start at index 1.
+    The schedule stores one ``(Gamma, H)`` anchor per aligned block of
+    ``_BLOCK`` indices and rebuilds any block from its anchor, so its memory
+    grows by one anchor per block, not by arrays over every index reached.
+    ``ensure(n)`` extends the anchors under a lock, so any number of threads
+    may share one schedule; the only other shared state is the last block
+    built, replaced as one tuple.  Index 0 is the empty prefix
+    (``gamma_0 = eta_0 = Gamma_0 = H_0 = 0``); sequence values start at index 1.
     """
 
-    __slots__ = ("c1", "rho1", "c2", "rho2", "_gam", "_Gam", "_eta", "_H", "_n")
+    __slots__ = ("c1", "rho1", "c2", "rho2", "_anchors", "_lock", "_memo")
 
     def __init__(self, c1: float, rho1: float, c2: float, rho2: float):
         if not (c1 > 0.0 and c2 > 0.0):
@@ -103,103 +101,106 @@ class Schedule:
         self.rho1 = float(rho1)
         self.c2 = float(c2)
         self.rho2 = float(rho2)
-        cap = _BLOCK
-        self._gam = np.zeros(cap)
-        self._eta = np.zeros(cap)
-        self._Gam = np.zeros(cap)
-        self._H = np.zeros(cap)
-        self._n = 0  # largest index with valid cached values
-        self.ensure(_BLOCK - 1)
+        self._anchors = [(0.0, 0.0)]  # (Gamma, H) at index m*B, for block m
+        self._lock = threading.Lock()
+        self._memo = (-1, None)  # (m, block m) for the last block built
 
-    # -- cache management -------------------------------------------------
+    # -- blocks -------------------------------------------------------------
+
+    def _steps(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        # gamma and eta over block m, always as one whole aligned block, so
+        # every value is independent of the call pattern.
+        idx = np.arange(m * _BLOCK + 1, (m + 1) * _BLOCK + 1, dtype=np.float64)
+        return self.c2 * idx ** (-self.rho2), self.c1 * idx ** (-self.rho1)
 
     def ensure(self, n: int) -> None:
-        """Extend cached sequences/prefix sums through index ``n``.
+        """Extend the anchors through the end of the block holding index ``n``.
 
-        Single-writer: callers running concurrent readers must call this
-        up front (the CLI extends through ``engine.window_sweep_reach``
-        before its replication fan-out).
+        Concurrent callers are safe: extension holds the schedule's lock.
         """
-        if n <= self._n:
+        need = (n - 1) // _BLOCK + 2
+        if len(self._anchors) >= need:
             return
-        # Always materialize whole aligned blocks (indices m*B+1 .. (m+1)*B)
-        # so the cached values at any index are independent of the ensure()
-        # call pattern.
-        target = ((n + _BLOCK - 1) // _BLOCK) * _BLOCK
-        cap = len(self._gam)
-        if target + 1 > cap:
-            new_cap = cap
-            while new_cap < target + 1:
-                new_cap *= 2
-            for name in ("_gam", "_eta", "_Gam", "_H"):
-                old = getattr(self, name)
-                grown = np.zeros(new_cap)
-                grown[: len(old)] = old
-                setattr(self, name, grown)
-        lo = self._n + 1
-        while lo <= target:
-            hi = lo + _BLOCK  # block covers indices lo .. hi-1
-            idx = np.arange(lo, hi, dtype=np.float64)
-            g = self.c2 * idx ** (-self.rho2)
-            e = self.c1 * idx ** (-self.rho1)
-            self._gam[lo:hi] = g
-            self._eta[lo:hi] = e
-            self._Gam[lo:hi] = self._Gam[lo - 1] + np.cumsum(g)
-            self._H[lo:hi] = self._H[lo - 1] + np.cumsum(e)
-            # Re-anchor the block boundary with an exactly rounded block sum
-            # so cumsum error does not compound across blocks.
-            self._Gam[hi - 1] = self._Gam[lo - 1] + math.fsum(g.tolist())
-            self._H[hi - 1] = self._H[lo - 1] + math.fsum(e.tolist())
-            lo = hi
-        self._n = target
+        with self._lock:
+            anchors = self._anchors
+            while len(anchors) < need:
+                G0, H0 = anchors[-1]
+                g, e = self._steps(len(anchors) - 1)
+                anchors.append((G0 + math.fsum(memoryview(g)), H0 + math.fsum(memoryview(e))))
+
+    def _block(self, m: int) -> np.ndarray:
+        # Rows gamma, eta, Gamma, H of block m; the caller has ensured it.
+        memo = self._memo
+        if memo[0] == m:
+            return memo[1]
+        (G0, H0), (G1, H1) = self._anchors[m], self._anchors[m + 1]
+        g, e = self._steps(m)
+        block = np.stack((g, e, G0 + np.cumsum(g), H0 + np.cumsum(e)))
+        block[2:, -1] = G1, H1  # the fsum-anchored block end
+        block.flags.writeable = False
+        self._memo = (m, block)
+        return block
+
+    def _value(self, row: int, n: int) -> float:
+        if n == 0:
+            return 0.0
+        self.ensure(n)
+        m, i = divmod(n - 1, _BLOCK)
+        return float(self._block(m)[row, i])
+
+    def _range(self, row, lo: int, hi: int) -> np.ndarray:
+        """Fresh read-only array of ``row`` over indices ``lo .. hi-1``.
+
+        Rows are 0 gamma, 1 eta, 2 Gamma and 3 H; a list of rows gives a 2-D array.
+        """
+        self.ensure(hi - 1)
+        parts = [np.zeros((4, 1))[row, lo:hi]]  # index 0, the empty prefix
+        first = max(lo, 1)
+        for m in range((first - 1) // _BLOCK, (hi - 2) // _BLOCK + 1):
+            base = m * _BLOCK + 1
+            parts.append(self._block(m)[row, max(first - base, 0) : hi - base])
+        out = np.concatenate(parts, axis=-1)
+        out.flags.writeable = False
+        return out
 
     # -- sequence access --------------------------------------------------
 
     def gamma(self, n: int) -> float:
         if n < 1:
             raise ScheduleError(f"gamma is defined for n >= 1, got {n}")
-        self.ensure(n)
-        return float(self._gam[n])
+        return self._value(0, n)
 
     def eta(self, n: int) -> float:
         if n < 1:
             raise ScheduleError(f"eta is defined for n >= 1, got {n}")
-        self.ensure(n)
-        return float(self._eta[n])
+        return self._value(1, n)
 
     def Gamma(self, n: int) -> float:
         if n < 0:
             raise ScheduleError(f"Gamma is defined for n >= 0, got {n}")
-        self.ensure(n)
-        return float(self._Gam[n])
+        return self._value(2, n)
 
     def H(self, n: int) -> float:
         if n < 0:
             raise ScheduleError(f"H is defined for n >= 0, got {n}")
-        self.ensure(n)
-        return float(self._H[n])
+        return self._value(3, n)
 
     def gamma_slice(self, lo: int, hi: int) -> np.ndarray:
-        """Read-only view of ``gamma_lo .. gamma_{hi-1}``."""
-        self.ensure(hi - 1)
-        return _read_only(self._gam[lo:hi])
+        """Fresh read-only array of ``gamma_lo .. gamma_{hi-1}``."""
+        return self._range(0, lo, hi)
 
     def eta_slice(self, lo: int, hi: int) -> np.ndarray:
-        """Read-only view of ``eta_lo .. eta_{hi-1}``."""
-        self.ensure(hi - 1)
-        return _read_only(self._eta[lo:hi])
+        """Fresh read-only array of ``eta_lo .. eta_{hi-1}``."""
+        return self._range(1, lo, hi)
 
     def Gamma_slice(self, lo: int, hi: int) -> np.ndarray:
-        """Read-only view of ``Gamma_lo .. Gamma_{hi-1}``."""
-        self.ensure(hi - 1)
-        return _read_only(self._Gam[lo:hi])
+        """Fresh read-only array of ``Gamma_lo .. Gamma_{hi-1}``."""
+        return self._range(2, lo, hi)
 
     # -- window index maps --------------------------------------------------
-
-    def _diff_le(self, a: int, b: int, T: float) -> bool:
-        # Canonical predicate Gamma[a] - Gamma[b] <= T.  Both index maps are
-        # defined through this exact expression; see module docstring.
-        return self._Gam[a] - self._Gam[b] <= T
+    #
+    # Both maps are defined through the canonical predicate
+    # Gamma[a] - Gamma[b] <= T; see the module docstring.
 
     def horizon_index(self, n: int, T: float) -> int:
         """Largest ``k`` with ``Gamma_k - Gamma_n <= T``.
@@ -210,39 +211,40 @@ class Schedule:
         """
         if n < 0:
             raise ScheduleError(f"window start must be >= 0, got {n}")
-        if not T > 0.0:
-            raise ScheduleError(f"horizon must be positive, got {T}")
+        _check_horizon(T)
+        Gn = self.Gamma(n)
         lo = n
         # gallop to bracket the boundary, then bisect
         step = 1
         hi = lo + 1
-        self.ensure(hi)
-        while self._diff_le(hi, n, T):
+        while self.Gamma(hi) - Gn <= T:
             lo = hi
             step *= 2
             hi = lo + step
-            self.ensure(hi)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if self._diff_le(mid, n, T):
+            if self.Gamma(mid) - Gn <= T:
                 lo = mid
             else:
                 hi = mid
         return lo
 
     def window_start(self, n: int, T: float) -> int:
-        """Smallest ``k`` with ``Gamma_n - Gamma_k <= T`` (so ``k <= n``)."""
+        """Smallest ``k`` with ``Gamma_n - Gamma_k <= T`` (so ``k <= n``).
+
+        No sweep calls it; it is the reverse map of :meth:`horizon_index`,
+        kept so the duality between the two can be checked.
+        """
         if n < 0:
             raise ScheduleError(f"index must be >= 0, got {n}")
-        if not T > 0.0:
-            raise ScheduleError(f"horizon must be positive, got {T}")
-        self.ensure(n)
-        if self._diff_le(n, 0, T):
+        _check_horizon(T)
+        Gn = self.Gamma(n)
+        if Gn <= T:  # Gamma_n - Gamma_0
             return 0
         lo, hi = 0, n  # predicate false at lo, true at hi
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if self._diff_le(n, mid, T):
+            if Gn - self.Gamma(mid) <= T:
                 hi = mid
             else:
                 lo = mid
@@ -253,32 +255,37 @@ class Schedule:
         ks = np.asarray(ks, dtype=np.int64)
         if ks.size == 0:
             return ks.copy()
-        kmax = int(ks.max())
-        # upper bound on any answer: gallop from kmax
-        upper = self.horizon_index(kmax, T) + 1
-        self.ensure(upper)
-        G = self._Gam
+        kmin = int(ks.min())
+        # upper bound on any answer: gallop from the largest start
+        upper = self.horizon_index(int(ks.max()), T) + 1
+        G = self.Gamma_slice(kmin, upper + 1)  # G[i] is Gamma_{kmin + i}
+        Gk = G[ks - kmin]
         # searchsorted gives a near-answer; fix up with the canonical
         # predicate so results agree bit-for-bit with horizon_index.
-        cand = np.searchsorted(G[: upper + 1], G[ks] + T, side="right") - 1
-        cand = np.minimum(cand, upper - 1)
+        cand = np.searchsorted(G, Gk + T, side="right") - 1
+        cand = np.minimum(cand, upper - 1 - kmin)
         while True:
-            over = G[cand] - G[ks] > T
+            over = G[cand] - Gk > T
             if over.any():
                 cand[over] -= 1
                 continue
-            under = (cand < upper - 1) & (G[cand + 1] - G[ks] <= T)
+            under = (cand < upper - 1 - kmin) & (G[cand + 1] - Gk <= T)
             if under.any():
                 cand[under] += 1
                 continue
             break
-        return cand
+        return cand + kmin
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"Schedule(c1={self.c1}, rho1={self.rho1}, "
             f"c2={self.c2}, rho2={self.rho2})"
         )
+
+
+def _check_horizon(T: float) -> None:
+    if not 0.0 < T < math.inf:
+        raise ScheduleError(f"horizon must be positive and finite, got {T}")
 
 
 def make_polynomial_schedule(c1: float, rho1: float, c2: float, rho2: float) -> Schedule:
@@ -310,14 +317,10 @@ def check_weight_step_condition(
         passed = False
     else:
         passed = not (r1 == 1.0 and eps < 0.0 and r2 == 1.0)
-    sched.ensure(n_max)
     ratio_sup = 0.0
     argmax = 0
     for lo in range(1, n_max + 1, 2**18):
-        hi = min(lo + 2**18, n_max + 1)
-        e = sched._eta[lo:hi]
-        g = sched._gam[lo:hi]
-        h = sched._H[lo:hi]
+        g, e, h = sched._range([0, 1, 3], lo, min(lo + 2**18, n_max + 1))
         ratio = e / (g * h**eps)
         i = int(np.argmax(ratio))
         if ratio[i] > ratio_sup:
@@ -348,15 +351,13 @@ def check_invariance_condition(sched: Schedule, n_max: int = 10**5) -> Diagnosti
     """
     r1, r2 = sched.rho1, sched.rho2
     passed = r1 == 0.0 or (max(0.0, 2.0 * r2 - 1.0) < r1 < 1.0)
-    sched.ensure(n_max + 1)
-    eta = sched._eta[1 : n_max + 2]
-    gam = sched._gam[1 : n_max + 2]
+    gam, eta = sched._range([0, 1], 1, n_max + 2)
     dratio = np.abs(np.diff(eta)) / gam[1:]  # entry l-2 is |d eta_l| / gamma_l, l >= 2
     # suffix maxima: tail_max[k-1] = max over l >= k+1 (within the scan)
     tail_max = np.maximum.accumulate(dratio[::-1])[::-1]
-    cesaro = float(np.sum(tail_max) / sched._H[n_max])
+    cesaro = float(np.sum(tail_max) / sched.H(n_max))
     mid = n_max // 10
-    cesaro_mid = float(np.sum(tail_max[:mid]) / sched._H[mid]) if mid >= 1 else math.nan
+    cesaro_mid = float(np.sum(tail_max[:mid]) / sched.H(mid)) if mid >= 1 else math.nan
     summary = (
         f"closed form {'holds' if passed else 'violated'} "
         f"(rho1={r1}, rho2={r2}); Cesaro average {cesaro:.3e} at n={n_max} "
@@ -392,7 +393,7 @@ def check_series_condition(
     N = sched.horizon_indices(ks, T)
     N0 = sched.horizon_index(0, T)
     dN = np.diff(np.concatenate(([N0], N))).astype(np.float64)
-    terms = dN / sched._H[1 : k_max + 1] ** sigma
+    terms = dN / sched._range(3, 1, k_max + 1) ** sigma
     partial = np.cumsum(terms)
     summary = (
         f"s_eff={sigma:.4g} vs threshold {1.0 / (1.0 - sched.rho1):.4g}; "

@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-import threading
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -12,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from statvol import cli, engine
-from statvol.schedule import Schedule
 
 
 def write_config(tmp_path, name="run.cfg", **overrides):
@@ -197,39 +195,6 @@ class TestPriceAsianCommand:
         out = tmp_path / "o.csv"
         assert cli.main(["price-asian", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 4
-
-
-class TestScheduleReadOnlyDuringSweeps:
-    """Once a grid command has prepared its schedule, no sweep extends it."""
-
-    @pytest.mark.parametrize("command,overrides", [
-        ("price-asian", {}),
-        ("vol-surface", {"maturities": "0.5,1,2", "replications": 2, "threads": 2}),
-    ])
-    def test_engine_never_grows_the_cache(self, tmp_path, monkeypatch, command, overrides):
-        # n_iters = 4200 puts the last windows past the schedule's first
-        # cache block (indices up to 4096), so the preparation has to extend it
-        growth = {"before": 0, "during": 0}
-        swept = threading.Event()
-        ensure, run = Schedule.ensure, engine.run
-
-        def watched_ensure(self, n):
-            # self._n == 0 only while the constructor fills the first block
-            if n > self._n > 0:
-                growth["during" if swept.is_set() else "before"] += 1
-            ensure(self, n)
-
-        def watched_run(*args, **kwargs):
-            swept.set()
-            return run(*args, **kwargs)
-
-        monkeypatch.setattr(Schedule, "ensure", watched_ensure)
-        monkeypatch.setattr(engine, "run", watched_run)
-        cfg = write_config(tmp_path, n_iters=4200, **overrides)
-        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
-        assert swept.is_set()
-        assert growth["before"] > 0
-        assert growth["during"] == 0
 
 
 class TestVolSurfaceCommand:

@@ -180,6 +180,13 @@ class TestRunBookkeeping:
             engine.run(ConstantDriver(), s, None, T=1.0, n_iters=5, rng=stream(0, 0))
         assert acc.count == 0
 
+    def test_nonfinite_horizon_rejected(self):
+        s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
+        for T in (math.inf, math.nan, 0.0, None):
+            with pytest.raises(ValueError, match="positive and finite"):
+                engine.run(ConstantDriver(), s, lambda w: 0.0, T=T, n_iters=5,
+                           rng=stream(0, 0))
+
     def test_storage_contract_after_each_step(self):
         # n_iters crosses two block boundaries; the driver's state is its
         # index, so each window shows exactly which states it was handed

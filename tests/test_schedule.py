@@ -1,6 +1,9 @@
 """Schedule construction, window index maps, and admissibility diagnostics."""
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +63,58 @@ class TestMakePolynomialSchedule:
         assert abs(s.Gamma(n) - exact) / exact < 1e-12
         assert abs(s.H(n) - exact) / exact < 1e-12
 
+    # (n, gamma_n, eta_n, Gamma_n, H_n), captured from the growable-cache
+    # schedule this one replaced; block 0, both sides of the first block
+    # boundary, and far blocks must all be regenerated bit for bit.
+    PINNED = {
+        (1.0, 1.0 / 3.0, 1.0, 1.0 / 3.0): [
+            (1, "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+             "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+            (4096, "0x1.0000000000001p-4", "0x1.0000000000001p-4",
+             "0x1.7f0ed1d5c1a9ap+8", "0x1.7f0ed1d5c1a9ap+8"),
+            (4097, "0x1.fff555c716ea4p-5", "0x1.fff555c716ea4p-5",
+             "0x1.7f1ed1806fe25p+8", "0x1.7f1ed1806fe25p+8"),
+            (100003, "0x1.60faa302f83b8p-6", "0x1.60faa302f83b8p-6",
+             "0x1.93d8216b7e18bp+11", "0x1.93d8216b7e18bp+11"),
+            (10**6, "0x1.47ae147ae147cp-7", "0x1.47ae147ae147cp-7",
+             "0x1.d4b840cc578b5p+13", "0x1.d4b840cc578b5p+13"),
+            (4 * 10**6, "0x1.9cd9d686321fbp-8", "0x1.9cd9d686321fbp-8",
+             "0x1.27495294218e7p+15", "0x1.27495294218e7p+15"),
+        ],
+        (0.8, 0.6, 1.5, 0.25): [
+            (1, "0x1.8000000000000p+0", "0x1.999999999999ap-1",
+             "0x1.8000000000000p+0", "0x1.999999999999ap-1"),
+            (4096, "0x1.8000000000000p-3", "0x1.6493d7be31a81p-8",
+             "0x1.ff6fd9b565249p+9", "0x1.b13f2261b1242p+5"),
+            (4097, "0x1.7ffa003bfd302p-3", "0x1.648679446cb33p-8",
+             "0x1.ff87d95568e46p+9", "0x1.b14a46957b478p+5"),
+            (100003, "0x1.597ffab0a79dap-4", "0x1.a36c3fed11157p-11",
+             "0x1.5f6f36ea51308p+13", "0x1.8ce19f9acd95ep+7"),
+            (10**6, "0x1.8494a75f057abp-5", "0x1.a56cb36416f7fp-13",
+             "0x1.ee18b6c9138e8p+15", "0x1.f4d0b4b92a7e1p+8"),
+            (4 * 10**6, "0x1.12c49dd0cc1e9p-5", "0x1.6edf1645fd6f2p-14",
+             "0x1.5d621e1636824p+17", "0x1.b490545604376p+9"),
+        ],
+    }
+
+    def test_regenerated_values_pinned(self):
+        for params, rows in self.PINNED.items():
+            s = sch.make_polynomial_schedule(*params)
+            for n, *expected in rows:
+                got = (s.gamma(n), s.eta(n), s.Gamma(n), s.H(n))
+                assert got == tuple(map(float.fromhex, expected)), (params, n)
+
+    def test_memory_bounded_by_block_not_index(self):
+        s = sch.make_polynomial_schedule(1.0, 1.0 / 3.0, 1.0, 1.0 / 3.0)
+        tracemalloc.start()
+        try:
+            s.ensure(4_000_000)
+            s.Gamma(4_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
 
 class TestHorizonIndex:
     def test_constant_step_double(self):
@@ -97,6 +152,17 @@ class TestHorizonIndex:
         vec = s.horizon_indices(ks, 0.8)
         scal = np.array([s.horizon_index(int(k), 0.8) for k in ks])
         assert np.array_equal(vec, scal)
+
+
+    def test_nonfinite_horizon_rejected(self, benchmark_schedule):
+        s = benchmark_schedule
+        for T in (math.inf, math.nan, 0.0, -1.0):
+            with pytest.raises(sch.ScheduleError):
+                s.horizon_index(5, T)
+            with pytest.raises(sch.ScheduleError):
+                s.horizon_indices(np.arange(3), T)
+            with pytest.raises(sch.ScheduleError):
+                s.window_start(5, T)
 
 
 class TestWindowStart:
@@ -154,6 +220,45 @@ class TestWindowInvariants:
         k_max = max(k for k in counts if k < max(taus))
         for k in range(1, k_max):
             assert counts.get(k, 0) == s.horizon_index(k, T) - s.horizon_index(k - 1, T)
+
+
+class TestConcurrentReaders:
+    def test_threads_sharing_a_fresh_schedule_read_single_thread_values(self):
+        # Far-apart readers race to extend the same anchors; a lost or
+        # duplicated anchor would shift every block after it.
+        params = (1.0, 1.0 / 3.0, 1.0, 1.0 / 3.0)
+        starts = (100_000, 300_000, 200_003, 300_000)
+
+        def read(s, lo):
+            return (s.Gamma_slice(lo, lo + 5000), s.eta_slice(lo, lo + 5000),
+                    s.gamma_slice(lo, lo + 5000),
+                    s.horizon_indices(np.arange(lo, lo + 2000), 1.0))
+
+        reference = {lo: read(sch.make_polynomial_schedule(*params), lo) for lo in starts}
+        shared = sch.make_polynomial_schedule(*params)
+        results, errors = {}, []
+
+        def worker(i, lo):
+            try:
+                results[i] = read(shared, lo)
+            except Exception as exc:  # surfaced by the assertions below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i, lo)) for i, lo in enumerate(starts)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for i, lo in enumerate(starts):
+            for got, want in zip(results[i], reference[lo]):
+                assert np.array_equal(got, want), lo
 
 
 class TestDiagnostics:
