@@ -16,12 +16,13 @@ without storing the history.  There is no engine-side second moment: a
 caller that wants one returns the squares as part of the functional's
 value.  The sweep works in blocks of up to ``_BLOCK`` window starts
 ``j0 .. j1-1``.  A block takes its window ends ``N_j = N(j, T)`` from
-:meth:`Schedule.horizon_indices`, holds the states of ``[j0, N_{j1-1}]`` in
-one ``(dim, width)`` array that begins with the previous block's overlap
-``[j0, N_{j0-1}]``, and hands each window a view of its columns, never a
-copy.  Stored states span one block of starts plus one window, whatever ``n``,
-and so do the block's gamma, eta and Gamma slices.  The trajectory runs
-exactly to the last window's end, ``N(n-1, T)``.
+:meth:`Schedule.horizon_indices` and holds the states of ``[j0, N_{j1-1}]``
+in one ``(dim, width)`` array that begins with the previous block's overlap
+``[j0, N_{j0-1}]``, together with gamma and Gamma over the same span, in a
+:class:`WindowBlock`.  Each window is that block plus its column range, so
+no per-window array is built; a model may build block-wide arrays once.
+Stored states span one block of starts plus one window, whatever ``n``.
+The trajectory runs exactly to the last window's end, ``N(n-1, T)``.
 
 *Marginal sweep* (a marginal accumulator).  Iteration ``j`` folds the state
 at grid index ``j`` with weight ``eta_{j+1}`` into the weighted occupation
@@ -54,6 +55,7 @@ from .schedule import Schedule
 __all__ = [
     "DriverStepError",
     "Window",
+    "WindowBlock",
     "FunctionalAverage",
     "MarginalAccumulator",
     "MarginalStats",
@@ -73,41 +75,63 @@ class DriverStepError(RuntimeError):
         self.index = index
 
 
+@dataclass(eq=False, slots=True)
+class WindowBlock:
+    """The trajectory and schedule that one block of windows reads.
+
+    ``cols`` holds the states of global indices ``[j0, N_{j1-1}]`` from
+    ``start = j0`` on, one row per coordinate; ``gam`` and ``Gam`` hold gamma
+    and Gamma over the same indices, so column ``i`` is index ``start + i``.
+    A model may derive block-wide arrays from it once and slice them for
+    each of its windows.
+    """
+
+    cols: np.ndarray
+    start: int
+    T: float
+    gam: np.ndarray
+    Gam: np.ndarray
+
+
 class Window:
     """Stepwise-constant path over ``[0, T]``, shifted to start at grid index ``start``.
 
-    ``cols`` holds the states of global indices ``start .. end``, one row
-    per coordinate (a view into the sweep's block array, never a copy).
-    Grid point ``i`` sits at local time ``grid_times[i]`` and carries the
-    state of global index ``start + i``; the path holds that value for the
-    following ``seg_lengths[i]`` time units.  The final segment is the
-    partial piece ``T - grid_times[-1]`` (possibly zero), so the segment
-    lengths always sum to ``T`` exactly.
+    The window is columns ``a .. b`` of its ``block``, i.e. global indices
+    ``start .. end``.  Grid point ``i`` sits at local time
+    ``Gam[a + i] - Gam[a]`` and holds its state for the next step, so the
+    segment lengths are ``gam[a + 1 .. b]`` followed by the partial piece
+    ``tail = T - (Gam[b] - Gam[a])`` (possibly zero); they sum to ``T``.
     """
 
-    __slots__ = ("_cols", "start", "end", "T", "grid_times", "seg_lengths")
+    __slots__ = ("block", "a", "b", "start", "end", "T")
 
-    def __init__(
-        self,
-        cols: np.ndarray,
-        start: int,
-        T: float,
-        grid_times: np.ndarray,
-        seg_lengths: np.ndarray,
-    ):
-        self._cols = cols
-        self.start = start
-        self.end = start + cols.shape[1] - 1
-        self.T = T
-        self.grid_times = grid_times
-        self.seg_lengths = seg_lengths
+    def __init__(self, block: WindowBlock, a: int, b: int):
+        self.block = block
+        self.a = a
+        self.b = b
+        self.start = block.start + a
+        self.end = block.start + b
+        self.T = block.T
 
     def __len__(self) -> int:
-        return self.end - self.start + 1
+        return self.b - self.a + 1
 
     def states(self, coord: int) -> np.ndarray:
-        """Values of one state coordinate at the window grid points."""
-        return self._cols[coord]
+        """Values of one state coordinate at the window grid points (a view)."""
+        return self.block.cols[coord, self.a : self.b + 1]
+
+    @property
+    def tail(self) -> float:
+        """Length of the last segment, from the last grid point to ``T``."""
+        Gam = self.block.Gam
+        return self.T - (Gam[self.b] - Gam[self.a])
+
+    def seg_lengths(self) -> np.ndarray:
+        """Segment lengths: ``gam[a + 1 .. b]`` and then ``tail``."""
+        ell = np.empty(len(self))
+        ell[:-1] = self.block.gam[self.a + 1 : self.b + 1]
+        ell[-1] = self.tail
+        return ell
 
 
 class FunctionalAverage:
@@ -314,15 +338,11 @@ def run(
         for k in range(j0 + len(path), ends[-1] + 1):
             state = _step(driver, state, k, float(gam[k - j0]), rng)
             path.append(state)
-        cols = np.array(path).T.copy()  # one contiguous row per coordinate
+        block = WindowBlock(np.array(path).T.copy(), j0, T, gam, Gam)
 
         for j, N in zip(range(j0, j1), ends):
-            a, b = j - j0, N - j0
-            t = Gam[a : b + 1] - Gam[a]
-            ell = np.empty(b - a + 1)
-            ell[:-1] = gam[a + 1 : b + 1]
-            ell[-1] = T - t[-1]
-            f = functional(Window(cols[:, a : b + 1], j, T, t, ell))
+            a = j - j0
+            f = functional(Window(block, a, N - j0))
             avg.update(float(eta[a]), f)
             if j + 1 in cp_grid:
                 checkpoints.append((j + 1, avg.copy_value()))

@@ -19,7 +19,11 @@ Square-root (Heston-type) model
   exactly (call it ``Lam(t)``), and ``M_t = int sqrt(v) dW1 = y_t - y_0 +
   int_0^t y ds`` is invariant to the window's ``y_0``.  Then
 
-      S_t = s0 * exp(r t - 0.5 int_0^t v ds + rho Lam(t) + sqrt(1-rho^2) M_t).
+      S_t = s0 * exp(r t - 0.5 int_0^t v ds + rho Lam(t) + sqrt(1-rho^2) M_t),
+
+  so the log price inside a window is ``E_k - E_j`` for one potential ``E``
+  along the trajectory (:func:`heston_potential`).  The driver builds ``E``
+  once per engine block of windows and slices each window's path from it.
 
   The invariant law of ``v`` is Gamma with shape ``2 k theta / sigma_v**2``
   and mean ``theta``.
@@ -43,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import levy
-from .engine import Window
+from .engine import Window, WindowBlock
 from .levy import TemperedStableMeasure, TruncationPolicy
 from .schemes import cir_reflected_step, ou_companion_step
 
@@ -51,8 +55,7 @@ __all__ = [
     "HestonParams",
     "BNSParams",
     "PricePathView",
-    "heston_price_path",
-    "bns_price_path",
+    "heston_potential",
     "HestonDriver",
     "BnsDriver",
     "heston_invariant_gamma",
@@ -189,79 +192,68 @@ def _expm1_over(x: np.ndarray) -> np.ndarray:
 
 
 class PricePathView:
-    """Price path over a window ``[0, T]``, derived on demand.
+    """Price path over a window ``[0, T]``: its grid values and segment weights.
 
     Between the grid points the driving state is frozen, so the log price
-    is linear on each segment: segment ``i`` starts at ``values[i]`` and
-    grows at exponential rate ``slopes[i]`` for ``seg_lengths[i]`` time
-    units.  Genuinely stepwise paths (the log-price model) have zero
-    slopes.  Segment integrals are closed-form, which is what makes the
-    Asian integral exact given the discrete state path.
+    is linear on each segment: segment ``i`` starts at ``values[i]`` and has
+    length ``l`` and exponential rate ``b``, and ``weights[i] = l (e^{bl} -
+    1)/(bl)`` is its exact integral of ``S / values[i]``.  Stepwise paths
+    (the log-price model) have ``b = 0``, so their weights are the lengths.
+    ``growth`` is the last segment's ``e^{bl}``.  These closed forms make
+    the Asian integral exact given the discrete state path.
     """
 
-    __slots__ = ("values", "seg_lengths", "slopes", "horizon")
+    __slots__ = ("values", "weights", "horizon", "growth")
 
-    def __init__(self, values: np.ndarray, seg_lengths: np.ndarray, horizon: float,
-                 slopes: np.ndarray | None = None):
+    def __init__(self, values: np.ndarray, weights: np.ndarray, horizon: float,
+                 growth: float = 1.0):
         self.values = values
-        self.seg_lengths = seg_lengths
-        self.slopes = slopes
+        self.weights = weights
         self.horizon = horizon
+        self.growth = growth
 
     def average(self) -> float:
         """Time average ``(1/T) int_0^T S ds``, exact for the discrete path."""
-        # sum_i S_i * l_i * (e^{b_i l_i} - 1)/(b_i l_i): exact per segment
-        seg = self.seg_lengths
-        if self.slopes is None:
-            return float(np.dot(self.values, seg)) / self.horizon
-        return float(np.dot(self.values * seg, _expm1_over(self.slopes * seg))) / self.horizon
+        return float(np.dot(self.values, self.weights)) / self.horizon
 
     def terminal(self) -> float:
         """Path value at the right edge of the window."""
-        if self.slopes is None:
-            return float(self.values[-1])
-        return float(self.values[-1] * math.exp(self.slopes[-1] * self.seg_lengths[-1]))
-
-
-def _shifted_cumsum(values: np.ndarray) -> np.ndarray:
-    out = np.empty(len(values) + 1)
-    out[0] = 0.0
-    np.cumsum(values, out=out[1:])
-    return out
+        return float(self.values[-1] * self.growth)
 
 
 # -- square-root model --------------------------------------------------------
 
 
-def heston_price_path(window: Window, params: HestonParams) -> PricePathView:
-    """Reconstruct the price path over a (v, y) window.
+def heston_potential(block: WindowBlock, params: HestonParams):
+    """Log-price potential ``E``, segment rates and interior segment weights of a block.
 
-    All integrals accumulate segment by segment, so the whole path costs
-    O(window length).  ``v_0`` and ``y_0`` are the values at the window's
-    own start, making the construction shift-invariant.  With (v, y)
-    frozen between grid points, the log price is linear on each segment
-    with rate ``r - v/2 + rho k (v - theta)/sigma_v + sqrt(1-rho^2) y``;
-    the per-segment rates are attached to the view so path integrals stay
-    exact.
+    With (v, y) frozen between grid points, the log price of any window
+    starting at block column ``a`` is ``E[a + i] - E[a]`` at its grid point
+    ``i``, where ``t``, ``IV = int v ds`` and ``IY = int y ds`` run from the
+    block's first index:
+
+        E = r t - IV/2 + (rho/sigma_v)(v - k theta t + k IV) + sqrt(1-rho^2)(y + IY).
+
+    This is the window reconstruction ``r t - IV/2 + rho Lam(t) +
+    sqrt(1-rho^2) M_t`` with every window's integrals read as differences
+    of one block-wide prefix sum.  Between grid points the log price is
+    linear with rate ``r - v/2 + rho k (v - theta)/sigma_v + sqrt(1-rho^2) y``;
+    the interior weight of the segment after column ``i`` is
+    ``gam[i+1] * expm1over(rate[i] gam[i+1])``.  Only differences of ``E``
+    inside one window are ever exponentiated, so nothing overflows however
+    long the trajectory.
     """
-    v = window.states(0)
-    y = window.states(1)
-    t = window.grid_times
-    ell = window.seg_lengths
-    iv = _shifted_cumsum(v[:-1] * ell[:-1])
-    iy = _shifted_cumsum(y[:-1] * ell[:-1])
+    v, y = block.cols
+    gam = block.gam[1:]
+    t = block.Gam - block.Gam[0]
+    iv = np.concatenate(([0.0], np.cumsum(v[:-1] * gam)))
+    iy = np.concatenate(([0.0], np.cumsum(y[:-1] * gam)))
     rho_c = math.sqrt(1.0 - params.rho**2)
-    lam = (v - v[0] - params.k * params.theta * t + params.k * iv) / params.sigma_v
-    mart = y - y[0] + iy
-    expo = params.r * t - 0.5 * iv + params.rho * lam + rho_c * mart
-    values = params.s0 * np.exp(expo)
-    slopes = (
-        params.r
-        - 0.5 * v
-        + params.rho * params.k * (v - params.theta) / params.sigma_v
-        + rho_c * y
-    )
-    return PricePathView(values, ell, window.T, slopes=slopes)
+    k, theta, sig = params.k, params.theta, params.sigma_v
+    potential = (params.r * t - 0.5 * iv + (params.rho / sig) * (v - k * theta * t + k * iv)
+                 + rho_c * (y + iy))
+    rates = params.r - 0.5 * v + params.rho * k * (v - theta) / sig + rho_c * y
+    return potential, rates, gam * _expm1_over(rates[:-1] * gam)
 
 
 class _BlockNormals:
@@ -298,6 +290,7 @@ class HestonDriver:
     def __init__(self, params: HestonParams):
         self.params = params
         self._normals: _BlockNormals | None = None
+        self._potential: tuple | None = None  # (block, heston_potential(block))
 
     def initial_state(self) -> tuple[float, float]:
         return (self.params.v_init, self.params.y_init)
@@ -316,17 +309,23 @@ class HestonDriver:
         return (v1, y1)
 
     def price_path(self, window: Window) -> PricePathView:
-        return heston_price_path(window, self.params)
+        """The window's price path, sliced from its block's potential (built once)."""
+        block, a, b = window.block, window.a, window.b
+        memo = self._potential
+        if memo is None or memo[0] is not block:
+            memo = self._potential = (block, *heston_potential(block, self.params))
+        _, potential, rates, interior = memo
+        values = np.exp(potential[a : b + 1] - potential[a])
+        values *= self.params.s0
+        tail = window.tail
+        x = rates[b] * tail
+        weights = np.empty(b - a + 1)
+        weights[:-1] = interior[a:b]
+        weights[-1] = tail * (1.0 + 0.5 * x if abs(x) < 1e-8 else math.expm1(x) / x)
+        return PricePathView(values, weights, window.T, math.exp(x))
 
 
 # -- log-price/subordinator model ---------------------------------------------
-
-
-def bns_price_path(window: Window, params: BNSParams) -> PricePathView:
-    """Price path over a (v, x) window, re-based so the window prices from spot."""
-    x = window.states(1)
-    values = params.s0 * np.exp(x - x[0])
-    return PricePathView(values, window.seg_lengths, window.T)
 
 
 class BnsDriver:
@@ -365,4 +364,7 @@ class BnsDriver:
         return v1, x1
 
     def price_path(self, window: Window) -> PricePathView:
-        return bns_price_path(window, self.params)
+        """The window's price path, re-based so the window prices from spot."""
+        x = window.states(1)
+        values = self.params.s0 * np.exp(x - x[0])
+        return PricePathView(values, window.seg_lengths(), window.T)

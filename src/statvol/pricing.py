@@ -226,12 +226,20 @@ def _price_grid(
     T, r = _common_T_r(specs)
     strikes = np.array([s.K for s in specs], dtype=float)
     disc = math.exp(-r * T)
+    nk = len(strikes)
+    # the put leg is the call leg of -a at strike -K: (-a) - (-K) == -(a - K)
+    signs = np.repeat([1.0, -1.0], nk)
+    signed_strikes = signs * np.tile(strikes, 2)
 
     def functional(window: engine.Window) -> np.ndarray:
         a = statistic(driver.price_path(window))
-        d = a - strikes
-        legs = disc * np.concatenate([np.maximum(d, 0.0), np.maximum(-d, 0.0)])
-        return np.concatenate([legs, [a], legs * legs])
+        out = np.empty(4 * nk + 1)
+        legs = out[: 2 * nk]
+        np.maximum(signs * a - signed_strikes, 0.0, out=legs)
+        legs *= disc
+        out[2 * nk] = a
+        np.multiply(legs, legs, out=out[2 * nk + 1 :])
+        return out
 
     result = engine.run(driver, sched, functional, T, n_iters, rng)
     return _assemble(specs, strikes, result, driver.params, use_parity, T, r)

@@ -1,0 +1,152 @@
+"""The Heston block potential against the per-window reconstruction.
+
+``HestonDriver.price_path`` slices each window's price path out of one
+log-price potential per block of windows.  The reference below rebuilds
+every window from scratch instead: two prefix sums over the window's own
+states, as the scheme is written.  On the same trajectory both must give
+the same estimator at every checkpoint, to 1e-12 relative, because they
+differ only in the order of their sums.
+
+The payoff legs are measured against the larger of themselves and the
+discounted average ``e^{-rT} a`` they are payoffs of: a leg moves by at
+most ``e^{-rT}`` times as much as ``a`` does, so a leg of a few 1e-5 (the
+put at K = 56 when ``r = 0.5``) can differ by 1e-11 of itself while ``a``
+agrees to 1e-15.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from statvol import engine, pricing
+from statvol.models import HestonDriver, HestonParams, PricePathView, _expm1_over
+from statvol.pricing import AsianSpec
+from statvol.rng import stream
+from statvol.schedule import make_polynomial_schedule
+
+STRIKES = tuple(float(k) for k in range(44, 57))
+
+
+def _cumsum0(x):
+    return np.concatenate(([0.0], np.cumsum(x)))
+
+
+def reference_price_path(window, params):
+    """Price path of one (v, y) window, reconstructed from the window alone.
+
+    ``Lam(t) = (v_t - v_0 - k theta t + k int v ds)/sigma_v`` and
+    ``M_t = y_t - y_0 + int y ds``; then
+    ``S_t = s0 exp(r t - int v ds/2 + rho Lam(t) + sqrt(1-rho^2) M_t)``,
+    and the log price grows at the frozen state's rate on each segment.
+    """
+    v = window.states(0)
+    y = window.states(1)
+    Gam = window.block.Gam
+    t = Gam[window.a : window.b + 1] - Gam[window.a]
+    ell = window.seg_lengths()
+    iv = _cumsum0(v[:-1] * ell[:-1])
+    iy = _cumsum0(y[:-1] * ell[:-1])
+    rho_c = math.sqrt(1.0 - params.rho**2)
+    lam = (v - v[0] - params.k * params.theta * t + params.k * iv) / params.sigma_v
+    mart = y - y[0] + iy
+    values = params.s0 * np.exp(params.r * t - 0.5 * iv + params.rho * lam + rho_c * mart)
+    slopes = (params.r - 0.5 * v + params.rho * params.k * (v - params.theta) / params.sigma_v
+              + rho_c * y)
+    return PricePathView(values, ell * _expm1_over(slopes * ell), window.T,
+                         math.exp(slopes[-1] * ell[-1]))
+
+
+class ReferenceDriver(HestonDriver):
+    def price_path(self, window):
+        return reference_price_path(window, self.params)
+
+
+def heston(r=0.05):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return HestonParams(s0=50.0, r=r, rho=0.5, k=2.0, theta=0.01, sigma_v=0.1)
+
+
+def _grid_run(driver, sched, T, r, n, european, parity, monkeypatch):
+    """The grid's estimates and its raw engine result."""
+    results = []
+    run = engine.run
+
+    def keep(*args, **kwargs):
+        results.append(run(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(engine, "run", keep)
+    specs = [AsianSpec(K=k, T=T, kind="call", r=r) for k in STRIKES]
+    if european:
+        ests = pricing.price_european_grid(driver, sched, specs, n, stream(5, 0))
+    else:
+        ests = pricing.price_asian_grid(driver, sched, specs, n, stream(5, 0),
+                                        use_parity=parity)
+    monkeypatch.setattr(engine, "run", run)
+    return ests, results[0]
+
+
+def _split(vec):
+    """Legs, the statistic and the legs' spread (se up to a common factor)."""
+    vec = np.asarray(vec, dtype=float)
+    m = 2 * len(STRIKES)
+    legs, a, sq = vec[:m], vec[m], vec[m + 1:]
+    return legs, a, np.sqrt(np.maximum(sq - legs**2, 0.0))
+
+
+def _agree(x, ref, scale=0.0):
+    """``|x - ref| <= 1e-12 * max(|ref|, scale)`` elementwise."""
+    x, ref = np.asarray(x, dtype=float), np.asarray(ref, dtype=float)
+    return bool(np.all(np.abs(x - ref) <= 1e-12 * np.maximum(np.abs(ref), scale)))
+
+
+CASES = [
+    # (r, c2, T, n): benchmark rates and steps, two blocks crossed
+    (0.05, 1.0, 0.1, 9000),
+    (0.05, 1.0, 1.0, 9000),
+    (0.05, 1.0, 2.0, 9000),
+    # large rate and large steps: r * Gamma_n reaches about 290 in the first block
+    (0.5, 1.5, 1.0, 9000),
+]
+
+
+@pytest.mark.parametrize("european,parity", [(False, True), (False, False), (True, False)])
+@pytest.mark.parametrize("r,c2,T,n", CASES)
+def test_block_potential_matches_per_window_reference(r, c2, T, n, european, parity,
+                                                      monkeypatch):
+    sched = make_polynomial_schedule(1.0, 1 / 3, c2, 1 / 3)
+    assert n > 2 * engine._BLOCK
+    got, res = _grid_run(HestonDriver(heston(r)), sched, T, r, n, european, parity,
+                         monkeypatch)
+    ref, ref_res = _grid_run(ReferenceDriver(heston(r)), sched, T, r, n, european,
+                             parity, monkeypatch)
+    disc = math.exp(-r * T)
+    assert [c for c, _ in res.checkpoints] == [c for c, _ in ref_res.checkpoints]
+    for (c, vec), (_, ref_vec) in zip(res.checkpoints, ref_res.checkpoints):
+        (legs, a, spread), (ref_legs, ref_a, ref_spread) = _split(vec), _split(ref_vec)
+        assert _agree(a, ref_a), c
+        assert _agree(legs, ref_legs, disc * ref_a), c
+        assert _agree(spread, ref_spread, disc * ref_a), c
+    for e, f in zip(got, ref):
+        assert _agree(e.mean_average, f.mean_average)
+        scale = disc * f.mean_average
+        for field in ("value", "se", "direct", "other_direct"):
+            assert _agree(getattr(e, field), getattr(f, field), scale), field
+
+
+def test_potential_far_past_the_exp_range():
+    # r = 5: r * Gamma_n passes 709, where e^{r Gamma_n} overflows, near
+    # n = 900; only differences inside one window are exponentiated
+    sched = make_polynomial_schedule(1.0, 1 / 3, 1.0, 1 / 3)
+    n = 6000
+    assert 5.0 * sched.Gamma(n - 1) > 2000.0
+    specs = [AsianSpec(K=k, T=1.0, kind="call", r=5.0) for k in STRIKES]
+    with np.errstate(over="raise", invalid="raise"):
+        ests = pricing.price_asian_grid(HestonDriver(heston(5.0)), sched, specs, n,
+                                        stream(5, 0), use_parity=False)
+    assert all(math.isfinite(e.value) and math.isfinite(e.se) for e in ests)
+    # (1/T) int_0^T 50 e^{5t} dt is about 1474
+    assert ests[0].mean_average == pytest.approx(50.0 * math.expm1(5.0) / 5.0, rel=0.05)

@@ -8,18 +8,16 @@ import numpy as np
 import pytest
 
 from statvol import engine
-from statvol.engine import DriverStepError, Window
+from statvol.engine import DriverStepError, Window, WindowBlock
 from statvol.levy import TemperedStableMeasure
 from statvol.models import (
     BNSParams,
     BnsDriver,
     HestonDriver,
     HestonParams,
-    bns_price_path,
     bns_jump_cumulant_rate,
     growth_rate,
     heston_invariant_gamma,
-    heston_price_path,
 )
 from statvol.rng import stream
 from statvol.schedule import make_polynomial_schedule
@@ -38,11 +36,27 @@ def bench_bns(**kw):
 
 
 def make_window(states, lengths, T):
-    """Assemble a window from explicit per-grid-point states."""
+    """Assemble a one-window block from explicit per-grid-point states."""
     cols = np.ascontiguousarray(np.array(states, dtype=float).T)
     lengths = np.asarray(lengths, dtype=float)
+    gam = np.concatenate(([0.0], lengths[:-1]))  # gam[0] precedes the window: unread
     t = np.concatenate(([0.0], np.cumsum(lengths[:-1])))
-    return Window(cols, 0, T, t, lengths)
+    return Window(WindowBlock(cols, 0, T, gam, t), 0, len(lengths) - 1)
+
+
+def grid_times(w):
+    """Local times of a window's grid points."""
+    Gam = w.block.Gam
+    return Gam[w.a : w.b + 1] - Gam[w.a]
+
+
+def heston_price_path(w, params):
+    """The driver's price path of one window (built on a fresh driver)."""
+    return HestonDriver(params).price_path(w)
+
+
+def bns_price_path(w, params):
+    return BnsDriver(params).price_path(w)
 
 
 class ZeroRng:
@@ -115,7 +129,7 @@ class TestHestonPricePath:
         p = bench_heston(rho=0.0)
         w = make_window([(0.0, 0.0)] * 4, [0.5, 0.5, 0.5, 0.25], 1.75)
         path = heston_price_path(w, p)
-        assert path.values == pytest.approx(p.s0 * np.exp(p.r * w.grid_times), rel=1e-14)
+        assert path.values == pytest.approx(p.s0 * np.exp(p.r * grid_times(w)), rel=1e-14)
         # and the time-average integral is the exact closed form
         a = path.average()
         exact = p.s0 * (math.exp(p.r * 1.75) - 1.0) / (p.r * 1.75)
@@ -139,7 +153,7 @@ class TestHestonPricePath:
         v0 = heston_price_path(w, p0).values
         v5 = heston_price_path(w, p5).values
         # with rho = 0.5 the sqrt(1-rho^2) factor changes the M term only
-        base = (0.05 - 0.5 * 0.01) * w.grid_times  # r t - (1/2) int v ds
+        base = (0.05 - 0.5 * 0.01) * grid_times(w)  # r t - (1/2) int v ds
         lam_free = np.log(v5 / p5.s0) - base
         mart = np.array([0.0, 0.2 - 0.0 + 0.0, -0.1 - 0.0 + (0.0 * 0.5 + 0.2 * 0.5)])
         assert lam_free == pytest.approx(math.sqrt(0.75) * mart, abs=1e-12)
@@ -165,7 +179,7 @@ class TestHestonPricePath:
         p2 = heston_price_path(w2, p)
         iy2 = np.concatenate(([0.0], np.cumsum((y[:-1] + 7.3) * np.asarray(lengths[:-1]))))
         m2 = (y + 7.3) - (y[0] + 7.3) + iy2
-        assert m2 - direct == pytest.approx(7.3 * w.grid_times, rel=1e-12)
+        assert m2 - direct == pytest.approx(7.3 * grid_times(w), rel=1e-12)
 
 
 class TestBnsJointStep:

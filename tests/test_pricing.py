@@ -39,24 +39,17 @@ def bench_heston(**kw):
                             theta=0.01, sigma_v=0.1, **kw)
 
 
-class ZeroVolDriver:
+class ZeroVolDriver(HestonDriver):
     """Degenerate model: v = 0 and y = 0 forever, rho = 0."""
 
-    dim = 2
-
     def __init__(self):
-        self.params = bench_heston(rho=0.0)
+        super().__init__(bench_heston(rho=0.0))
 
     def initial_state(self):
         return (0.0, 0.0)
 
     def step(self, state, index, gamma, rng):
         return state
-
-    def price_path(self, window):
-        from statvol.models import heston_price_path
-
-        return heston_price_path(window, self.params)
 
 
 class TestAsianPayoff:
@@ -263,7 +256,8 @@ class TestBnsParityUsesModelGrowth:
 
 class TestGoldenValues:
     """Exact outputs of a fixed-seed run, pinned so that refactors which
-    promise an unchanged random stream are checked to the last bit."""
+    promise an unchanged random stream are checked to the last bit (to
+    1e-12 relative where only a summation order changed)."""
 
     SPECS = [AsianSpec(K=k, T=1.0, kind="call", r=0.05) for k in (44.0, 50.0, 56.0)]
 
@@ -271,11 +265,13 @@ class TestGoldenValues:
         s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
         ests = price_asian_grid(HestonDriver(bench_heston()), s, self.SPECS, 2000,
                                 stream(31, 0))
-        assert [(e.value, e.se) for e in ests] == [
-            (6.919196706327032, 0.0013903072753365063),
-            (1.6512561577103937, 0.024250195489724322),
-            (0.07435733153406464, 0.010783160397189578),
-        ]
+        # the block potential reassociates each window's log-price sums, so
+        # the stream is unchanged but the last bits may move
+        assert [x for e in ests for x in (e.value, e.se)] == pytest.approx([
+            6.919196706327032, 0.0013903072753365063,
+            1.6512561577103937, 0.024250195489724322,
+            0.07435733153406464, 0.010783160397189578,
+        ], rel=1e-12)
 
     def test_bns_asian_grid(self):
         p = BNSParams(s0=50.0, r=0.05, rho=-1.0, mu=1.0,
