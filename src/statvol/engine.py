@@ -34,12 +34,17 @@ The trajectory itself is produced by a *driver*: any object with
 
     ``dim``            -- state dimension d
     ``initial_state()``-- the state at grid index 0
-    ``step(state, index, gamma, rng)`` -- the transition to grid index
-                          ``index`` over a step of length ``gamma``; returns
-                          the new state.
+    ``advance(state, first, gam, rng)`` -- the states at grid indices
+                          ``first .. first + len(gam) - 1``, as a
+                          ``(dim, len(gam))`` float array, given the state at
+                          index ``first - 1`` and the step lengths
+                          ``gam = (gamma_first, ...)`` (a float array).
 
-Drivers are strictly sequential (each step depends on the last); parallelism
-belongs at the replication level with one RNG stream per engine run.
+Each sweep makes one ``advance`` call per block.  A driver that fails at a
+step raises :class:`DriverStepError` with that step's index; the engine
+raises it at the first non-finite state a block returns.  Drivers are
+strictly sequential (each step depends on the last); parallelism belongs at
+the replication level with one RNG stream per engine run.
 """
 
 from __future__ import annotations
@@ -200,22 +205,24 @@ class MarginalAccumulator:
         self._m1 = [0.0] * dim
         self._m2 = [0.0] * dim
         self._m3 = [0.0] * dim
-        self._hist = np.zeros((dim, bins + 2))
+        self._hist = [[0.0] * (bins + 2) for _ in range(dim)]
         self.count = 0
 
     def update(self, eta: float, state: Sequence[float]) -> None:
         self.weight_total += eta
+        m1, m2, m3, hist = self._m1, self._m2, self._m3, self._hist
+        lo, inv_width, bins = self.lo, self._inv_width, self.bins
         for c in range(self.dim):
             x = state[c]
-            self._m1[c] += eta * x
-            self._m2[c] += eta * x * x
-            self._m3[c] += eta * x * x * x
-            b = int((x - self.lo) * self._inv_width)
-            if x < self.lo:
+            m1[c] += eta * x
+            m2[c] += eta * x * x
+            m3[c] += eta * x * x * x
+            b = int((x - lo) * inv_width)
+            if x < lo:
                 b = -1
-            elif b >= self.bins:
-                b = self.bins
-            self._hist[c, b + 1] += eta
+            elif b >= bins:
+                b = bins
+            hist[c][b + 1] += eta
         self.count += 1
 
     def stats(self) -> MarginalStats:
@@ -233,7 +240,7 @@ class MarginalAccumulator:
             mean=mean,
             variance=var,
             skewness=skew,
-            histogram=self._hist / w,
+            histogram=np.array(self._hist) / w,
             bin_edges=np.linspace(self.lo, self.hi, self.bins + 1),
         )
 
@@ -259,15 +266,14 @@ def _checkpoint_grid(n_iters: int) -> list[int]:
     return grid
 
 
-def _step(driver, state, k: int, gamma: float, rng):
-    """The driver's step to grid index ``k``, failures tagged with ``k``."""
-    try:
-        state = driver.step(state, k, gamma, rng)
-    except Exception as exc:  # surface the index of the failing step
-        raise DriverStepError(k, str(exc)) from exc
-    if not all(map(math.isfinite, state)):
-        raise DriverStepError(k, f"non-finite state {state}")
-    return state
+def _advance(driver, state, first: int, gam: np.ndarray, rng) -> np.ndarray:
+    """The driver's states at ``first ..``, failing at the first non-finite one."""
+    cols = driver.advance(state, first, gam, rng)
+    bad = ~np.isfinite(cols).all(axis=0)
+    if bad.any():
+        i = int(bad.argmax())
+        raise DriverStepError(first + i, f"non-finite state {tuple(cols[:, i].tolist())}")
+    return cols
 
 
 def run(
@@ -307,27 +313,37 @@ def run(
         raise ValueError(f"window horizon must be positive and finite, got {T}")
 
     cp_grid = set(_checkpoint_grid(n_iters))
-    state = tuple(float(x) for x in driver.initial_state())
+    state = [float(x) for x in driver.initial_state()]
 
     if marginal is not None:
         marginal_checkpoints = []
+
+        def checkpoint(count):
+            st = marginal.stats()
+            marginal_checkpoints.append((count, st.mean.copy(), st.variance.copy()))
+
         for j0 in range(0, n_iters, _BLOCK):
             j1 = min(j0 + _BLOCK, n_iters)
-            gam = sched.gamma_slice(j0, j1)
-            eta = sched.eta_slice(j0 + 1, j1 + 1)
-            for j in range(j0, j1):
-                if j:
-                    state = _step(driver, state, j, float(gam[j - j0]), rng)
-                marginal.update(float(eta[j - j0]), state)
+            # the block folds indices j0 .. j1-1 and simulates j0+1 .. j1, the
+            # next block's first state, but nothing past index n_iters - 1
+            last = min(j1, n_iters - 1)
+            eta = sched.eta_slice(j0 + 1, j1 + 1).tolist()
+            marginal.update(eta[0], state)
+            if j0 + 1 in cp_grid:
+                checkpoint(j0 + 1)
+            cols = _advance(driver, state, j0 + 1, sched.gamma_slice(j0 + 1, last + 1), rng)
+            for j, x in zip(range(j0 + 1, j1), cols.T.tolist()):
+                marginal.update(eta[j - j0], x)
                 if j + 1 in cp_grid:
-                    st = marginal.stats()
-                    marginal_checkpoints.append((j + 1, st.mean.copy(), st.variance.copy()))
+                    checkpoint(j + 1)
+            if last > j0:
+                state = cols[:, -1].tolist()
         return RunResult(n_iters=n_iters, average=None,
                          marginal_checkpoints=marginal_checkpoints)
 
     avg = FunctionalAverage()
     checkpoints = []
-    path = [state]  # states from index j0 to the last one simulated
+    cols = np.array(state)[:, None]  # states from index j0 to the last one simulated
     for j0 in range(0, n_iters, _BLOCK):
         j1 = min(j0 + _BLOCK, n_iters)
         ends = sched.horizon_indices(np.arange(j0, j1), T).tolist()
@@ -335,10 +351,11 @@ def run(
         gam = sched.gamma_slice(j0, ends[-1] + 1)
         Gam = sched.Gamma_slice(j0, ends[-1] + 1)
         eta = sched.eta_slice(j0 + 1, j1 + 1)
-        for k in range(j0 + len(path), ends[-1] + 1):
-            state = _step(driver, state, k, float(gam[k - j0]), rng)
-            path.append(state)
-        block = WindowBlock(np.array(path).T.copy(), j0, T, gam, Gam)
+        first = j0 + cols.shape[1]
+        cols = np.concatenate(
+            (cols, _advance(driver, cols[:, -1].tolist(), first, gam[first - j0 :], rng)),
+            axis=1)
+        block = WindowBlock(cols, j0, T, gam, Gam)
 
         for j, N in zip(range(j0, j1), ends):
             a = j - j0
@@ -346,6 +363,6 @@ def run(
             avg.update(float(eta[a]), f)
             if j + 1 in cp_grid:
                 checkpoints.append((j + 1, avg.copy_value()))
-        del path[: j1 - j0]  # the overlap [j1, N_{j1-1}] stays for the next block
+        cols = cols[:, j1 - j0 :]  # the overlap [j1, N_{j1-1}] stays for the next block
 
     return RunResult(n_iters=n_iters, average=avg, checkpoints=checkpoints)

@@ -47,9 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import levy
-from .engine import Window, WindowBlock
+from .engine import DriverStepError, Window, WindowBlock
 from .levy import TemperedStableMeasure, TruncationPolicy
-from .schemes import cir_reflected_step, ou_companion_step
 
 __all__ = [
     "HestonParams",
@@ -256,33 +255,54 @@ def heston_potential(block: WindowBlock, params: HestonParams):
     return potential, rates, gam * _expm1_over(rates[:-1] * gam)
 
 
+_CHUNK = 8192  # standard normals per draw from the RNG
+
+
 class _BlockNormals:
-    """Scalar consumption of block-drawn standard normals."""
+    """Standard normals drawn in chunks of ``_CHUNK`` and handed out in order.
 
-    __slots__ = ("_rng", "_size", "_buf", "_pos")
+    A chunk is drawn only when a normal is wanted and the last one is used
+    up, so the RNG sees the same calls however the normals are taken.
+    """
 
-    def __init__(self, rng: np.random.Generator, size: int = 8192):
-        self._rng = rng
-        self._size = size
-        self._buf = []
-        self._pos = 0
+    __slots__ = ("rng", "buf", "pos")
 
-    def take(self) -> float:
-        if self._pos >= len(self._buf):
-            self._buf = self._rng.standard_normal(self._size).tolist()
-            self._pos = 0
-        v = self._buf[self._pos]
-        self._pos += 1
-        return v
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.buf: list = []
+        self.pos = 0
+
+    def take(self, count: int) -> list:
+        """The next ``count`` normals."""
+        buf, pos = self.buf, self.pos
+        out = buf[pos : pos + count]
+        pos += len(out)
+        while len(out) < count:
+            buf = self.rng.standard_normal(_CHUNK).tolist()
+            pos = min(count - len(out), _CHUNK)
+            out += buf[:pos]
+        self.buf, self.pos = buf, pos
+        return out
+
+
+def _driver_normals(driver, rng) -> _BlockNormals:
+    """The driver's normals on ``rng``; a new stream starts a fresh cache."""
+    blk = driver._normals
+    if blk is None or blk.rng is not rng:
+        blk = driver._normals = _BlockNormals(rng)
+    return blk
 
 
 class HestonDriver:
     """Engine driver for the (v, y) scheme.
 
     Each step draws two independent scaled Brownian increments from the
-    driver's own block cache of normals, dW2 for v first, then dW1 for y;
-    the correlation rho enters only through the price reconstruction, never
-    the state dynamics.
+    driver's own chunks of normals, dW2 for v first, then dW1 for y; the
+    correlation rho enters only through the price reconstruction, never the
+    state dynamics.  :meth:`advance` runs a block of steps as one loop over
+    Python floats, with the arithmetic of
+    :func:`~statvol.schemes.cir_reflected_step` and
+    :func:`~statvol.schemes.ou_companion_step` inlined in their own order.
     """
 
     dim = 2
@@ -295,18 +315,25 @@ class HestonDriver:
     def initial_state(self) -> tuple[float, float]:
         return (self.params.v_init, self.params.y_init)
 
-    def step(self, state, index, gamma, rng):
-        blk = self._normals
-        if blk is None or blk._rng is not rng:
-            blk = self._normals = _BlockNormals(rng)
+    def advance(self, state, first, gam, rng) -> np.ndarray:
+        """States at indices ``first ..``, one per step length in ``gam``."""
         p = self.params
+        k, theta, sig = p.k, p.theta, p.sigma_v
+        z = _driver_normals(self, rng).take(2 * len(gam))
         v, y = state
-        sg = math.sqrt(gamma)
-        dw2 = sg * blk.take()
-        dw1 = sg * blk.take()
-        v1 = cir_reflected_step(v, gamma, p.k, p.theta, p.sigma_v, dw2)
-        y1 = ou_companion_step(y, gamma, v, dw1)
-        return (v1, y1)
+        vs, ys = [], []
+        for g, z2, z1 in zip(gam.tolist(), z[0::2], z[1::2]):
+            sg = math.sqrt(g)
+            sv = math.sqrt(v)
+            y = y * (1.0 - g) + sv * (sg * z1)
+            v = abs(v + k * g * (theta - v) + sig * sv * (sg * z2))
+            vs.append(v)
+            ys.append(y)
+        return np.array((vs, ys))
+
+    def step(self, state, index, gamma, rng):
+        """The state at ``index``: :meth:`advance` over the one step ``gamma``."""
+        return tuple(self.advance(state, index, np.array([gamma]), rng)[:, 0].tolist())
 
     def price_path(self, window: Window) -> PricePathView:
         """The window's price path, sliced from its block's potential (built once)."""
@@ -332,9 +359,15 @@ class BnsDriver:
     """Engine driver for the (v, x) scheme: variance first, as in :class:`HestonDriver`.
 
     The subordinator increment over each step is the truncated compound
-    Poisson sum of the jumps above the policy's threshold ``u_n``.  A step
-    whose new variance is negative (``gamma * mu > 1``) raises, so no state
-    it returns has ``v < 0``.
+    Poisson sum of the jumps above the policy's threshold ``u_n``.
+    :meth:`advance` computes the jump rates of a whole block at once
+    (:func:`~statvol.levy.tail_intensities_closed`).  Each step then draws
+    its Poisson count and its jumps, as
+    :func:`~statvol.levy.compound_poisson_increment` does, and then its
+    normal, so the RNG sees the same calls in the same order as step by
+    step.  A step whose new variance is negative (``gamma * mu > 1``)
+    raises :class:`DriverStepError` with its index, so no state it returns
+    has ``v < 0``.
     """
 
     dim = 2
@@ -346,22 +379,43 @@ class BnsDriver:
     def initial_state(self) -> tuple[float, float]:
         return (self.params.v_init, 0.0)
 
-    def step(self, state, index, gamma, rng):
-        blk = self._normals
-        if blk is None or blk._rng is not rng:
-            blk = self._normals = _BlockNormals(rng)
+    def advance(self, state, first, gam, rng) -> np.ndarray:
+        """States at indices ``first ..``, one per step length in ``gam``."""
         p = self.params
-        u = p.truncation.threshold(gamma)
-        dz = levy.compound_poisson_increment(p.jump, u, gamma, rng)
-        dw = math.sqrt(gamma) * blk.take()
+        m, r, rho, mu = p.jump, p.r, p.rho, p.mu
+        gl = gam.tolist()
+        us = [p.truncation.threshold(g) for g in gl]
+        rates = levy.tail_intensities_closed(m, us)
+        blk = _driver_normals(self, rng)
+        buf, pos = blk.buf, blk.pos
         v, x = state
-        # One subordinator increment enters both equations: the log price
-        # jumps by rho * dz <= 0 exactly when the variance jumps by dz >= 0.
-        x1 = x + gamma * (p.r - 0.5 * v) + math.sqrt(v) * dw + p.rho * dz
-        v1 = v - gamma * p.mu * v + dz
-        if v1 < 0.0:
-            raise ValueError(f"variance went negative ({v1}); need gamma*mu <= 1")
-        return v1, x1
+        vs, xs = [], []
+        try:
+            for i, (g, u, lam_u) in enumerate(zip(gl, us, rates)):
+                dz = 0.0
+                for _ in range(int(rng.poisson(g * lam_u))):
+                    dz += levy.sample_jump_above(m, u, rng)
+                if pos >= len(buf):
+                    buf, pos = rng.standard_normal(_CHUNK).tolist(), 0
+                dw = math.sqrt(g) * buf[pos]
+                pos += 1
+                # One subordinator increment enters both equations: the log price
+                # jumps by rho * dz <= 0 exactly when the variance jumps by dz >= 0.
+                x = x + g * (r - 0.5 * v) + math.sqrt(v) * dw + rho * dz
+                v = v - g * mu * v + dz
+                if v < 0.0:
+                    raise ValueError(f"variance went negative ({v}); need gamma*mu <= 1")
+                vs.append(v)
+                xs.append(x)
+        except Exception as exc:
+            raise DriverStepError(first + i, str(exc)) from exc
+        finally:
+            blk.buf, blk.pos = buf, pos
+        return np.array((vs, xs))
+
+    def step(self, state, index, gamma, rng):
+        """The state at ``index``: :meth:`advance` over the one step ``gamma``."""
+        return tuple(self.advance(state, index, np.array([gamma]), rng)[:, 0].tolist())
 
     def price_path(self, window: Window) -> PricePathView:
         """The window's price path, re-based so the window prices from spot."""

@@ -32,7 +32,7 @@ __all__ = [
     "levy_moment_oracle",
 ]
 
-_BURN_TIME = 10.0  # mean-reversion rate of y is 1, so ~10 relaxation times
+_BURN_TIME = 10.0  # time units of burn-in before the priced window
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,11 @@ def cir_direct_stationary_price(
 ) -> OracleEstimate:
     """Classical Monte Carlo price started from the exact invariant law.
 
-    Each path samples v0 from the Gamma invariant distribution, burns in the
-    auxiliary mean-reverting y for 10 time units, then simulates (v, y, S)
-    on a fixed fine grid, integrating S by the trapezoid rule.  The price
+    Each path samples v0 from the Gamma invariant distribution, runs v on
+    the fine grid for a 10-time-unit burn-in, then simulates (v, S) on it,
+    integrating S by the trapezoid rule.  Every step draws the price's
+    normal and then v's, the burn-in included, so the stream's layout does
+    not depend on what the burn-in reads.  The price
     path is simulated directly in log space -- it never goes through the
     window-reconstruction formulas this oracle is meant to check.
     """
@@ -80,16 +82,14 @@ def cir_direct_stationary_price(
     p = params
     shape, scale = heston_invariant_gamma(p)
     v = rng.gamma(shape, scale, n_paths)
-    y = np.zeros(n_paths)
 
     h = fine_step
     sh = math.sqrt(h)
     n_burn = int(round(_BURN_TIME / h))
     for _ in range(n_burn):
         sv = np.sqrt(v)
-        z1 = rng.standard_normal(n_paths)
+        rng.standard_normal(n_paths)  # the price's noise: unread while burning in
         z2 = rng.standard_normal(n_paths)
-        y = y * (1.0 - h) + sv * sh * z1
         v = np.abs(v + p.k * h * (p.theta - v) + p.sigma_v * sv * sh * z2)
 
     n_steps = int(round(spec.T / fine_step))
@@ -105,7 +105,6 @@ def cir_direct_stationary_price(
         dlog = (p.r - 0.5 * v) * h + sv * sh * (rho_c * z1 + p.rho * z2)
         s_new = s * np.exp(dlog)
         integral += 0.5 * (s + s_new) * h
-        y = y * (1.0 - h) + sv * sh * z1
         v = np.abs(v + p.k * h * (p.theta - v) + p.sigma_v * sv * sh * z2)
         s = s_new
 
@@ -134,14 +133,20 @@ class _OUDriver:
     def initial_state(self):
         return (0.0,)
 
-    def step(self, state, index, gamma, rng):
-        if self._rng is not rng or self._pos >= len(self._buf):
-            self._buf = rng.standard_normal(8192).tolist()
-            self._pos = 0
-            self._rng = rng
-        z = self._buf[self._pos]
-        self._pos += 1
-        return (ou_companion_step(state[0], gamma, self.var, math.sqrt(gamma) * z),)
+    def advance(self, state, first, gam, rng):
+        if self._rng is not rng:
+            self._buf, self._pos, self._rng = [], 0, rng
+        buf, pos = self._buf, self._pos
+        y = state[0]
+        ys = []
+        for g in gam.tolist():
+            if pos >= len(buf):
+                buf, pos = rng.standard_normal(8192).tolist(), 0
+            y = ou_companion_step(y, g, self.var, math.sqrt(g) * buf[pos])
+            pos += 1
+            ys.append(y)
+        self._buf, self._pos = buf, pos
+        return np.array([ys])
 
 
 def ou_stationary_check(

@@ -14,7 +14,21 @@ from statvol.rng import stream
 from statvol.schedule import Schedule, make_polynomial_schedule
 
 
-class ConstantDriver:
+class StepDriver:
+    """A test driver written one step at a time: ``advance`` loops over ``step``."""
+
+    def advance(self, state, first, gam, rng):
+        cols = np.empty((self.dim, len(gam)))
+        for i, g in enumerate(gam.tolist()):
+            try:
+                state = self.step(state, first + i, g, rng)
+            except Exception as exc:
+                raise DriverStepError(first + i, str(exc)) from exc
+            cols[:, i] = state
+        return cols
+
+
+class ConstantDriver(StepDriver):
     """Frozen trajectory: every step returns the initial state."""
 
     dim = 1

@@ -7,9 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from statvol import engine
+from statvol import engine, levy
 from statvol.engine import DriverStepError, Window, WindowBlock
-from statvol.levy import TemperedStableMeasure
+from statvol.levy import TemperedStableMeasure, TruncationPolicy
 from statvol.models import (
     BNSParams,
     BnsDriver,
@@ -21,6 +21,7 @@ from statvol.models import (
 )
 from statvol.rng import stream
 from statvol.schedule import make_polynomial_schedule
+from statvol.schemes import cir_reflected_step, ou_companion_step
 
 
 def bench_heston(**kw):
@@ -57,6 +58,59 @@ def heston_price_path(w, params):
 
 def bns_price_path(w, params):
     return BnsDriver(params).price_path(w)
+
+
+class ReferenceNormals:
+    """Scalar take of normals drawn 8192 at a time, as the per-step drivers had it."""
+
+    def __init__(self, rng):
+        self.rng, self.buf, self.pos = rng, [], 0
+
+    def take(self):
+        if self.pos >= len(self.buf):
+            self.buf, self.pos = self.rng.standard_normal(8192).tolist(), 0
+        self.pos += 1
+        return self.buf[self.pos - 1]
+
+
+def reference_heston_steps(params, state, gam, rng):
+    """States after each step of ``gam``, by the per-step Heston arithmetic."""
+    normals = ReferenceNormals(rng)
+    v, y = state
+    out = []
+    for g in gam:
+        sg = math.sqrt(g)
+        dw2 = sg * normals.take()
+        dw1 = sg * normals.take()
+        v, y = (cir_reflected_step(v, g, params.k, params.theta, params.sigma_v, dw2),
+                ou_companion_step(y, g, v, dw1))
+        out.append((v, y))
+    return np.array(out).T
+
+
+def reference_bns_steps(params, state, gam, rng):
+    """States after each step of ``gam``, by the per-step BNS arithmetic."""
+    normals = ReferenceNormals(rng)
+    v, x = state
+    out = []
+    for g in gam:
+        u = params.truncation.threshold(g)
+        dz = levy.compound_poisson_increment(params.jump, u, g, rng)
+        dw = math.sqrt(g) * normals.take()
+        x = x + g * (params.r - 0.5 * v) + math.sqrt(v) * dw + params.rho * dz
+        v = v - g * params.mu * v + dz
+        assert v >= 0.0
+        out.append((v, x))
+    return np.array(out).T
+
+
+def advance_in_pieces(driver, state, gam, rng, cuts):
+    """``driver.advance`` over ``gam`` in blocks split at the step offsets ``cuts``."""
+    pieces = []
+    for lo, hi in zip((0, *cuts), (*cuts, len(gam))):
+        pieces.append(driver.advance(state, 1 + lo, gam[lo:hi], rng))
+        state = pieces[-1][:, -1].tolist()
+    return np.concatenate(pieces, axis=1)
 
 
 class ZeroRng:
@@ -120,6 +174,72 @@ class TestHestonJointStep:
         for k in range(1, 2001):
             state = driver.step(state, k, 0.3, rng)
             assert state[0] >= 0.0
+
+
+class TestBlockAdvance:
+    """``advance`` is the per-step scheme bit for bit, however a span is split.
+
+    The normals come 8192 at a time: a Heston step takes two and a BNS step
+    one, so the cuts fall on odd steps just before and after each refill.
+    """
+
+    SCHED = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
+
+    def _check(self, make_driver, reference, n, cuts):
+        gam = self.SCHED.gamma_slice(1, n + 1)
+        driver = make_driver()
+        state = list(driver.initial_state())
+        ref = reference(driver.params, state, gam.tolist(), stream(21, 0))
+        whole = make_driver().advance(state, 1, gam, stream(21, 0))
+        split = advance_in_pieces(make_driver(), state, gam, stream(21, 0), cuts)
+        assert ref.shape == whole.shape == split.shape == (2, n)
+        assert np.array_equal(whole, ref)
+        assert np.array_equal(split, ref)
+
+    def test_heston_matches_per_step_scheme(self):
+        # 9001 steps draw 18002 > 2 * 8192 normals; refills at steps 4096, 8192
+        self._check(lambda: HestonDriver(bench_heston()), reference_heston_steps,
+                    9001, (1, 4095, 4097, 8191, 8193))
+
+    def test_bns_matches_per_step_scheme(self):
+        # power 2 as in the benchmark; refills at steps 8192 and 16384
+        p = bench_bns(truncation=TruncationPolicy(power=2.0))
+        self._check(lambda: BnsDriver(p), reference_bns_steps,
+                    16_501, (3, 8191, 8193, 16383, 16385))
+
+    def test_bns_with_frequent_jumps(self, monkeypatch):
+        # c = 0.5 makes a jump every few steps; the jumps draw from the
+        # same stream between the normals' refills
+        jumps = []
+        sample = levy.sample_jump_above
+
+        def counting(m, u, rng):
+            jumps.append(u)
+            return sample(m, u, rng)
+
+        monkeypatch.setattr(levy, "sample_jump_above", counting)
+        p = BNSParams(s0=50.0, r=0.05, rho=-1.0, mu=1.0,
+                      jump=TemperedStableMeasure(c=0.5, lam=1.0, alpha=0.5))
+        n = 9001
+        self._check(lambda: BnsDriver(p), reference_bns_steps, n, (5, 8191, 8193))
+        # three passes over the span: the reference, one call, the pieces
+        assert len(jumps) % 3 == 0 and len(jumps) // 3 >= n / 300
+
+    def test_step_is_one_column_advance(self):
+        for make in (lambda: HestonDriver(bench_heston()), lambda: BnsDriver(bench_bns())):
+            driver = make()
+            state = list(driver.initial_state())
+            cols = make().advance(state, 1, np.array([0.3]), stream(2, 0))
+            assert driver.step(state, 1, 0.3, stream(2, 0)) == tuple(cols[:, 0])
+
+    def test_bns_failure_names_its_step_inside_the_block(self):
+        # gamma * mu = 2 on the fourth step of a block starting at index 17
+        p = bench_bns(v_init=0.01)
+        gam = np.array([0.1, 0.1, 0.1, 2.0, 0.1])
+        with pytest.raises(DriverStepError) as err:
+            BnsDriver(p).advance([0.01, 0.0], 17, gam, ZeroRng())
+        assert err.value.index == 20
+        assert "variance went negative" in str(err.value)
 
 
 class TestHestonPricePath:

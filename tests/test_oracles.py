@@ -1,5 +1,6 @@
 """Independent oracles: classical MC price, engine validation, quadrature."""
 
+import copy
 import math
 import warnings
 
@@ -80,25 +81,29 @@ class TestOuStationaryCheck:
 
 
 class TestFaultInjection:
-    def test_broken_main_sampler_disagrees_with_oracle(self, monkeypatch):
+    def test_broken_main_sampler_disagrees_with_oracle(self):
         # the oracle must not share the main path's stepping code: inflating
-        # the vol-of-vol inside the driver's kernel moves the engine estimate
-        # far outside the combined band while the oracle stays put
+        # the vol-of-vol inside the driver's variance step (the price
+        # reconstruction keeps the true one) moves the engine estimate far
+        # outside the combined band while the oracle stays put
         import statvol.models as models
         from statvol.pricing import price_asian
 
-        true_step = models.cir_reflected_step
+        class BrokenKernel(models.HestonDriver):
+            def advance(self, state, first, gam, rng):
+                true = self.params
+                self.params = copy.copy(true)
+                object.__setattr__(self.params, "sigma_v", 3.0 * true.sigma_v)
+                try:
+                    return super().advance(state, first, gam, rng)
+                finally:
+                    self.params = true
 
-        def corrupted(v, gamma, k, theta, sigma_v, dW):
-            return true_step(v, gamma, k, theta, 3.0 * sigma_v, dW)
-
-        monkeypatch.setattr(models, "cir_reflected_step", corrupted)
         p = bench_heston()
         s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
         spec = AsianSpec(K=50.0, T=1.0, kind="call", r=0.05)
-        broken = price_asian(models.HestonDriver(p), s, spec, 20_000,
+        broken = price_asian(BrokenKernel(p), s, spec, 20_000,
                              stream(6, 0), use_parity=False)
-        monkeypatch.undo()
         oracle = cir_direct_stationary_price(p, spec, 4000, 1e-3, stream(6, 1))
         band = 3.0 * math.hypot(broken.se, oracle.se)
         assert abs(broken.value - oracle.value) > 3.0 * band

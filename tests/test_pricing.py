@@ -48,8 +48,8 @@ class ZeroVolDriver(HestonDriver):
     def initial_state(self):
         return (0.0, 0.0)
 
-    def step(self, state, index, gamma, rng):
-        return state
+    def advance(self, state, first, gam, rng):
+        return np.zeros((2, len(gam)))
 
 
 class TestAsianPayoff:
