@@ -300,7 +300,11 @@ def run(
 
     With a ``marginal`` accumulator, iteration ``j`` feeds it the state at
     index ``j`` with weight ``eta_{j+1}``; the trajectory ends at index
-    ``n_iters - 1`` and ``T`` is not read (pass ``None``).
+    ``n_iters - 1`` and ``T`` is not read (pass ``None``).  Iterations go
+    in blocks of up to ``_BLOCK``: a block folds the state at its first
+    index ``j0``, simulates the rest of its states in one ``advance`` call,
+    then folds them.  When a step fails, its block folds none of the states
+    it simulated, so the accumulator holds the points ``0 .. j0``.
 
     Estimates are checkpointed at ``n = 1, 10, 100, ...`` and at the final
     iteration.

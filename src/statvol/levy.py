@@ -13,10 +13,10 @@ the variance it drives must only jump up.
 Tail quantities are integrated by adaptive quadrature to 1e-10 relative
 accuracy (:func:`tail_intensity`, and :func:`small_jump_variance` for the
 discarded jumps; both import ``scipy.integrate`` on first use, and no
-command calls them); :func:`tail_intensity_closed` evaluates the jump rate
-through incomplete gamma functions, and :func:`tail_intensities_closed`
-evaluates it for a whole block of thresholds, which is what the model's
-block driver calls.
+command calls them); :func:`tail_intensities_closed` evaluates the jump
+rates of a block of thresholds through incomplete gamma functions, which is
+what the model's block driver calls, and :func:`tail_intensity_closed` is
+its one-threshold case.
 Tests pin the two routes against each other and against an independent
 high-precision oracle.
 """
@@ -38,6 +38,7 @@ __all__ = [
     "small_jump_variance",
     "sample_jump_above",
     "sample_jumps_above",
+    "compound_poisson_sum",
     "compound_poisson_increment",
 ]
 
@@ -124,32 +125,27 @@ def tail_intensity(m: TemperedStableMeasure, u: float) -> float:
     return m.c * val / m.alpha
 
 
-def _upper_gamma(s: float, x: float) -> float:
-    # Upper incomplete gamma for s in (-1, 0), via one recurrence step up to
-    # the positive-parameter regularized form scipy provides.
-    return (x**s * math.exp(-x) - special.gammaincc(s + 1.0, x) * math.gamma(s + 1.0)) / (-s)
-
-
 def tail_intensity_closed(m: TemperedStableMeasure, u: float) -> float:
     """Closed form of :func:`tail_intensity` through incomplete gamma functions."""
-    _check_u(u)
-    if m.lam == 0.0:
-        return m.c * u ** (-m.alpha) / m.alpha
-    return m.c * m.lam**m.alpha * _upper_gamma(-m.alpha, m.lam * u)
+    return tail_intensities_closed(m, [u])[0]
 
 
 def tail_intensities_closed(m: TemperedStableMeasure, us: list) -> list:
-    """:func:`tail_intensity_closed` at each threshold of ``us``, from one gammaincc call.
+    """Closed form of :func:`tail_intensity` at each threshold of ``us``.
 
-    Only the incomplete gamma function is vectorised; the rest of the
-    arithmetic runs per threshold on Python floats in the scalar function's
-    order, so each rate is ``==`` to the scalar one.
+    For ``lam > 0`` the rate is ``c * lam**alpha * Gamma(-alpha, lam * u)``,
+    the upper incomplete gamma function taken one recurrence step up to the
+    positive-parameter regularized form scipy provides.  Only that function
+    is vectorised (one ``gammaincc`` call); the rest runs per threshold on
+    Python floats.
     """
+    for u in us:
+        _check_u(u)
     if m.lam == 0.0:
-        return [tail_intensity_closed(m, u) for u in us]
-    lam, s = m.lam, -m.alpha
+        return [m.c * u ** (-m.alpha) / m.alpha for u in us]
+    s = -m.alpha
     scale, gs1 = m.c * m.lam**m.alpha, math.gamma(s + 1.0)
-    xs = [lam * u for u in us]
+    xs = [m.lam * u for u in us]
     upper = special.gammaincc(s + 1.0, np.array(xs)).tolist()
     return [scale * ((x**s * math.exp(-x) - q * gs1) / (-s)) for x, q in zip(xs, upper)]
 
@@ -211,6 +207,16 @@ def sample_jumps_above(
     return out
 
 
+def compound_poisson_sum(
+    m: TemperedStableMeasure, u: float, mean: float, rng: np.random.Generator
+) -> float:
+    """Sum of ``Poisson(mean)`` jumps, each drawn from the tail density above ``u``."""
+    total = 0.0
+    for _ in range(int(rng.poisson(mean))):
+        total += sample_jump_above(m, u, rng)
+    return total
+
+
 def compound_poisson_increment(
     m: TemperedStableMeasure,
     u: float,
@@ -225,9 +231,4 @@ def compound_poisson_increment(
     """
     if not gamma > 0.0:
         raise ValueError(f"step must be positive, got {gamma}")
-    lam_u = tail_intensity_closed(m, u)
-    n = int(rng.poisson(gamma * lam_u))
-    total = 0.0
-    for _ in range(n):
-        total += sample_jump_above(m, u, rng)
-    return total
+    return compound_poisson_sum(m, u, gamma * tail_intensity_closed(m, u), rng)

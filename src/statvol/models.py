@@ -42,7 +42,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -258,39 +260,18 @@ def heston_potential(block: WindowBlock, params: HestonParams):
 _CHUNK = 8192  # standard normals per draw from the RNG
 
 
-class _BlockNormals:
-    """Standard normals drawn in chunks of ``_CHUNK`` and handed out in order.
+def _driver_normals(driver, rng) -> Iterator[float]:
+    """The driver's standard normals on ``rng``, in order; a new stream starts afresh.
 
-    A chunk is drawn only when a normal is wanted and the last one is used
-    up, so the RNG sees the same calls however the normals are taken.
+    They are drawn ``_CHUNK`` at a time, each chunk only when a normal is
+    wanted and the last one is used up, so the RNG sees the same calls
+    however the normals are taken.
     """
-
-    __slots__ = ("rng", "buf", "pos")
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self.buf: list = []
-        self.pos = 0
-
-    def take(self, count: int) -> list:
-        """The next ``count`` normals."""
-        buf, pos = self.buf, self.pos
-        out = buf[pos : pos + count]
-        pos += len(out)
-        while len(out) < count:
-            buf = self.rng.standard_normal(_CHUNK).tolist()
-            pos = min(count - len(out), _CHUNK)
-            out += buf[:pos]
-        self.buf, self.pos = buf, pos
-        return out
-
-
-def _driver_normals(driver, rng) -> _BlockNormals:
-    """The driver's normals on ``rng``; a new stream starts a fresh cache."""
-    blk = driver._normals
-    if blk is None or blk.rng is not rng:
-        blk = driver._normals = _BlockNormals(rng)
-    return blk
+    cached = driver._normals
+    if cached is None or cached[0] is not rng:
+        chunks = iter(lambda: rng.standard_normal(_CHUNK).tolist(), None)
+        cached = driver._normals = (rng, chain.from_iterable(chunks))
+    return cached[1]
 
 
 class HestonDriver:
@@ -309,7 +290,7 @@ class HestonDriver:
 
     def __init__(self, params: HestonParams):
         self.params = params
-        self._normals: _BlockNormals | None = None
+        self._normals: tuple | None = None
         self._potential: tuple | None = None  # (block, heston_potential(block))
 
     def initial_state(self) -> tuple[float, float]:
@@ -319,10 +300,11 @@ class HestonDriver:
         """States at indices ``first ..``, one per step length in ``gam``."""
         p = self.params
         k, theta, sig = p.k, p.theta, p.sigma_v
-        z = _driver_normals(self, rng).take(2 * len(gam))
+        normals = _driver_normals(self, rng)
         v, y = state
         vs, ys = [], []
-        for g, z2, z1 in zip(gam.tolist(), z[0::2], z[1::2]):
+        # zip stops at the end of gam before it takes a normal for a further step
+        for g, z2, z1 in zip(gam.tolist(), normals, normals):
             sg = math.sqrt(g)
             sv = math.sqrt(v)
             y = y * (1.0 - g) + sv * (sg * z1)
@@ -362,19 +344,19 @@ class BnsDriver:
     Poisson sum of the jumps above the policy's threshold ``u_n``.
     :meth:`advance` computes the jump rates of a whole block at once
     (:func:`~statvol.levy.tail_intensities_closed`).  Each step then draws
-    its Poisson count and its jumps, as
-    :func:`~statvol.levy.compound_poisson_increment` does, and then its
+    its jumps (:func:`~statvol.levy.compound_poisson_sum`) and then its
     normal, so the RNG sees the same calls in the same order as step by
-    step.  A step whose new variance is negative (``gamma * mu > 1``)
-    raises :class:`DriverStepError` with its index, so no state it returns
-    has ``v < 0``.
+    step.  A step whose threshold overflows or is not positive, or whose
+    new variance is negative (``gamma * mu > 1``), raises
+    :class:`DriverStepError` with its index, so no state it returns has
+    ``v < 0``.
     """
 
     dim = 2
 
     def __init__(self, params: BNSParams):
         self.params = params
-        self._normals: _BlockNormals | None = None
+        self._normals: tuple | None = None
 
     def initial_state(self) -> tuple[float, float]:
         return (self.params.v_init, 0.0)
@@ -384,21 +366,26 @@ class BnsDriver:
         p = self.params
         m, r, rho, mu = p.jump, p.r, p.rho, p.mu
         gl = gam.tolist()
-        us = [p.truncation.threshold(g) for g in gl]
+        # thresholds up to the first step whose threshold fails; that step
+        # raises once the steps before it have run
+        us, failure = [], None
+        for g in gl:
+            try:
+                u = p.truncation.threshold(g)
+                if not u > 0.0:
+                    raise ValueError(f"threshold must be positive, got {u}")
+            except Exception as exc:
+                failure = exc
+                break
+            us.append(u)
         rates = levy.tail_intensities_closed(m, us)
-        blk = _driver_normals(self, rng)
-        buf, pos = blk.buf, blk.pos
+        normal = _driver_normals(self, rng).__next__
         v, x = state
         vs, xs = [], []
         try:
             for i, (g, u, lam_u) in enumerate(zip(gl, us, rates)):
-                dz = 0.0
-                for _ in range(int(rng.poisson(g * lam_u))):
-                    dz += levy.sample_jump_above(m, u, rng)
-                if pos >= len(buf):
-                    buf, pos = rng.standard_normal(_CHUNK).tolist(), 0
-                dw = math.sqrt(g) * buf[pos]
-                pos += 1
+                dz = levy.compound_poisson_sum(m, u, g * lam_u, rng)
+                dw = math.sqrt(g) * normal()
                 # One subordinator increment enters both equations: the log price
                 # jumps by rho * dz <= 0 exactly when the variance jumps by dz >= 0.
                 x = x + g * (r - 0.5 * v) + math.sqrt(v) * dw + rho * dz
@@ -409,8 +396,8 @@ class BnsDriver:
                 xs.append(x)
         except Exception as exc:
             raise DriverStepError(first + i, str(exc)) from exc
-        finally:
-            blk.buf, blk.pos = buf, pos
+        if failure is not None:
+            raise DriverStepError(first + len(us), str(failure)) from failure
         return np.array((vs, xs))
 
     def step(self, state, index, gamma, rng):

@@ -234,6 +234,17 @@ class TestRunBookkeeping:
                            n_iters=n, rng=stream(0, 0))
             assert err.value.index == bad
 
+    def test_marginal_failure_folds_none_of_its_block(self):
+        # the failing block folds only the state at its first index j0
+        s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
+        for bad, n, folded in ((7, 20, 1), (5000, 6000, engine._BLOCK + 1)):
+            acc = MarginalAccumulator(dim=1)
+            with pytest.raises(DriverStepError) as err:
+                engine.run(FailingDriver(bad), s, None, T=None, n_iters=n,
+                           rng=stream(0, 0), marginal=acc)
+            assert err.value.index == bad
+            assert acc.count == folded
+
     def test_nonfinite_state_rejected(self):
         class NanDriver(FailingDriver):
             def step(self, state, index, gamma, rng):

@@ -65,16 +65,14 @@ class TestTailIntensity:
             assert tail_intensity_closed(BENCH, u) == pytest.approx(
                 tail_intensity(BENCH, u), rel=1e-9)
 
-    def test_block_rates_equal_the_scalar_ones(self):
-        # one gammaincc call over the block, the rest per threshold: == each
-        us = np.logspace(-8, 0, 20_000).tolist() + [0.3, 1.0]
-        for m in (BENCH, STABLE, TemperedStableMeasure(c=0.5, lam=2.5, alpha=0.9)):
-            assert tail_intensities_closed(m, us) == [tail_intensity_closed(m, u) for u in us]
-        assert tail_intensities_closed(BENCH, []) == []
-
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
             tail_intensity(BENCH, 0.0)
+        for m in (BENCH, STABLE):
+            with pytest.raises(ValueError):
+                tail_intensity_closed(m, 0.0)
+            with pytest.raises(ValueError):
+                tail_intensities_closed(m, [0.1, -0.1])
 
 
 class TestSmallJumpVariance:

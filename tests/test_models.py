@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 from statvol import engine, levy
 from statvol.engine import DriverStepError, Window, WindowBlock
@@ -88,6 +89,13 @@ def reference_heston_steps(params, state, gam, rng):
     return np.array(out).T
 
 
+def reference_tail_rate(m, u):
+    """The jump rate above ``u`` by the per-step closed-form arithmetic (lam > 0)."""
+    s, x = -m.alpha, m.lam * u
+    upper = (x**s * math.exp(-x) - special.gammaincc(s + 1.0, x) * math.gamma(s + 1.0)) / (-s)
+    return m.c * m.lam**m.alpha * upper
+
+
 def reference_bns_steps(params, state, gam, rng):
     """States after each step of ``gam``, by the per-step BNS arithmetic."""
     normals = ReferenceNormals(rng)
@@ -95,7 +103,9 @@ def reference_bns_steps(params, state, gam, rng):
     out = []
     for g in gam:
         u = params.truncation.threshold(g)
-        dz = levy.compound_poisson_increment(params.jump, u, g, rng)
+        dz = 0.0
+        for _ in range(int(rng.poisson(g * reference_tail_rate(params.jump, u)))):
+            dz += levy.sample_jump_above(params.jump, u, rng)
         dw = math.sqrt(g) * normals.take()
         x = x + g * (params.r - 0.5 * v) + math.sqrt(v) * dw + params.rho * dz
         v = v - g * params.mu * v + dz
@@ -240,6 +250,22 @@ class TestBlockAdvance:
             BnsDriver(p).advance([0.01, 0.0], 17, gam, ZeroRng())
         assert err.value.index == 20
         assert "variance went negative" in str(err.value)
+
+    def test_bns_threshold_failure_names_its_step(self):
+        # power 100: 1e-5 ** 100 underflows to a zero threshold and 2 ** 2000
+        # overflows; either fails its own step, after the steps before it
+        ok = bench_bns(v_init=0.01, truncation=TruncationPolicy(power=100.0))
+        cases = (
+            (ok, [0.1, 0.1, 1e-5, 0.1], 19, "threshold must be positive"),
+            (ok, [0.1, 2.0, 1e-5], 18, "variance went negative"),
+            (dataclasses.replace(ok, truncation=TruncationPolicy(power=2000.0)),
+             [0.9, 2.0, 0.1], 18, "out of range"),
+        )
+        for p, gam, index, msg in cases:
+            with pytest.raises(DriverStepError) as err:
+                BnsDriver(p).advance([0.01, 0.0], 17, np.array(gam), ZeroRng())
+            assert err.value.index == index
+            assert msg in str(err.value)
 
 
 class TestHestonPricePath:
