@@ -18,9 +18,12 @@ value.  The sweep works in blocks of up to ``_BLOCK`` window starts
 ``j0 .. j1-1``.  A block takes its window ends ``N_j = N(j, T)`` from
 :meth:`Schedule.horizon_indices` and holds the states of ``[j0, N_{j1-1}]``
 in one ``(dim, width)`` array that begins with the previous block's overlap
-``[j0, N_{j0-1}]``, together with gamma and Gamma over the same span, in a
-:class:`WindowBlock`.  Each window is that block plus its column range, so
-no per-window array is built; a model may build block-wide arrays once.
+``[j0, N_{j0-1}]``, together with gamma and Gamma over the same span and
+every window's end column, in a :class:`WindowBlock`.  Each window is that
+block plus its column range, so no per-window array is built; a model may
+build block-wide arrays once, and a functional may evaluate a range of the
+block's windows at once (:meth:`WindowBlock.range_end`) and return each
+window's value from it.
 Stored states span one block of starts plus one window, whatever ``n``.
 The trajectory runs exactly to the last window's end, ``N(n-1, T)``.
 
@@ -70,6 +73,11 @@ __all__ = [
 
 # Window starts per block of the window sweep.
 _BLOCK = 4096
+# A range of windows that a model evaluates at once holds at most this many
+# windows and grid points, so its transient memory depends on neither ``n``
+# nor ``T``.
+_RANGE_WINDOWS = 256
+_RANGE_POINTS = 2**15
 
 
 class DriverStepError(RuntimeError):
@@ -87,8 +95,9 @@ class WindowBlock:
     ``cols`` holds the states of global indices ``[j0, N_{j1-1}]`` from
     ``start = j0`` on, one row per coordinate; ``gam`` and ``Gam`` hold gamma
     and Gamma over the same indices, so column ``i`` is index ``start + i``.
-    A model may derive block-wide arrays from it once and slice them for
-    each of its windows.
+    The window starting at column ``a`` ends at column ``ends[a]``.  A model
+    may derive block-wide arrays from it once and slice them for each of its
+    windows, or evaluate a range of windows at once.
     """
 
     cols: np.ndarray
@@ -96,6 +105,18 @@ class WindowBlock:
     T: float
     gam: np.ndarray
     Gam: np.ndarray
+    ends: np.ndarray
+
+    def range_end(self, lo: int) -> int:
+        """End of the range of windows from column ``lo`` that fits the budget.
+
+        Windows ``lo .. hi-1`` are at most ``_RANGE_WINDOWS`` and hold at most
+        ``_RANGE_POINTS`` grid points in all (always at least the one window
+        ``lo``).
+        """
+        ends = self.ends[lo : lo + _RANGE_WINDOWS]
+        points = np.cumsum(ends - np.arange(lo, lo + len(ends)) + 1)
+        return lo + max(1, int(np.searchsorted(points, _RANGE_POINTS, side="right")))
 
 
 class Window:
@@ -350,23 +371,22 @@ def run(
     cols = np.array(state)[:, None]  # states from index j0 to the last one simulated
     for j0 in range(0, n_iters, _BLOCK):
         j1 = min(j0 + _BLOCK, n_iters)
-        ends = sched.horizon_indices(np.arange(j0, j1), T).tolist()
-        # the block's schedule over [j0, N_{j1-1}], indexed from j0
-        gam = sched.gamma_slice(j0, ends[-1] + 1)
-        Gam = sched.Gamma_slice(j0, ends[-1] + 1)
-        eta = sched.eta_slice(j0 + 1, j1 + 1)
+        # the block's window ends and schedule over [j0, N_{j1-1}], as columns from j0
+        ends = sched.horizon_indices(np.arange(j0, j1), T) - j0
+        last = j0 + int(ends[-1])
+        gam = sched.gamma_slice(j0, last + 1)
+        Gam = sched.Gamma_slice(j0, last + 1)
+        eta = sched.eta_slice(j0 + 1, j1 + 1).tolist()
         first = j0 + cols.shape[1]
         cols = np.concatenate(
             (cols, _advance(driver, cols[:, -1].tolist(), first, gam[first - j0 :], rng)),
             axis=1)
-        block = WindowBlock(cols, j0, T, gam, Gam)
+        block = WindowBlock(cols, j0, T, gam, Gam, ends)
 
-        for j, N in zip(range(j0, j1), ends):
-            a = j - j0
-            f = functional(Window(block, a, N - j0))
-            avg.update(float(eta[a]), f)
-            if j + 1 in cp_grid:
-                checkpoints.append((j + 1, avg.copy_value()))
+        for a, b in enumerate(ends.tolist()):
+            avg.update(eta[a], functional(Window(block, a, b)))
+            if j0 + a + 1 in cp_grid:
+                checkpoints.append((j0 + a + 1, avg.copy_value()))
         cols = cols[:, j1 - j0 :]  # the overlap [j1, N_{j1-1}] stays for the next block
 
     return RunResult(n_iters=n_iters, average=avg, checkpoints=checkpoints)

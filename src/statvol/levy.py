@@ -91,7 +91,16 @@ class TruncationPolicy:
             raise ValueError(f"threshold power must be >= 1, got {self.power}")
 
     def threshold(self, gamma: float) -> float:
-        return min(1.0, gamma**self.power)
+        return self.thresholds((gamma,))[0]
+
+    def thresholds(self, gammas) -> list[float]:
+        """The threshold of each step length in ``gammas``.
+
+        ``gamma**power >= 1`` when ``gamma >= 1``, so the cap takes no power,
+        which could overflow.
+        """
+        power = self.power
+        return [1.0 if g >= 1.0 else g**power for g in gammas]
 
 
 # -- tail integrals ----------------------------------------------------------

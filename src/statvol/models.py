@@ -2,8 +2,10 @@
 
 Two models are provided, each as a driver for the windowed-average engine
 together with the map from a state window to the corresponding price path
-over ``[0, T]``.  Both states carry the variance ``v`` first, so a marginal
-accumulator of dimension 1 folds the variance alone in either model.
+over ``[0, T]``: ``price_path`` for one window, and ``window_stats`` for the
+time averages and terminal values of a range of windows at once.  Both
+states carry the variance ``v`` first, so a marginal accumulator of
+dimension 1 folds the variance alone in either model.
 
 Square-root (Heston-type) model
     d S = S (r dt + sqrt((1-rho^2) v) dW1 + rho sqrt(v) dW2)
@@ -23,7 +25,7 @@ Square-root (Heston-type) model
 
   so the log price inside a window is ``E_k - E_j`` for one potential ``E``
   along the trajectory (:func:`heston_potential`).  The driver builds ``E``
-  once per engine block of windows and slices each window's path from it.
+  once per engine block of windows and reads every window's path from it.
 
   The invariant law of ``v`` is Gamma with shape ``2 k theta / sigma_v**2``
   and mean ``theta``.
@@ -222,6 +224,46 @@ class PricePathView:
         return float(self.values[-1] * self.growth)
 
 
+def _range_stats(block: WindowBlock, lo: int, hi: int, s0: float, log_price: np.ndarray,
+                 seg_weights: np.ndarray, rates: np.ndarray | None = None):
+    """``(average, terminal)`` arrays of the price paths of windows ``lo .. hi-1``.
+
+    Window ``w`` is block columns ``w .. ends[w]`` with price
+    ``s0 exp(log_price[i] - log_price[w])`` at column ``i``; the segment
+    after column ``i`` weighs ``seg_weights[i]``, except the window's last,
+    its tail, which weighs ``tail * expm1over(x)`` and grows by ``e^x`` with
+    ``x = rates[ends[w]] * tail`` (``x = 0`` without ``rates``).  These are
+    :meth:`PricePathView.average` and :meth:`PricePathView.terminal` of
+    every window at once: one flat gather of the windows' grid values, in
+    which only differences inside one window are exponentiated, and one
+    ``np.add.reduceat``.
+    """
+    a = np.arange(lo, hi)
+    b = block.ends[lo:hi]
+    lens = b - a + 1
+    last = np.cumsum(lens) - 1  # each window's last position in the flat arrays
+    # flat position p of window w reads column p - (last[w] - b[w])
+    idx = np.repeat(b - last, lens)
+    idx += np.arange(len(idx))
+    values = log_price[idx]
+    values -= np.repeat(log_price[a], lens)
+    np.exp(values, out=values)
+    values *= s0
+    tail = block.T - (block.Gam[b] - block.Gam[a])
+    # each window's last weight is replaced by its tail's, so clip the gather
+    # (in a one-column block, with no segment weights, every point is a last)
+    weights = np.take(seg_weights, idx, mode="clip") if len(seg_weights) else np.empty(len(idx))
+    if rates is None:
+        weights[last] = tail
+        terminal = values[last]
+    else:
+        x = rates[b] * tail
+        weights[last] = tail * _expm1_over(x)
+        terminal = values[last] * np.exp(x)
+    weights *= values
+    return np.add.reduceat(weights, last - lens + 1) / block.T, terminal
+
+
 # -- square-root model --------------------------------------------------------
 
 
@@ -317,13 +359,22 @@ class HestonDriver:
         """The state at ``index``: :meth:`advance` over the one step ``gamma``."""
         return tuple(self.advance(state, index, np.array([gamma]), rng)[:, 0].tolist())
 
-    def price_path(self, window: Window) -> PricePathView:
-        """The window's price path, sliced from its block's potential (built once)."""
-        block, a, b = window.block, window.a, window.b
+    def _block_potential(self, block: WindowBlock) -> tuple:
+        """:func:`heston_potential` of ``block``, built once per block."""
         memo = self._potential
         if memo is None or memo[0] is not block:
             memo = self._potential = (block, *heston_potential(block, self.params))
-        _, potential, rates, interior = memo
+        return memo[1:]
+
+    def window_stats(self, block: WindowBlock, lo: int, hi: int):
+        """``(average, terminal)`` of the price paths of windows ``lo .. hi-1`` of ``block``."""
+        potential, rates, interior = self._block_potential(block)
+        return _range_stats(block, lo, hi, self.params.s0, potential, interior, rates)
+
+    def price_path(self, window: Window) -> PricePathView:
+        """The window's price path, sliced from its block's potential (built once)."""
+        block, a, b = window.block, window.a, window.b
+        potential, rates, interior = self._block_potential(block)
         values = np.exp(potential[a : b + 1] - potential[a])
         values *= self.params.s0
         tail = window.tail
@@ -346,10 +397,9 @@ class BnsDriver:
     (:func:`~statvol.levy.tail_intensities_closed`).  Each step then draws
     its jumps (:func:`~statvol.levy.compound_poisson_sum`) and then its
     normal, so the RNG sees the same calls in the same order as step by
-    step.  A step whose threshold overflows or is not positive, or whose
-    new variance is negative (``gamma * mu > 1``), raises
-    :class:`DriverStepError` with its index, so no state it returns has
-    ``v < 0``.
+    step.  A step whose threshold underflows to 0, or whose new variance
+    is negative (``gamma * mu > 1``), raises :class:`DriverStepError` with
+    its index, so no state it returns has ``v < 0``.
     """
 
     dim = 2
@@ -366,18 +416,14 @@ class BnsDriver:
         p = self.params
         m, r, rho, mu = p.jump, p.r, p.rho, p.mu
         gl = gam.tolist()
-        # thresholds up to the first step whose threshold fails; that step
+        # thresholds up to the first one that underflows to 0; its step
         # raises once the steps before it have run
-        us, failure = [], None
-        for g in gl:
-            try:
-                u = p.truncation.threshold(g)
-                if not u > 0.0:
-                    raise ValueError(f"threshold must be positive, got {u}")
-            except Exception as exc:
-                failure = exc
-                break
-            us.append(u)
+        us = p.truncation.thresholds(gl)
+        failure = None
+        if us and not min(us) > 0.0:
+            bad = next(i for i, u in enumerate(us) if not u > 0.0)
+            failure = ValueError(f"threshold must be positive, got {us[bad]}")
+            del us[bad:]
         rates = levy.tail_intensities_closed(m, us)
         normal = _driver_normals(self, rng).__next__
         v, x = state
@@ -403,6 +449,10 @@ class BnsDriver:
     def step(self, state, index, gamma, rng):
         """The state at ``index``: :meth:`advance` over the one step ``gamma``."""
         return tuple(self.advance(state, index, np.array([gamma]), rng)[:, 0].tolist())
+
+    def window_stats(self, block: WindowBlock, lo: int, hi: int):
+        """``(average, terminal)`` of the price paths of windows ``lo .. hi-1`` of ``block``."""
+        return _range_stats(block, lo, hi, self.params.s0, block.cols[1], block.gam[1:])
 
     def price_path(self, window: Window) -> PricePathView:
         """The window's price path, re-based so the window prices from spot."""

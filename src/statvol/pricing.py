@@ -13,6 +13,12 @@ and the exact call-put gap ``e^{-rT} (E[A] - K)`` is known in closed form
 leg and reconstructing the other through the gap is the variance-reduced
 ("parity on") estimator.
 
+The functional hands the engine one value per window, but computes them a
+range of windows at a time: the driver's ``window_stats`` gives the range's
+averages (or terminal values), and the discounted payoffs of every strike
+are built for the whole range as one 2-D array, with the same elementwise
+operations a single window would use.
+
 Standard errors come from the squared payoffs, which the functional
 returns after the payoffs so that the engine's one weighted average folds
 both, with effective sample size ``H_n^2 / sum eta_k^2``; overlapping
@@ -29,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine
-from .models import PricePathView, growth_rate
+from .models import growth_rate
 from .schedule import Schedule
 
 __all__ = [
@@ -213,15 +219,17 @@ def _price_grid(
     specs: list[AsianSpec],
     n_iters: int,
     rng: np.random.Generator,
-    statistic,
+    statistic: int,
     use_parity: bool,
 ) -> list[PriceEstimate]:
-    """Call and put prices on ``statistic(price path)`` for a strike grid.
+    """Call and put prices on one statistic of the price path for a strike grid.
 
-    One sweep folds, per window, the discounted call and put payoffs of
-    every strike, the statistic itself and the squared payoffs, so the
-    per-strike cost beyond the trajectory is one payoff evaluation per
-    window.
+    ``statistic`` picks it from the driver's ``window_stats``: 0 for the
+    time average, 1 for the terminal value.  One sweep folds, per window,
+    the discounted call and put payoffs of every strike, the statistic
+    itself and the squared payoffs.  The functional builds these rows for a
+    range of windows at once (:meth:`engine.WindowBlock.range_end`) and
+    hands the engine one row per window.
     """
     T, r = _common_T_r(specs)
     strikes = np.array([s.K for s in specs], dtype=float)
@@ -231,15 +239,32 @@ def _price_grid(
     signs = np.repeat([1.0, -1.0], nk)
     signed_strikes = signs * np.tile(strikes, 2)
 
-    def functional(window: engine.Window) -> np.ndarray:
-        a = statistic(driver.price_path(window))
-        out = np.empty(4 * nk + 1)
-        legs = out[: 2 * nk]
-        np.maximum(signs * a - signed_strikes, 0.0, out=legs)
+    def range_rows(block: engine.WindowBlock, lo: int) -> np.ndarray:
+        """The functional's values of the range of windows from ``lo``, one row each."""
+        hi = block.range_end(lo)
+        a = driver.window_stats(block, lo, hi)[statistic][:, None]
+        rows = np.empty((hi - lo, 4 * nk + 1))
+        legs = rows[:, : 2 * nk]
+        np.multiply(a, signs, out=legs)
+        legs -= signed_strikes
+        np.maximum(legs, 0.0, out=legs)
         legs *= disc
-        out[2 * nk] = a
-        np.multiply(legs, legs, out=out[2 * nk + 1 :])
-        return out
+        rows[:, 2 * nk : 2 * nk + 1] = a
+        np.multiply(legs, legs, out=rows[:, 2 * nk + 1 :])
+        return rows
+
+    memo = (None, 0, ())  # (block, first window of a range, the range's rows)
+
+    def functional(window: engine.Window) -> np.ndarray:
+        nonlocal memo
+        block, lo, rows = memo
+        i = window.a - lo
+        if block is not window.block or not 0 <= i < len(rows):
+            memo = rows = None  # the last range's rows go before the next ones are built
+            block, lo, i = window.block, window.a, 0
+            rows = range_rows(block, lo)
+            memo = (block, lo, rows)
+        return rows[i]
 
     result = engine.run(driver, sched, functional, T, n_iters, rng)
     return _assemble(specs, strikes, result, driver.params, use_parity, T, r)
@@ -254,8 +279,7 @@ def price_asian_grid(
     use_parity: bool = True,
 ) -> list[PriceEstimate]:
     """Estimate a strike grid of Asian prices from one trajectory."""
-    return _price_grid(driver, sched, specs, n_iters, rng, PricePathView.average,
-                       use_parity)
+    return _price_grid(driver, sched, specs, n_iters, rng, 0, use_parity)
 
 
 def price_asian(
@@ -278,7 +302,7 @@ def price_european_grid(
     rng: np.random.Generator,
 ) -> list[PriceEstimate]:
     """Estimate terminal-value (European) prices on a shared trajectory."""
-    return _price_grid(driver, sched, specs, n_iters, rng, PricePathView.terminal, False)
+    return _price_grid(driver, sched, specs, n_iters, rng, 1, False)
 
 
 def price_european(

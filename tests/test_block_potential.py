@@ -1,11 +1,13 @@
-"""The Heston block potential against the per-window reconstruction.
+"""Window statistics over ranges of windows against a per-window reference.
 
-``HestonDriver.price_path`` slices each window's price path out of one
-log-price potential per block of windows.  The reference below rebuilds
-every window from scratch instead: two prefix sums over the window's own
-states, as the scheme is written.  On the same trajectory both must give
-the same estimator at every checkpoint, to 1e-12 relative, because they
-differ only in the order of their sums.
+The pricing functional takes each window's time average or terminal value
+from the driver's ``window_stats``, which evaluates a whole range of windows
+of a block at once (for Heston, from one log-price potential per block).
+The reference below rebuilds every window from its own states instead, as
+the scheme is written, and runs as a per-window functional through
+``engine.run`` on the same trajectory.  Both must give the same estimator
+at every checkpoint, to 1e-12 relative, because they differ only in the
+order of their sums.
 
 The payoff legs are measured against the larger of themselves and the
 discounted average ``e^{-rT} a`` they are payoffs of: a leg moves by at
@@ -21,7 +23,9 @@ import numpy as np
 import pytest
 
 from statvol import engine, pricing
-from statvol.models import HestonDriver, HestonParams, PricePathView, _expm1_over
+from statvol.levy import TemperedStableMeasure, TruncationPolicy
+from statvol.models import (BNSParams, BnsDriver, HestonDriver, HestonParams,
+                            PricePathView, _expm1_over)
 from statvol.pricing import AsianSpec
 from statvol.rng import stream
 from statvol.schedule import make_polynomial_schedule
@@ -33,7 +37,7 @@ def _cumsum0(x):
     return np.concatenate(([0.0], np.cumsum(x)))
 
 
-def reference_price_path(window, params):
+def reference_heston_path(window, params):
     """Price path of one (v, y) window, reconstructed from the window alone.
 
     ``Lam(t) = (v_t - v_0 - k theta t + k int v ds)/sigma_v`` and
@@ -58,35 +62,65 @@ def reference_price_path(window, params):
                          math.exp(slopes[-1] * ell[-1]))
 
 
-class ReferenceDriver(HestonDriver):
-    def price_path(self, window):
-        return reference_price_path(window, self.params)
+def reference_bns_path(window, params):
+    """Price path of one (v, x) window: stepwise, re-based at its own start."""
+    x = window.states(1)
+    return PricePathView(params.s0 * np.exp(x - x[0]), window.seg_lengths(), window.T)
 
 
-def heston(r=0.05):
+def reference_functional(path_of, statistic, T, r):
+    """Per window: discounted call and put legs, the statistic, squared legs."""
+    strikes = np.array(STRIKES)
+    disc = math.exp(-r * T)
+
+    def functional(window):
+        a = statistic(path_of(window))
+        legs = disc * np.maximum(np.concatenate((a - strikes, strikes - a)), 0.0)
+        return np.concatenate((legs, [a], legs**2))
+
+    return functional
+
+
+def heston(r, rho):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return HestonParams(s0=50.0, r=r, rho=0.5, k=2.0, theta=0.01, sigma_v=0.1)
+        return HestonParams(s0=50.0, r=r, rho=rho, k=2.0, theta=0.01, sigma_v=0.1)
 
 
-def _grid_run(driver, sched, T, r, n, european, parity, monkeypatch):
-    """The grid's estimates and its raw engine result."""
-    results = []
-    run = engine.run
+def bns(r, rho):
+    return BNSParams(s0=50.0, r=r, rho=rho, mu=1.0,
+                     jump=TemperedStableMeasure(c=0.01, lam=1.0, alpha=0.5),
+                     truncation=TruncationPolicy(power=2.0))
+
+
+MODELS = {
+    "heston": (heston, HestonDriver, reference_heston_path),
+    "bns": (bns, BnsDriver, reference_bns_path),
+}
+
+
+def _grid_run(driver, sched, specs, n, european, parity, monkeypatch):
+    """The grid's estimates, its raw engine result and the ranges evaluated."""
+    results, ranges = [], []
+    run, stats = engine.run, driver.window_stats
 
     def keep(*args, **kwargs):
         results.append(run(*args, **kwargs))
         return results[-1]
 
+    def spy(block, lo, hi):
+        ranges.append((block, lo, hi))
+        return stats(block, lo, hi)
+
     monkeypatch.setattr(engine, "run", keep)
-    specs = [AsianSpec(K=k, T=T, kind="call", r=r) for k in STRIKES]
+    monkeypatch.setattr(driver, "window_stats", spy)
     if european:
         ests = pricing.price_european_grid(driver, sched, specs, n, stream(5, 0))
     else:
         ests = pricing.price_asian_grid(driver, sched, specs, n, stream(5, 0),
                                         use_parity=parity)
     monkeypatch.setattr(engine, "run", run)
-    return ests, results[0]
+    return ests, results[0], ranges
 
 
 def _split(vec):
@@ -104,25 +138,49 @@ def _agree(x, ref, scale=0.0):
 
 
 CASES = [
-    # (r, c2, T, n): benchmark rates and steps, two blocks crossed
-    (0.05, 1.0, 0.1, 9000),
-    (0.05, 1.0, 1.0, 9000),
-    (0.05, 1.0, 2.0, 9000),
+    # (model, r, rho, c2, T, n, by_points): benchmark rates and steps, two
+    # blocks crossed, so ranges start inside blocks; with by_points some range
+    # is cut short by its grid-point budget, not by its window count
+    ("heston", 0.05, 0.5, 1.0, 0.1, 9000, False),
+    ("heston", 0.05, 0.5, 1.0, 1.0, 9000, False),
+    ("heston", 0.05, 0.5, 1.0, 8.0, 9000, True),
     # large rate and large steps: r * Gamma_n reaches about 290 in the first block
-    (0.5, 1.5, 1.0, 9000),
+    ("heston", 0.5, 0.5, 1.5, 1.0, 9000, False),
+    # no discounting and strong negative correlation
+    ("heston", 0.0, -0.9, 1.0, 1.0, 9000, False),
+    ("bns", 0.05, -1.0, 1.0, 1.0, 9000, False),
+    ("bns", 0.05, -1.0, 1.0, 8.0, 9000, True),
 ]
 
 
 @pytest.mark.parametrize("european,parity", [(False, True), (False, False), (True, False)])
-@pytest.mark.parametrize("r,c2,T,n", CASES)
-def test_block_potential_matches_per_window_reference(r, c2, T, n, european, parity,
-                                                      monkeypatch):
+@pytest.mark.parametrize("model,r,rho,c2,T,n,by_points", CASES)
+def test_window_stats_match_per_window_reference(model, r, rho, c2, T, n, by_points,
+                                                  european, parity, monkeypatch):
+    make_params, make_driver, reference_path = MODELS[model]
+    params = make_params(r, rho)
     sched = make_polynomial_schedule(1.0, 1 / 3, c2, 1 / 3)
     assert n > 2 * engine._BLOCK
-    got, res = _grid_run(HestonDriver(heston(r)), sched, T, r, n, european, parity,
-                         monkeypatch)
-    ref, ref_res = _grid_run(ReferenceDriver(heston(r)), sched, T, r, n, european,
-                             parity, monkeypatch)
+    specs = [AsianSpec(K=k, T=T, kind="call", r=r) for k in STRIKES]
+    got, res, ranges = _grid_run(make_driver(params), sched, specs, n, european, parity,
+                                 monkeypatch)
+
+    # the ranges tile every block's windows in order, from the block's first
+    # column on; only a window's own block is ever read
+    assert sum(hi - lo for _, lo, hi in ranges) == n
+    for (b0, lo0, hi0), (b1, lo1, hi1) in zip(ranges, ranges[1:]):
+        assert (lo1 == hi0) if b1 is b0 else (lo1 == 0 and hi0 == len(b0.ends))
+    assert any(lo > 0 for _, lo, _ in ranges)
+    assert any(hi - lo < engine._RANGE_WINDOWS and hi < len(block.ends)
+               for block, lo, hi in ranges) == by_points
+
+    statistic = PricePathView.terminal if european else PricePathView.average
+    ref_res = engine.run(make_driver(params), sched,
+                         reference_functional(lambda w: reference_path(w, params),
+                                              statistic, T, r),
+                         T, n, stream(5, 0))
+    ref = pricing._assemble(specs, np.array(STRIKES), ref_res, params,
+                            parity and not european, T, r)
     disc = math.exp(-r * T)
     assert [c for c, _ in res.checkpoints] == [c for c, _ in ref_res.checkpoints]
     for (c, vec), (_, ref_vec) in zip(res.checkpoints, ref_res.checkpoints):
@@ -145,7 +203,7 @@ def test_potential_far_past_the_exp_range():
     assert 5.0 * sched.Gamma(n - 1) > 2000.0
     specs = [AsianSpec(K=k, T=1.0, kind="call", r=5.0) for k in STRIKES]
     with np.errstate(over="raise", invalid="raise"):
-        ests = pricing.price_asian_grid(HestonDriver(heston(5.0)), sched, specs, n,
+        ests = pricing.price_asian_grid(HestonDriver(heston(5.0, 0.5)), sched, specs, n,
                                         stream(5, 0), use_parity=False)
     assert all(math.isfinite(e.value) and math.isfinite(e.se) for e in ests)
     # (1/T) int_0^T 50 e^{5t} dt is about 1474

@@ -153,6 +153,16 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
 
 
+    def test_large_step_with_large_truncation_power_runs(self, tmp_path):
+        # gamma_n = 2 n^(-1/3) >= 1 on every step the 4 windows read, so each
+        # threshold is the cap 1; 2.0 ** 2000 itself would overflow
+        cfg = write_config(tmp_path, model="bns", rho=-1.0, mu=0.5, c2=2.0,
+                           truncation_power=2000, strikes="50", n_iters=4)
+        rc = cli.main(["price-asian", "--config", str(cfg), "--out",
+                       str(tmp_path / "o.csv")])
+        assert rc == 0
+
+
 class TestPriceAsianCommand:
     def test_row_per_strike(self, tmp_path):
         cfg = write_config(tmp_path, n_iters=500)

@@ -117,6 +117,18 @@ class TestFunctionalAverage:
         avg.update(0.5, np.array([5.0, 3.0]))
         assert avg.value == pytest.approx([3.0, 1.0])
 
+    def test_vector_updates_own_their_value(self):
+        # a functional may hand over views of one array of rows: the fold
+        # must never write into them
+        rows = np.array([[2.0, 0.0], [5.0, 3.0]])
+        avg = FunctionalAverage()
+        avg.update(1.0, rows[0])
+        avg.update(0.5, rows[1])
+        assert np.array_equal(rows, [[2.0, 0.0], [5.0, 3.0]])
+        value = np.array([2.0, 0.0])
+        value = value + (0.5 / 1.5) * (rows[1] - value)
+        assert np.array_equal(avg.value, value)
+
 
 class TestRunBookkeeping:
     def test_constant_functional_gives_one(self):
@@ -214,6 +226,7 @@ class TestRunBookkeeping:
         def functional(w):
             starts.append(w.start)
             if not (w.end == s.horizon_index(w.start, T)
+                    and w.block.ends[w.a] == w.b
                     and np.array_equal(w.states(0), np.arange(w.start, w.end + 1))
                     and w.states(0).base.shape[1] <= widest):
                 bad.append(w.start)
@@ -257,6 +270,33 @@ class TestRunBookkeeping:
                 engine.run(NanDriver(bad), s, lambda w: 0.0, T=3.0,
                            n_iters=n, rng=stream(0, 0))
             assert err.value.index == bad
+
+    def test_ranges_fit_the_point_budget(self):
+        s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
+        blocks = []
+        engine.run(ConstantDriver(), s, lambda w: blocks.append(w.block) or 0.0, T=16.0,
+                   n_iters=engine._BLOCK, rng=stream(0, 0))
+        block = blocks[0]
+        points = block.ends - np.arange(len(block.ends)) + 1
+        lo, cut_by = 0, set()
+        while lo < len(points):
+            hi = block.range_end(lo)
+            assert hi - lo <= engine._RANGE_WINDOWS
+            assert points[lo:hi].sum() <= engine._RANGE_POINTS
+            if hi < len(points):
+                # the next window would break one of the two budgets
+                if hi - lo == engine._RANGE_WINDOWS:
+                    cut_by.add("windows")
+                else:
+                    assert points[lo : hi + 1].sum() > engine._RANGE_POINTS
+                    cut_by.add("points")
+            lo = hi
+        # short early windows fill a range by count, long late ones by points
+        assert cut_by == {"windows", "points"}
+        # a window longer than the budget is a range of its own
+        long = engine.WindowBlock(block.cols, 0, 2.0, block.gam, block.Gam,
+                                  np.array([engine._RANGE_POINTS + 5] * 3))
+        assert [long.range_end(lo) for lo in range(3)] == [1, 2, 3]
 
     def test_checkpoint_grid(self):
         s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)

@@ -43,7 +43,8 @@ def make_window(states, lengths, T):
     lengths = np.asarray(lengths, dtype=float)
     gam = np.concatenate(([0.0], lengths[:-1]))  # gam[0] precedes the window: unread
     t = np.concatenate(([0.0], np.cumsum(lengths[:-1])))
-    return Window(WindowBlock(cols, 0, T, gam, t), 0, len(lengths) - 1)
+    b = len(lengths) - 1
+    return Window(WindowBlock(cols, 0, T, gam, t, np.array([b])), 0, b)
 
 
 def grid_times(w):
@@ -252,14 +253,16 @@ class TestBlockAdvance:
         assert "variance went negative" in str(err.value)
 
     def test_bns_threshold_failure_names_its_step(self):
-        # power 100: 1e-5 ** 100 underflows to a zero threshold and 2 ** 2000
-        # overflows; either fails its own step, after the steps before it
+        # power 100: 1e-5 ** 100 underflows to a zero threshold, which fails
+        # its own step after the steps before it; at power 2000 a step of
+        # 2 has the threshold 1 (2 ** 2000 is never taken) and fails only
+        # on its negative variance
         ok = bench_bns(v_init=0.01, truncation=TruncationPolicy(power=100.0))
         cases = (
             (ok, [0.1, 0.1, 1e-5, 0.1], 19, "threshold must be positive"),
             (ok, [0.1, 2.0, 1e-5], 18, "variance went negative"),
             (dataclasses.replace(ok, truncation=TruncationPolicy(power=2000.0)),
-             [0.9, 2.0, 0.1], 18, "out of range"),
+             [0.9, 2.0, 0.1], 18, "variance went negative"),
         )
         for p, gam, index, msg in cases:
             with pytest.raises(DriverStepError) as err:
@@ -401,6 +404,38 @@ class TestBnsPricePath:
         xs = rng.standard_normal(20).cumsum()
         w = make_window([(0.01, x) for x in xs], [0.1] * 20, 2.0)
         assert np.all(bns_price_path(w, p).values > 0.0)
+
+
+class TestWindowStats:
+    """``window_stats`` over any range of a block is each window's ``price_path``."""
+
+    @pytest.mark.parametrize("driver", [HestonDriver(bench_heston(rho=-0.9)),
+                                        BnsDriver(bench_bns())], ids=["heston", "bns"])
+    def test_ranges_match_price_path(self, driver):
+        s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
+        windows = []
+        engine.run(driver, s, lambda w: windows.append(w) or 0.0, T=1.0,
+                   n_iters=engine._BLOCK + 700, rng=stream(4, 0))
+        blocks = {}
+        for w in windows:
+            blocks.setdefault(w.block, []).append(w)
+        assert len(blocks) == 2
+        for block, ws in blocks.items():
+            cuts = [0, 1, 333, len(ws)]
+            for lo, hi in zip(cuts, cuts[1:]):
+                average, terminal = driver.window_stats(block, lo, hi)
+                paths = [driver.price_path(w) for w in ws[lo:hi]]
+                assert average == pytest.approx([p.average() for p in paths], rel=1e-14)
+                assert terminal == pytest.approx([p.terminal() for p in paths], rel=1e-14)
+
+    def test_one_point_window(self):
+        # the window is all tail: no segment weight is read
+        w = make_window([(0.012, 0.3)], [0.6], 0.6)
+        for driver in (HestonDriver(bench_heston()), BnsDriver(bench_bns())):
+            path = driver.price_path(w)
+            average, terminal = driver.window_stats(w.block, 0, 1)
+            assert average == pytest.approx([path.average()], rel=1e-15)
+            assert terminal == pytest.approx([path.terminal()], rel=1e-15)
 
 
 class TestGrowthRate:

@@ -279,11 +279,13 @@ class TestGoldenValues:
                       truncation=TruncationPolicy(power=2.0))
         s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
         ests = price_asian_grid(BnsDriver(p), s, self.SPECS, 2000, stream(31, 0))
-        assert [(e.value, e.se) for e in ests] == [
-            (6.6662240895651825, 0.025528908894944656),
-            (1.2554656859885516, 0.0457952637954362),
-            (0.11261774006174287, 0.027418091791226513),
-        ]
+        # each window's average is one reduceat term, not np.dot, so the
+        # stream is unchanged but the last bits may move
+        assert [x for e in ests for x in (e.value, e.se)] == pytest.approx([
+            6.6662240895651825, 0.025528908894944656,
+            1.2554656859885516, 0.0457952637954362,
+            0.11261774006174287, 0.027418091791226513,
+        ], rel=1e-12)
 
     def test_heston_stationary_marginal(self):
         s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
