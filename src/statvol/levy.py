@@ -16,7 +16,9 @@ discarded jumps; both import ``scipy.integrate`` on first use, and no
 command calls them); :func:`tail_intensities_closed` evaluates the jump
 rates of a block of thresholds through incomplete gamma functions, which is
 what the model's block driver calls, and :func:`tail_intensity_closed` is
-its one-threshold case.
+its one-threshold case.  The closed form imports ``scipy.special`` on
+first use; the BNS driver loads it when it is built, so importing this
+module loads no scipy and a Heston run never does.
 Tests pin the two routes against each other and against an independent
 high-precision oracle.
 """
@@ -27,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "TemperedStableMeasure",
@@ -155,6 +156,7 @@ def tail_intensities_closed(m: TemperedStableMeasure, us: list) -> list:
     s = -m.alpha
     scale, gs1 = m.c * m.lam**m.alpha, math.gamma(s + 1.0)
     xs = [m.lam * u for u in us]
+    from scipy import special  # after the first load, a sys.modules lookup per block
     upper = special.gammaincc(s + 1.0, np.array(xs)).tolist()
     return [scale * ((x**s * math.exp(-x) - q * gs1) / (-s)) for x, q in zip(xs, upper)]
 

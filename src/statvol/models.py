@@ -300,6 +300,7 @@ def heston_potential(block: WindowBlock, params: HestonParams):
 
 
 _CHUNK = 8192  # standard normals per draw from the RNG
+_MAX_STEP_JUMPS = 1e7  # largest expected jump count of one BNS step
 
 
 def _driver_normals(driver, rng) -> Iterator[float]:
@@ -397,9 +398,14 @@ class BnsDriver:
     (:func:`~statvol.levy.tail_intensities_closed`).  Each step then draws
     its jumps (:func:`~statvol.levy.compound_poisson_sum`) and then its
     normal, so the RNG sees the same calls in the same order as step by
-    step.  A step whose threshold underflows to 0, or whose new variance
-    is negative (``gamma * mu > 1``), raises :class:`DriverStepError` with
-    its index, so no state it returns has ``v < 0``.
+    step.  A step whose threshold underflows to 0, whose expected jump
+    count ``gamma * Lambda(u)`` exceeds ``_MAX_STEP_JUMPS = 1e7`` (its
+    jumps are drawn one at a time, about a microsecond each; benchmark
+    and paper-scale steps expect at most 0.02), or whose new
+    variance is negative (``gamma * mu > 1``), raises
+    :class:`DriverStepError` with its index once the steps before it have
+    run, so no state it returns has ``v < 0``.  The first two checks come
+    before any draw.
     """
 
     dim = 2
@@ -407,6 +413,8 @@ class BnsDriver:
     def __init__(self, params: BNSParams):
         self.params = params
         self._normals: tuple | None = None
+        # the jump rates' gammaincc: load it in set-up, not in the first block
+        import scipy.special  # noqa: F401
 
     def initial_state(self) -> tuple[float, float]:
         return (self.params.v_init, 0.0)
@@ -416,7 +424,8 @@ class BnsDriver:
         p = self.params
         m, r, rho, mu = p.jump, p.r, p.rho, p.mu
         gl = gam.tolist()
-        # thresholds up to the first one that underflows to 0; its step
+        # thresholds up to the first one that underflows to 0, then expected
+        # jump counts up to the first one above the cap; the failing step
         # raises once the steps before it have run
         us = p.truncation.thresholds(gl)
         failure = None
@@ -424,13 +433,19 @@ class BnsDriver:
             bad = next(i for i, u in enumerate(us) if not u > 0.0)
             failure = ValueError(f"threshold must be positive, got {us[bad]}")
             del us[bad:]
-        rates = levy.tail_intensities_closed(m, us)
+        means = [g * lam_u for g, lam_u in zip(gl, levy.tail_intensities_closed(m, us))]
+        if means and not max(means) <= _MAX_STEP_JUMPS:
+            bad = next(i for i, mean in enumerate(means) if not mean <= _MAX_STEP_JUMPS)
+            failure = ValueError(
+                f"expected {means[bad]:.3g} jumps in one step, above {_MAX_STEP_JUMPS:.0e}"
+            )
+            del means[bad:]
         normal = _driver_normals(self, rng).__next__
         v, x = state
         vs, xs = [], []
         try:
-            for i, (g, u, lam_u) in enumerate(zip(gl, us, rates)):
-                dz = levy.compound_poisson_sum(m, u, g * lam_u, rng)
+            for i, (g, u, mean) in enumerate(zip(gl, us, means)):
+                dz = levy.compound_poisson_sum(m, u, mean, rng)
                 dw = math.sqrt(g) * normal()
                 # One subordinator increment enters both equations: the log price
                 # jumps by rho * dz <= 0 exactly when the variance jumps by dz >= 0.
@@ -443,7 +458,7 @@ class BnsDriver:
         except Exception as exc:
             raise DriverStepError(first + i, str(exc)) from exc
         if failure is not None:
-            raise DriverStepError(first + len(us), str(failure)) from failure
+            raise DriverStepError(first + len(means), str(failure)) from failure
         return np.array((vs, xs))
 
     def step(self, state, index, gamma, rng):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from . import engine
@@ -185,6 +184,8 @@ def levy_moment_oracle(m: TemperedStableMeasure, u: float, order: int) -> LevyMo
         raise ValueError(f"order must be 1 or 2, got {order}")
     if not u > 0.0:
         raise ValueError(f"threshold must be positive, got {u}")
+    import mpmath as mp  # imported here: no command calls this oracle
+
     with mp.workdps(30):
         c, lam, alpha = mp.mpf(m.c), mp.mpf(m.lam), mp.mpf(m.alpha)
         uu = mp.mpf(u)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -162,6 +163,21 @@ class TestExitCodes:
                        str(tmp_path / "o.csv")])
         assert rc == 0
 
+    def test_runaway_poisson_mean_exit_3(self, tmp_path, capsys):
+        # gamma_9 = 2 * 9^(-1/3) = 0.9615 is the first step below 1: its
+        # threshold 0.9615 ** 2000 = 7.9e-35 expects about 2.2e15 jumps, so
+        # the step fails before it draws them one at a time
+        cfg = write_config(tmp_path, model="bns", rho=-1.0, mu=0.5, c2=2.0,
+                           truncation_power=2000, strikes="50", n_iters=100)
+        t0 = time.perf_counter()
+        rc = cli.main(["price-asian", "--config", str(cfg), "--out",
+                       str(tmp_path / "o.csv")])
+        assert rc == 3
+        assert time.perf_counter() - t0 < 5.0
+        err = capsys.readouterr().err
+        assert "driver step to index 9 failed" in err
+        assert "jumps in one step" in err
+
 
 class TestPriceAsianCommand:
     def test_row_per_strike(self, tmp_path):
@@ -298,11 +314,40 @@ class TestOracleCommand:
         assert cli.main(["oracle", "--config", str(bad), "--out", str(out)]) == 2
 
 
-def test_cli_import_leaves_quadrature_unloaded():
-    # scipy.integrate serves only the quadrature in levy, which no command
-    # calls; importing it would add its load time to every run's set-up
+def _fresh_modules(code):
+    """The modules loaded after running ``code`` in a fresh interpreter."""
     src = str(Path(cli.__file__).parents[1])
-    code = "import sys, statvol.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    out = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys; print('\\n'.join(sys.modules))"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    return set(out.stdout.split())
+
+
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.special", "mpmath"])
+def test_cli_import_leaves_heavy_modules_unloaded(module):
+    # scipy.integrate serves only levy's quadrature and mpmath only the
+    # jump-moment oracle, which no command calls; scipy.special serves only
+    # the BNS jump rates.  Each would add its load time to every run's set-up
+    assert module not in _fresh_modules("import statvol.cli")
+
+
+def test_heston_run_loads_no_scipy_or_mpmath(tmp_path):
+    cfg = write_config(tmp_path, strikes="50", n_iters=200)
+    loaded = _fresh_modules(
+        "from statvol import cli\n"
+        f"assert cli.main(['price-asian', '--config', {str(cfg)!r}, "
+        f"'--out', {str(tmp_path / 'o.csv')!r}]) == 0"
+    )
+    assert not {m for m in loaded if m.split(".")[0] in ("scipy", "mpmath")}
+
+
+def test_bns_driver_loads_scipy_special_when_built():
+    # in set-up, so the first block's jump rates do not pay the import
+    # inside the sweep
+    loaded = _fresh_modules(
+        "from statvol import BnsDriver, BNSParams, TemperedStableMeasure\n"
+        "BnsDriver(BNSParams(s0=50.0, r=0.05, rho=-1.0, mu=1.0,\n"
+        "                    jump=TemperedStableMeasure(c=0.01, lam=1.0, alpha=0.5)))"
+    )
+    assert "scipy.special" in loaded

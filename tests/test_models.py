@@ -254,21 +254,36 @@ class TestBlockAdvance:
 
     def test_bns_threshold_failure_names_its_step(self):
         # power 100: 1e-5 ** 100 underflows to a zero threshold, which fails
-        # its own step after the steps before it; at power 2000 a step of
+        # its own step after the steps before it (steps of 0.95, whose
+        # threshold 0.006 expects few jumps; at 0.1 the threshold 1e-100
+        # would expect 2e47 and fail first); at power 2000 a step of
         # 2 has the threshold 1 (2 ** 2000 is never taken) and fails only
-        # on its negative variance
+        # on its negative variance, while a step of 0.9 has the threshold
+        # 1e-92 and expects about 1e44 jumps, which fails before the later
+        # zero threshold
         ok = bench_bns(v_init=0.01, truncation=TruncationPolicy(power=100.0))
+        steep = dataclasses.replace(ok, truncation=TruncationPolicy(power=2000.0))
         cases = (
-            (ok, [0.1, 0.1, 1e-5, 0.1], 19, "threshold must be positive"),
-            (ok, [0.1, 2.0, 1e-5], 18, "variance went negative"),
-            (dataclasses.replace(ok, truncation=TruncationPolicy(power=2000.0)),
-             [0.9, 2.0, 0.1], 18, "variance went negative"),
+            (ok, [0.95, 0.95, 1e-5, 0.95], 19, "threshold must be positive"),
+            (ok, [0.95, 2.0, 1e-5], 18, "variance went negative"),
+            (steep, [0.9999, 2.0, 0.1], 18, "variance went negative"),
+            (steep, [1.0, 0.9, 1e-5], 18, "jumps in one step"),
         )
         for p, gam, index, msg in cases:
             with pytest.raises(DriverStepError) as err:
                 BnsDriver(p).advance([0.01, 0.0], 17, np.array(gam), ZeroRng())
             assert err.value.index == index
             assert msg in str(err.value)
+
+    def test_bns_runaway_jump_count_fails_before_any_draw(self):
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"drew from rng.{name}")
+
+        steep = bench_bns(v_init=0.01, truncation=TruncationPolicy(power=2000.0))
+        with pytest.raises(DriverStepError, match="jumps in one step") as err:
+            BnsDriver(steep).advance([0.01, 0.0], 17, np.array([0.9, 0.1]), NoDraws())
+        assert err.value.index == 17
 
 
 class TestHestonPricePath:
