@@ -14,11 +14,11 @@ Tail quantities are integrated by adaptive quadrature to 1e-10 relative
 accuracy (:func:`tail_intensity`, and :func:`small_jump_variance` for the
 discarded jumps; both import ``scipy.integrate`` on first use, and no
 command calls them); :func:`tail_intensities_closed` evaluates the jump
-rates of a block of thresholds through incomplete gamma functions, which is
-what the model's block driver calls, and :func:`tail_intensity_closed` is
-its one-threshold case.  The closed form imports ``scipy.special`` on
-first use; the BNS driver loads it when it is built, so importing this
-module loads no scipy and a Heston run never does.
+rates of a block of thresholds through the upper incomplete gamma function,
+which is what the model's block driver calls, and
+:func:`tail_intensity_closed` is its one-threshold case.  The closed form
+runs on numpy alone (:func:`_upper_gamma`), so importing this module loads
+no scipy and no command does.
 Tests pin the two routes against each other and against an independent
 high-precision oracle.
 """
@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _QUAD_RTOL = 1e-10
+_EPS = float(np.finfo(float).eps)  # where the incomplete gamma's terms stop
 
 
 @dataclass(frozen=True)
@@ -144,21 +145,83 @@ def tail_intensities_closed(m: TemperedStableMeasure, us: list) -> list:
     """Closed form of :func:`tail_intensity` at each threshold of ``us``.
 
     For ``lam > 0`` the rate is ``c * lam**alpha * Gamma(-alpha, lam * u)``,
-    the upper incomplete gamma function taken one recurrence step up to the
-    positive-parameter regularized form scipy provides.  Only that function
-    is vectorised (one ``gammaincc`` call); the rest runs per threshold on
-    Python floats.
+    the upper incomplete gamma function taken one recurrence step up to
+    ``Gamma(1 - alpha, lam * u)``, whose parameter lies in ``(0, 1)``.  Only
+    that function is vectorised (one :func:`_upper_gamma` call); the rest
+    runs per threshold on Python floats.
     """
     for u in us:
         _check_u(u)
     if m.lam == 0.0:
         return [m.c * u ** (-m.alpha) / m.alpha for u in us]
     s = -m.alpha
-    scale, gs1 = m.c * m.lam**m.alpha, math.gamma(s + 1.0)
+    scale = m.c * m.lam**m.alpha
     xs = [m.lam * u for u in us]
-    from scipy import special  # after the first load, a sys.modules lookup per block
-    upper = special.gammaincc(s + 1.0, np.array(xs)).tolist()
-    return [scale * ((x**s * math.exp(-x) - q * gs1) / (-s)) for x, q in zip(xs, upper)]
+    upper = _upper_gamma(s + 1.0, np.array(xs)).tolist()
+    return [scale * ((x**s * math.exp(-x) - g) / (-s)) for x, g in zip(xs, upper)]
+
+
+def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
+    """The upper incomplete gamma function ``Gamma(a, x)`` for ``0 < a < 1``, at each ``x > 0``.
+
+    Below ``x = a + 1`` it is ``Gamma(a)`` less the lower function, whose
+    power series ``gamma(a, x) = x**a e**-x sum_n x**n / (a (a+1) .. (a+n))``
+    has positive terms.  From ``a + 1`` up it is ``x**a e**-x`` times the
+    continued fraction ``1/(x+1-a - 1(1-a)/(x+3-a - 2(2-a)/(x+5-a - ..)))``,
+    evaluated by the modified Lentz method (Numerical Recipes, 3rd ed.,
+    section 6.2).  Each element stops at the first term that moves it by at
+    most an ulp, so its value does not depend on the other elements of ``x``;
+    about 20 series terms or at most about 90 fraction levels.  Both branches
+    agree with mpmath to about 1e-14 relative (``tests/test_levy.py``).
+    """
+    out = np.empty_like(x)
+    low = x < a + 1.0
+    xl, xh = x[low], x[~low]
+    out[low] = math.gamma(a) - _lower_series(a, xl) * (xl**a * np.exp(-xl))
+    out[~low] = _upper_fraction(a, xh) * (xh**a * np.exp(-xh))
+    return out
+
+
+def _lower_series(a: float, x: np.ndarray) -> np.ndarray:
+    """``sum_n x**n / (a (a+1) .. (a+n))`` at each ``x``, until a term is below an ulp."""
+    out = np.empty_like(x)
+    live = np.arange(x.size)
+    term = np.full(x.size, 1.0 / a)
+    total = term.copy()
+    n = a
+    while live.size:
+        n += 1.0
+        term *= x / n
+        total += term
+        done = term <= total * _EPS
+        out[live[done]] = total[done]
+        keep = ~done
+        live, x, term, total = live[keep], x[keep], term[keep], total[keep]
+    return out
+
+
+def _upper_fraction(a: float, x: np.ndarray) -> np.ndarray:
+    """``1/(x+1-a - 1(1-a)/(x+3-a - ..))`` at each ``x >= a + 1``, by modified Lentz."""
+    out = np.empty_like(x)
+    live = np.arange(x.size)
+    b = x + (1.0 - a)
+    c = np.full(x.size, 1.0 / np.finfo(float).tiny)
+    d = 1.0 / b
+    h = d.copy()
+    i = 0
+    while live.size:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = c * d
+        h *= delta
+        done = np.abs(delta - 1.0) <= _EPS
+        out[live[done]] = h[done]
+        keep = ~done
+        live, b, c, d, h = live[keep], b[keep], c[keep], d[keep], h[keep]
+    return out
 
 
 def small_jump_variance(m: TemperedStableMeasure, u: float) -> float:

@@ -395,10 +395,11 @@ class BnsDriver:
     The subordinator increment over each step is the truncated compound
     Poisson sum of the jumps above the policy's threshold ``u_n``.
     :meth:`advance` computes the jump rates of a whole block at once
-    (:func:`~statvol.levy.tail_intensities_closed`).  Each step then draws
-    its jumps (:func:`~statvol.levy.compound_poisson_sum`) and then its
-    normal, so the RNG sees the same calls in the same order as step by
-    step.  A step whose threshold underflows to 0, whose expected jump
+    (:func:`~statvol.levy.tail_intensities_closed`, on numpy alone, so
+    neither building the driver nor running it loads scipy).  Each step
+    then draws its jumps (:func:`~statvol.levy.compound_poisson_sum`) and
+    then its normal, so the RNG sees the same calls in the same order as
+    step by step.  A step whose threshold underflows to 0, whose expected jump
     count ``gamma * Lambda(u)`` exceeds ``_MAX_STEP_JUMPS = 1e7`` (its
     jumps are drawn one at a time, about a microsecond each; benchmark
     and paper-scale steps expect at most 0.02), or whose new
@@ -413,8 +414,6 @@ class BnsDriver:
     def __init__(self, params: BNSParams):
         self.params = params
         self._normals: tuple | None = None
-        # the jump rates' gammaincc: load it in set-up, not in the first block
-        import scipy.special  # noqa: F401
 
     def initial_state(self) -> tuple[float, float]:
         return (self.params.v_init, 0.0)

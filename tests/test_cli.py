@@ -327,27 +327,29 @@ def _fresh_modules(code):
 @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.special", "mpmath"])
 def test_cli_import_leaves_heavy_modules_unloaded(module):
     # scipy.integrate serves only levy's quadrature and mpmath only the
-    # jump-moment oracle, which no command calls; scipy.special serves only
-    # the BNS jump rates.  Each would add its load time to every run's set-up
+    # jump-moment oracle, which no command calls; the BNS jump rates run on
+    # numpy alone.  Each would add its load time to every run's set-up
     assert module not in _fresh_modules("import statvol.cli")
 
 
-def test_heston_run_loads_no_scipy_or_mpmath(tmp_path):
-    cfg = write_config(tmp_path, strikes="50", n_iters=200)
+def _run_loads_scipy_or_mpmath(tmp_path, command, **overrides):
+    """The scipy and mpmath modules a ``command`` run loads in a fresh interpreter."""
+    cfg = write_config(tmp_path, name=f"{command}.cfg", **overrides)
     loaded = _fresh_modules(
         "from statvol import cli\n"
-        f"assert cli.main(['price-asian', '--config', {str(cfg)!r}, "
-        f"'--out', {str(tmp_path / 'o.csv')!r}]) == 0"
+        f"assert cli.main([{command!r}, '--config', {str(cfg)!r}, "
+        f"'--out', {str(tmp_path / (command + '.csv'))!r}]) == 0"
     )
-    assert not {m for m in loaded if m.split(".")[0] in ("scipy", "mpmath")}
+    return {m for m in loaded if m.split(".")[0] in ("scipy", "mpmath")}
 
 
-def test_bns_driver_loads_scipy_special_when_built():
-    # in set-up, so the first block's jump rates do not pay the import
-    # inside the sweep
-    loaded = _fresh_modules(
-        "from statvol import BnsDriver, BNSParams, TemperedStableMeasure\n"
-        "BnsDriver(BNSParams(s0=50.0, r=0.05, rho=-1.0, mu=1.0,\n"
-        "                    jump=TemperedStableMeasure(c=0.01, lam=1.0, alpha=0.5)))"
-    )
-    assert "scipy.special" in loaded
+def test_heston_run_loads_no_scipy_or_mpmath(tmp_path):
+    assert not _run_loads_scipy_or_mpmath(tmp_path, "price-asian", strikes="50", n_iters=200)
+
+
+@pytest.mark.parametrize("command", ["price-asian", "stationary-stats"])
+def test_bns_run_loads_no_scipy_or_mpmath(tmp_path, command):
+    # the jump rates of every block come from levy's own incomplete gamma
+    assert not _run_loads_scipy_or_mpmath(
+        tmp_path, command, model="bns", rho=-1.0, strikes="50", n_iters=200,
+        truncation_power=2.0)

@@ -1,13 +1,15 @@
 """Tempered-stable tail integrals and jump samplers."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from statvol.levy import (
+    _upper_gamma,
     TemperedStableMeasure,
     TruncationPolicy,
     compound_poisson_increment,
@@ -78,6 +80,52 @@ class TestTailIntensity:
                 tail_intensity_closed(m, 0.0)
             with pytest.raises(ValueError):
                 tail_intensities_closed(m, [0.1, -0.1])
+
+
+class TestUpperGamma:
+    """The closed form's own ``Gamma(a, x)`` for ``0 < a < 1``, against scipy and mpmath."""
+
+    @pytest.mark.parametrize("a", [0.05, 0.3, 0.5, 0.7, 0.95])
+    def test_matches_scipy(self, a):
+        # the log grid, and points on both sides of the switch from the
+        # series (x < a + 1) to the continued fraction
+        switch = a + 1.0
+        xs = np.concatenate((np.logspace(-12, 3, 301),
+                             [np.nextafter(switch, 0.0), switch, np.nextafter(switch, 3.0)],
+                             switch + np.array([-0.1, -1e-3, -1e-9, 1e-9, 1e-3, 0.1])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _upper_gamma(a, xs)
+        want = special.gammaincc(a, xs) * math.gamma(a)
+        # from x ~ 707 up both are subnormal or 0, so the bound there is absolute
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=np.finfo(float).tiny)
+
+    def test_closed_form_matches_mpmath(self):
+        us = [1e-6, 1e-3, 0.01, 0.1, 1.0, 5.0]
+        for u, rate in zip(us, tail_intensities_closed(BENCH, us)):
+            assert rate == pytest.approx(_mp_tail(BENCH, u), rel=1e-12)
+
+    def test_rate_does_not_depend_on_its_block(self):
+        us = [5.0, 1.0, 0.3, 1e-3, 1e-9]
+        assert tail_intensities_closed(BENCH, us) == [tail_intensity_closed(BENCH, u) for u in us]
+
+    def test_empty_block(self):
+        # BnsDriver.advance passes no thresholds when a block's first one underflows
+        assert tail_intensities_closed(BENCH, []) == []
+        assert tail_intensities_closed(STABLE, []) == []
+
+    def test_large_lambda_u_is_finite_and_warning_free(self):
+        # lam * u from 690 to 1000: e**-x turns subnormal, then 0
+        m = TemperedStableMeasure(c=0.01, lam=1e3, alpha=0.5)
+        us = [1.0] + np.linspace(0.69, 0.76, 71).tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rates = tail_intensities_closed(m, us)
+        assert all(math.isfinite(r) and r >= 0.0 for r in rates)
+
+    def test_untempered_power_law(self):
+        us = [1e-9, 1e-3, 0.5, 1.0, 4.0]
+        assert tail_intensities_closed(STABLE, us) == [0.01 * u**-0.5 / 0.5 for u in us]
 
 
 class TestSmallJumpVariance:
