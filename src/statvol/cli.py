@@ -56,7 +56,6 @@ class RunConfig:
     theta: float = 0.01
     sigma_v: float = 0.1
     v_init: float | None = None
-    y_init: float = 0.0
     mu: float = 1.0
     jump_c: float = 0.01
     jump_lambda: float = 1.0
@@ -192,7 +191,7 @@ def _build_params(cfg: RunConfig):
             rho = 0.5 if cfg.rho is None else cfg.rho
             return HestonParams(
                 s0=cfg.s0, r=cfg.r, rho=rho, k=cfg.k, theta=cfg.theta,
-                sigma_v=cfg.sigma_v, v_init=cfg.v_init, y_init=cfg.y_init,
+                sigma_v=cfg.sigma_v, v_init=cfg.v_init,
             )
         rho = -1.0 if cfg.rho is None else cfg.rho
         return BNSParams(

@@ -1,11 +1,14 @@
 """Stationary stochastic volatility dynamics packaged as engine drivers.
 
 Two models are provided, each as a driver for the windowed-average engine
-together with the map from a state window to the corresponding price path
-over ``[0, T]``: ``price_path`` for one window, and ``window_stats`` for the
-time averages and terminal values of a range of windows at once.  Both
-states carry the variance ``v`` first, so a marginal accumulator of
-dimension 1 folds the variance alone in either model.
+that supplies only its dynamics and the arrays of its log price along a
+block: ``advance`` runs a block of steps, and ``_path_arrays`` gives the
+block's log price, segment weights and segment rates.  The shared base
+(:class:`_Driver`) maps a state window to the corresponding price path
+over ``[0, T]`` from these arrays: ``window_stats`` gives the time averages
+and terminal values of a range of windows at once, and ``price_path`` one
+window's path.  Both states carry the variance ``v`` first, so a marginal
+accumulator of dimension 1 folds the variance alone in either model.
 
 Square-root (Heston-type) model
     d S = S (r dt + sqrt((1-rho^2) v) dW1 + rho sqrt(v) dW2)
@@ -19,7 +22,8 @@ Square-root (Heston-type) model
       int_0^t sqrt(v) dW2 = (v_t - v_0 - k theta t + k int_0^t v ds) / sigma_v
 
   exactly (call it ``Lam(t)``), and ``M_t = int sqrt(v) dW1 = y_t - y_0 +
-  int_0^t y ds`` is invariant to the window's ``y_0``.  Then
+  int_0^t y ds`` is invariant to the window's ``y_0`` (the scheme starts
+  ``y`` at 0, its stationary mean).  Then
 
       S_t = s0 * exp(r t - 0.5 int_0^t v ds + rho Lam(t) + sqrt(1-rho^2) M_t),
 
@@ -88,7 +92,6 @@ class HestonParams:
     theta: float
     sigma_v: float
     v_init: float | None = None
-    y_init: float = 0.0
 
     def __post_init__(self):
         if not self.s0 > 0.0:
@@ -224,51 +227,91 @@ class PricePathView:
         return float(self.values[-1] * self.growth)
 
 
-def _range_stats(block: WindowBlock, lo: int, hi: int, s0: float, log_price: np.ndarray,
-                 seg_weights: np.ndarray, rates: np.ndarray | None = None):
-    """``(average, terminal)`` arrays of the price paths of windows ``lo .. hi-1``.
+# -- drivers ------------------------------------------------------------------
 
-    Window ``w`` is block columns ``w .. ends[w]`` with price
-    ``s0 exp(log_price[i] - log_price[w])`` at column ``i``; the segment
-    after column ``i`` weighs ``seg_weights[i]``, except the window's last,
-    its tail, which weighs ``tail * expm1over(x)`` and grows by ``e^x`` with
-    ``x = rates[ends[w]] * tail`` (``x = 0`` without ``rates``).  These are
-    :meth:`PricePathView.average` and :meth:`PricePathView.terminal` of
-    every window at once: one flat gather of the windows' grid values, in
-    which only differences inside one window are exponentiated, and one
-    ``np.add.reduceat``.
+
+class _Driver:
+    """The engine driver of a model with state ``(v, .)`` that starts at ``(v_init, 0)``.
+
+    A model supplies ``advance`` and ``_path_arrays(block)``: the block's
+    log price at each column, the weight of each interior segment and each
+    column's log-price rate (``None`` for a stepwise path).  These are built
+    once per block; a window's price is ``s0 exp`` of its log price less its
+    value at the window's start.
     """
-    a = np.arange(lo, hi)
-    b = block.ends[lo:hi]
-    lens = b - a + 1
-    last = np.cumsum(lens) - 1  # each window's last position in the flat arrays
-    # flat position p of window w reads column p - (last[w] - b[w])
-    idx = np.repeat(b - last, lens)
-    idx += np.arange(len(idx))
-    values = log_price[idx]
-    values -= np.repeat(log_price[a], lens)
-    np.exp(values, out=values)
-    values *= s0
-    tail = block.T - (block.Gam[b] - block.Gam[a])
-    # each window's last weight is replaced by its tail's, so clip the gather
-    # (in a one-column block, with no segment weights, every point is a last)
-    weights = np.take(seg_weights, idx, mode="clip") if len(seg_weights) else np.empty(len(idx))
-    if rates is None:
-        weights[last] = tail
-        terminal = values[last]
-    else:
-        x = rates[b] * tail
-        weights[last] = tail * _expm1_over(x)
-        terminal = values[last] * np.exp(x)
-    weights *= values
-    return np.add.reduceat(weights, last - lens + 1) / block.T, terminal
+
+    dim = 2
+
+    def __init__(self, params):
+        self.params = params
+        self._paths: tuple | None = None  # (block, *self._path_arrays(block))
+
+    def initial_state(self) -> tuple[float, float]:
+        return (self.params.v_init, 0.0)
+
+    def step(self, state, index, gamma, rng):
+        """The state at ``index``: :meth:`advance` over the one step ``gamma``."""
+        return tuple(self.advance(state, index, np.array([gamma]), rng)[:, 0].tolist())
+
+    def _range_paths(self, block: WindowBlock, lo: int, hi: int):
+        """Price paths of windows ``lo .. hi-1``: flat values, weights, last positions, growths.
+
+        Window ``w`` is block columns ``w .. ends[w]``, one flat gather in
+        which only differences inside one window are exponentiated.  Its
+        last segment, the tail, weighs ``tail * expm1over(x)`` and grows by
+        ``e^x``, with ``x = rates[ends[w]] * tail`` (0 without rates).
+        """
+        memo = self._paths
+        if memo is None or memo[0] is not block:
+            memo = self._paths = (block, *self._path_arrays(block))
+        _, log_price, seg_weights, rates = memo
+        a = np.arange(lo, hi)
+        b = block.ends[lo:hi]
+        lens = b - a + 1
+        last = np.cumsum(lens) - 1  # each window's last position in the flat arrays
+        # flat position p of window w reads column p - (last[w] - b[w])
+        idx = np.repeat(b - last, lens)
+        idx += np.arange(len(idx))
+        values = log_price[idx]
+        values -= np.repeat(log_price[a], lens)
+        np.exp(values, out=values)
+        values *= self.params.s0
+        tail = block.T - (block.Gam[b] - block.Gam[a])
+        # each window's last weight is replaced by its tail's, so clip the gather
+        # (in a one-column block, with no segment weights, every point is a last)
+        weights = np.take(seg_weights, idx, mode="clip") if len(seg_weights) else np.empty(len(idx))
+        if rates is None:
+            weights[last] = tail
+            growth = np.ones(len(a))
+        else:
+            x = rates[b] * tail
+            weights[last] = tail * _expm1_over(x)
+            growth = np.exp(x)
+        return values, weights, last, growth
+
+    def window_stats(self, block: WindowBlock, lo: int, hi: int):
+        """``(average, terminal)`` of the price paths of windows ``lo .. hi-1`` of ``block``.
+
+        These are :meth:`PricePathView.average` and ``terminal`` of every
+        window at once; the averages are one ``np.add.reduceat``.
+        """
+        values, weights, last, growth = self._range_paths(block, lo, hi)
+        terminal = values[last] * growth
+        weights *= values
+        firsts = np.concatenate(([0], last[:-1] + 1))
+        return np.add.reduceat(weights, firsts) / block.T, terminal
+
+    def price_path(self, window: Window) -> PricePathView:
+        """The window's price path: the one-window range of :meth:`window_stats`."""
+        values, weights, _, growth = self._range_paths(window.block, window.a, window.a + 1)
+        return PricePathView(values, weights, window.T, growth[0])
 
 
 # -- square-root model --------------------------------------------------------
 
 
 def heston_potential(block: WindowBlock, params: HestonParams):
-    """Log-price potential ``E``, segment rates and interior segment weights of a block.
+    """Log-price potential ``E``, interior segment weights and segment rates of a block.
 
     With (v, y) frozen between grid points, the log price of any window
     starting at block column ``a`` is ``E[a + i] - E[a]`` at its grid point
@@ -296,100 +339,51 @@ def heston_potential(block: WindowBlock, params: HestonParams):
     potential = (params.r * t - 0.5 * iv + (params.rho / sig) * (v - k * theta * t + k * iv)
                  + rho_c * (y + iy))
     rates = params.r - 0.5 * v + params.rho * k * (v - theta) / sig + rho_c * y
-    return potential, rates, gam * _expm1_over(rates[:-1] * gam)
+    return potential, gam * _expm1_over(rates[:-1] * gam), rates
+
+
+class HestonDriver(_Driver):
+    """Engine driver for the (v, y) scheme.
+
+    Each step takes two independent scaled Brownian increments, dW2 for v
+    first, then dW1 for y; the correlation rho enters only through the
+    price path (:func:`heston_potential`), never the state dynamics.
+    :meth:`advance` draws a block's normals in one call (the Philox stream
+    gives the same normals however its draws are split, so any split of a
+    span is the same trajectory) and runs its steps as one loop over
+    Python floats, with the arithmetic of
+    :func:`~statvol.schemes.cir_reflected_step` and
+    :func:`~statvol.schemes.ou_companion_step` inlined in their own order.
+    """
+
+    def advance(self, state, first, gam, rng) -> np.ndarray:
+        """States at indices ``first ..``, one per step length in ``gam``."""
+        p = self.params
+        k, theta, sig = p.k, p.theta, p.sigma_v
+        dw = rng.standard_normal((len(gam), 2))
+        dw *= np.sqrt(gam)[:, None]
+        v, y = state
+        vs, ys = [], []
+        for g, dw2, dw1 in zip(gam.tolist(), dw[:, 0].tolist(), dw[:, 1].tolist()):
+            sv = math.sqrt(v)
+            y = y * (1.0 - g) + sv * dw1
+            v = abs(v + k * g * (theta - v) + sig * sv * dw2)
+            vs.append(v)
+            ys.append(y)
+        return np.array((vs, ys))
+
+    def _path_arrays(self, block: WindowBlock):
+        return heston_potential(block, self.params)
+
+
+# -- log-price/subordinator model ---------------------------------------------
 
 
 _CHUNK = 8192  # standard normals per draw from the RNG
 _MAX_STEP_JUMPS = 1e7  # largest expected jump count of one BNS step
 
 
-def _driver_normals(driver, rng) -> Iterator[float]:
-    """The driver's standard normals on ``rng``, in order; a new stream starts afresh.
-
-    They are drawn ``_CHUNK`` at a time, each chunk only when a normal is
-    wanted and the last one is used up, so the RNG sees the same calls
-    however the normals are taken.
-    """
-    cached = driver._normals
-    if cached is None or cached[0] is not rng:
-        chunks = iter(lambda: rng.standard_normal(_CHUNK).tolist(), None)
-        cached = driver._normals = (rng, chain.from_iterable(chunks))
-    return cached[1]
-
-
-class HestonDriver:
-    """Engine driver for the (v, y) scheme.
-
-    Each step draws two independent scaled Brownian increments from the
-    driver's own chunks of normals, dW2 for v first, then dW1 for y; the
-    correlation rho enters only through the price reconstruction, never the
-    state dynamics.  :meth:`advance` runs a block of steps as one loop over
-    Python floats, with the arithmetic of
-    :func:`~statvol.schemes.cir_reflected_step` and
-    :func:`~statvol.schemes.ou_companion_step` inlined in their own order.
-    """
-
-    dim = 2
-
-    def __init__(self, params: HestonParams):
-        self.params = params
-        self._normals: tuple | None = None
-        self._potential: tuple | None = None  # (block, heston_potential(block))
-
-    def initial_state(self) -> tuple[float, float]:
-        return (self.params.v_init, self.params.y_init)
-
-    def advance(self, state, first, gam, rng) -> np.ndarray:
-        """States at indices ``first ..``, one per step length in ``gam``."""
-        p = self.params
-        k, theta, sig = p.k, p.theta, p.sigma_v
-        normals = _driver_normals(self, rng)
-        v, y = state
-        vs, ys = [], []
-        # zip stops at the end of gam before it takes a normal for a further step
-        for g, z2, z1 in zip(gam.tolist(), normals, normals):
-            sg = math.sqrt(g)
-            sv = math.sqrt(v)
-            y = y * (1.0 - g) + sv * (sg * z1)
-            v = abs(v + k * g * (theta - v) + sig * sv * (sg * z2))
-            vs.append(v)
-            ys.append(y)
-        return np.array((vs, ys))
-
-    def step(self, state, index, gamma, rng):
-        """The state at ``index``: :meth:`advance` over the one step ``gamma``."""
-        return tuple(self.advance(state, index, np.array([gamma]), rng)[:, 0].tolist())
-
-    def _block_potential(self, block: WindowBlock) -> tuple:
-        """:func:`heston_potential` of ``block``, built once per block."""
-        memo = self._potential
-        if memo is None or memo[0] is not block:
-            memo = self._potential = (block, *heston_potential(block, self.params))
-        return memo[1:]
-
-    def window_stats(self, block: WindowBlock, lo: int, hi: int):
-        """``(average, terminal)`` of the price paths of windows ``lo .. hi-1`` of ``block``."""
-        potential, rates, interior = self._block_potential(block)
-        return _range_stats(block, lo, hi, self.params.s0, potential, interior, rates)
-
-    def price_path(self, window: Window) -> PricePathView:
-        """The window's price path, sliced from its block's potential (built once)."""
-        block, a, b = window.block, window.a, window.b
-        potential, rates, interior = self._block_potential(block)
-        values = np.exp(potential[a : b + 1] - potential[a])
-        values *= self.params.s0
-        tail = window.tail
-        x = rates[b] * tail
-        weights = np.empty(b - a + 1)
-        weights[:-1] = interior[a:b]
-        weights[-1] = tail * (1.0 + 0.5 * x if abs(x) < 1e-8 else math.expm1(x) / x)
-        return PricePathView(values, weights, window.T, math.exp(x))
-
-
-# -- log-price/subordinator model ---------------------------------------------
-
-
-class BnsDriver:
+class BnsDriver(_Driver):
     """Engine driver for the (v, x) scheme: variance first, as in :class:`HestonDriver`.
 
     The subordinator increment over each step is the truncated compound
@@ -406,17 +400,25 @@ class BnsDriver:
     variance is negative (``gamma * mu > 1``), raises
     :class:`DriverStepError` with its index once the steps before it have
     run, so no state it returns has ``v < 0``.  The first two checks come
-    before any draw.
+    before any draw.  The log price is stepwise, so each window's path is
+    ``s0 exp(x - x_start)`` on the segment lengths.
     """
 
-    dim = 2
+    _normals: tuple | None = None  # (rng, its normals not yet taken)
 
-    def __init__(self, params: BNSParams):
-        self.params = params
-        self._normals: tuple | None = None
+    def _normal_stream(self, rng) -> Iterator[float]:
+        """The driver's standard normals on ``rng``, in order; a new stream starts afresh.
 
-    def initial_state(self) -> tuple[float, float]:
-        return (self.params.v_init, 0.0)
+        The Poisson counts and jumps draw from ``rng`` between the normals,
+        so where the normals are drawn is part of the stream's layout: they
+        come ``_CHUNK`` at a time, each chunk only when the last is used up,
+        so the RNG sees the same calls however a span is split into blocks.
+        """
+        cached = self._normals
+        if cached is None or cached[0] is not rng:
+            chunks = iter(lambda: rng.standard_normal(_CHUNK).tolist(), None)
+            cached = self._normals = (rng, chain.from_iterable(chunks))
+        return cached[1]
 
     def advance(self, state, first, gam, rng) -> np.ndarray:
         """States at indices ``first ..``, one per step length in ``gam``."""
@@ -439,7 +441,7 @@ class BnsDriver:
                 f"expected {means[bad]:.3g} jumps in one step, above {_MAX_STEP_JUMPS:.0e}"
             )
             del means[bad:]
-        normal = _driver_normals(self, rng).__next__
+        normal = self._normal_stream(rng).__next__
         v, x = state
         vs, xs = [], []
         try:
@@ -460,16 +462,5 @@ class BnsDriver:
             raise DriverStepError(first + len(means), str(failure)) from failure
         return np.array((vs, xs))
 
-    def step(self, state, index, gamma, rng):
-        """The state at ``index``: :meth:`advance` over the one step ``gamma``."""
-        return tuple(self.advance(state, index, np.array([gamma]), rng)[:, 0].tolist())
-
-    def window_stats(self, block: WindowBlock, lo: int, hi: int):
-        """``(average, terminal)`` of the price paths of windows ``lo .. hi-1`` of ``block``."""
-        return _range_stats(block, lo, hi, self.params.s0, block.cols[1], block.gam[1:])
-
-    def price_path(self, window: Window) -> PricePathView:
-        """The window's price path, re-based so the window prices from spot."""
-        x = window.states(1)
-        values = self.params.s0 * np.exp(x - x[0])
-        return PricePathView(values, window.seg_lengths(), window.T)
+    def _path_arrays(self, block: WindowBlock):
+        return block.cols[1], block.gam[1:], None

@@ -125,26 +125,16 @@ class _OUDriver:
 
     def __init__(self, sigma: float):
         self.var = sigma * sigma
-        self._buf: list = []
-        self._pos = 0
-        self._rng = None
 
     def initial_state(self):
         return (0.0,)
 
     def advance(self, state, first, gam, rng):
-        if self._rng is not rng:
-            self._buf, self._pos, self._rng = [], 0, rng
-        buf, pos = self._buf, self._pos
         y = state[0]
         ys = []
-        for g in gam.tolist():
-            if pos >= len(buf):
-                buf, pos = rng.standard_normal(8192).tolist(), 0
-            y = ou_companion_step(y, g, self.var, math.sqrt(g) * buf[pos])
-            pos += 1
+        for g, z in zip(gam.tolist(), rng.standard_normal(len(gam)).tolist()):
+            y = ou_companion_step(y, g, self.var, math.sqrt(g) * z)
             ys.append(y)
-        self._buf, self._pos = buf, pos
         return np.array([ys])
 
 

@@ -52,7 +52,7 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self, tmp_path):
         # a misspelling, and keys of removed model options
         for key, raw in [("modle", "heston"), ("compensate_jumps", "on"),
-                         ("x_init", "3"), ("truncation_umax", "0.5")]:
+                         ("x_init", "3"), ("y_init", "0"), ("truncation_umax", "0.5")]:
             p = tmp_path / "c.cfg"
             p.write_text(f"{key} = {raw}\n")
             with pytest.raises(cli.ConfigError, match=f"unknown key '{key}'"):

@@ -13,6 +13,7 @@ from statvol.levy import (
     TemperedStableMeasure,
     TruncationPolicy,
     compound_poisson_increment,
+    compound_poisson_sum,
     sample_jump_above,
     sample_jumps_above,
     small_jump_variance,
@@ -188,8 +189,13 @@ class TestCompoundPoissonIncrement:
         rng = stream(11, 0)
         u, gamma = 0.01, 2.0  # ~0.3 jumps per draw keeps the kurtosis sane
         n = 10**5
-        draws = np.array([compound_poisson_increment(BENCH, u, gamma, rng)
-                          for _ in range(n)])
+        mean = gamma * tail_intensity_closed(BENCH, u)
+        draws = np.array([compound_poisson_sum(BENCH, u, mean, rng) for _ in range(n)])
+        # the increment is the sum at mean gamma * Lambda(u), so the sample is
+        # the increments' own, bit for bit
+        fresh = stream(11, 0)
+        assert [compound_poisson_increment(BENCH, u, gamma, fresh)
+                for _ in range(100)] == draws[:100].tolist()
         assert draws.min() >= 0.0
         target_mean = gamma * _mp_tail(BENCH, u, order=1)
         target_var = gamma * _mp_tail(BENCH, u, order=2)

@@ -20,6 +20,7 @@ from statvol.models import (
     growth_rate,
     heston_invariant_gamma,
 )
+from statvol.oracles import _OUDriver
 from statvol.rng import stream
 from statvol.schedule import make_polynomial_schedule
 from statvol.schemes import cir_reflected_step, ou_companion_step
@@ -147,7 +148,6 @@ class TestParamValidation:
     def test_default_inits(self):
         p = bench_heston()
         assert p.v_init == p.theta
-        assert p.y_init == 0.0
         b = bench_bns()
         assert b.v_init == pytest.approx(b.jump.mean_rate() / b.mu)
 
@@ -190,8 +190,12 @@ class TestHestonJointStep:
 class TestBlockAdvance:
     """``advance`` is the per-step scheme bit for bit, however a span is split.
 
-    The normals come 8192 at a time: a Heston step takes two and a BNS step
-    one, so the cuts fall on odd steps just before and after each refill.
+    The reference takes its normals 8192 at a time, as the per-step drivers
+    did.  A Heston block draws its normals in one call, so the Heston case
+    shows that per-block draws equal that chunked stream.  A BNS step takes
+    one normal from the driver's own 8192-draw chunks, between its Poisson
+    and jump draws, so its cuts fall on odd steps just before and after each
+    refill.
     """
 
     SCHED = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
@@ -208,7 +212,8 @@ class TestBlockAdvance:
         assert np.array_equal(split, ref)
 
     def test_heston_matches_per_step_scheme(self):
-        # 9001 steps draw 18002 > 2 * 8192 normals; refills at steps 4096, 8192
+        # 9001 steps take 18002 > 2 * 8192 normals: the reference refills at
+        # steps 4096 and 8192, each piece draws its own in one call
         self._check(lambda: HestonDriver(bench_heston()), reference_heston_steps,
                     9001, (1, 4095, 4097, 8191, 8193))
 
@@ -235,6 +240,22 @@ class TestBlockAdvance:
         self._check(lambda: BnsDriver(p), reference_bns_steps, n, (5, 8191, 8193))
         # three passes over the span: the reference, one call, the pieces
         assert len(jumps) % 3 == 0 and len(jumps) // 3 >= n / 300
+
+    def test_ou_oracle_driver_split_invariance(self):
+        # one call of standard_normal per block: any split, and the chunked
+        # reference stream, give the same trajectory
+        n = 20_000
+        gam = self.SCHED.gamma_slice(1, n + 1)
+        driver = _OUDriver(1.0)
+        whole = driver.advance([0.0], 1, gam, stream(21, 0))
+        split = advance_in_pieces(driver, [0.0], gam, stream(21, 0), (1, 8191, 8193))
+        normals, y, ref = ReferenceNormals(stream(21, 0)), 0.0, []
+        for g in gam.tolist():
+            y = ou_companion_step(y, g, driver.var, math.sqrt(g) * normals.take())
+            ref.append(y)
+        assert whole.shape == (1, n)
+        assert np.array_equal(split, whole)
+        assert np.array_equal(whole, [ref])
 
     def test_step_is_one_column_advance(self):
         for make in (lambda: HestonDriver(bench_heston()), lambda: BnsDriver(bench_bns())):

@@ -8,7 +8,9 @@ and class attributes with wrappers before the CLI runs: the drivers'
 ``pricing.implied_vol``, ``engine.run``, ``cli._map_reps`` and
 ``cli.load_config``.  The benchmark's own smoke test is not part of this
 suite, so without this check a renamed or removed attribute would break
-only traced benchmark runs.
+only traced benchmark runs.  Both drivers inherit ``step`` and
+``price_path`` from one base, so the check also calls each once per
+driver and counts the calls: each subclass is wrapped, and none twice.
 """
 
 import subprocess
@@ -22,7 +24,26 @@ import sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 from statvol import cli, engine, levy, models, pricing, schedule
 from tracer import Tracer
-Tracer().install(cli, engine, levy, models, pricing, schedule)
+tracer = Tracer()
+tracer.install(cli, engine, levy, models, pricing, schedule)
+
+# both drivers inherit step and price_path: each call is counted once
+import warnings
+from statvol.rng import stream
+warnings.simplefilter("ignore", RuntimeWarning)
+heston = models.HestonParams(s0=50.0, r=0.05, rho=0.5, k=2.0, theta=0.01, sigma_v=0.1)
+bns = models.BNSParams(s0=50.0, r=0.05, rho=-1.0, mu=1.0,
+                       jump=levy.TemperedStableMeasure(c=0.01, lam=1.0, alpha=0.5))
+sched = schedule.make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
+for driver in (models.HestonDriver(heston), models.BnsDriver(bns)):
+    windows = []
+    engine.run(driver, sched, lambda w: windows.append(w) or 0.0, T=1.0, n_iters=2,
+               rng=stream(1, 0))
+    driver.step(driver.initial_state(), 1, 0.5, stream(2, 0))
+    driver.price_path(windows[0])
+aggregates = tracer.report()["aggregates"]
+counts = {name: aggregates[name]["calls"] for name in ("models.step", "models.price_path")}
+assert counts == {"models.step": 2, "models.price_path": 2}, counts
 """
 
 
