@@ -16,9 +16,7 @@ from .pricing import (
     bs_call,
     implied_vol,
     parity_rhs,
-    price_asian,
     price_asian_grid,
-    price_european,
 )
 from .rng import stream
 from .schedule import Schedule, make_polynomial_schedule
@@ -42,9 +40,7 @@ __all__ = [
     "implied_vol",
     "make_polynomial_schedule",
     "parity_rhs",
-    "price_asian",
     "price_asian_grid",
-    "price_european",
     "run",
     "stream",
     "__version__",

@@ -55,7 +55,6 @@ class RunConfig:
     k: float = 2.0
     theta: float = 0.01
     sigma_v: float = 0.1
-    v_init: float | None = None
     mu: float = 1.0
     jump_c: float = 0.01
     jump_lambda: float = 1.0
@@ -144,6 +143,9 @@ def load_config(path: str | Path) -> RunConfig:
 def _validate(cfg: RunConfig) -> None:
     if cfg.model not in ("heston", "bns"):
         raise ConfigError(f"model must be 'heston' or 'bns', got {cfg.model!r}")
+    # the measure itself accepts lambda = 0, but a BNS variance then has no mean
+    if cfg.model == "bns" and not cfg.jump_lambda > 0.0:
+        raise ConfigError(f"jump_lambda must be > 0, got {cfg.jump_lambda}")
     if cfg.kind not in ("call", "put"):
         raise ConfigError(f"kind must be 'call' or 'put', got {cfg.kind!r}")
     if cfg.n_iters < 1:
@@ -191,14 +193,13 @@ def _build_params(cfg: RunConfig):
             rho = 0.5 if cfg.rho is None else cfg.rho
             return HestonParams(
                 s0=cfg.s0, r=cfg.r, rho=rho, k=cfg.k, theta=cfg.theta,
-                sigma_v=cfg.sigma_v, v_init=cfg.v_init,
+                sigma_v=cfg.sigma_v,
             )
         rho = -1.0 if cfg.rho is None else cfg.rho
         return BNSParams(
             s0=cfg.s0, r=cfg.r, rho=rho, mu=cfg.mu,
             jump=TemperedStableMeasure(c=cfg.jump_c, lam=cfg.jump_lambda,
                                        alpha=cfg.jump_alpha),
-            v_init=cfg.v_init,
             truncation=TruncationPolicy(power=cfg.truncation_power),
         )
     except ValueError as exc:

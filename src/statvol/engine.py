@@ -169,10 +169,9 @@ class FunctionalAverage:
     or numpy arrays (updated componentwise).
     """
 
-    __slots__ = ("count", "weight_total", "weight_sq_total", "value")
+    __slots__ = ("weight_total", "weight_sq_total", "value")
 
     def __init__(self) -> None:
-        self.count = 0
         self.weight_total = 0.0
         self.weight_sq_total = 0.0
         self.value: float | np.ndarray = 0.0
@@ -183,7 +182,6 @@ class FunctionalAverage:
         self.weight_total += eta
         self.weight_sq_total += eta * eta
         self.value = self.value + (eta / self.weight_total) * (f_value - self.value)
-        self.count += 1
         return self
 
     def copy_value(self):
@@ -194,10 +192,8 @@ class FunctionalAverage:
 class MarginalStats:
     """Weighted moments and normalized histogram of trajectory marginals."""
 
-    weight_total: float
     mean: np.ndarray
     variance: np.ndarray
-    skewness: np.ndarray
     histogram: np.ndarray  # shape (dim, bins + 2): [underflow, bins..., overflow]
     bin_edges: np.ndarray  # shape (bins + 1,)
 
@@ -207,7 +203,7 @@ class MarginalAccumulator:
 
     Fed with ``(eta_k, state at grid index k-1)`` pairs, it tracks the
     weighted occupation of the first ``dim`` state coordinates (later ones
-    are not read): per-coordinate moment sums up to order three plus a
+    are not read): per-coordinate first and second moment sums plus a
     histogram with explicit under/overflow bins.  Total accumulated weight
     equals ``H_n``.
     """
@@ -225,19 +221,17 @@ class MarginalAccumulator:
         self.weight_total = 0.0
         self._m1 = [0.0] * dim
         self._m2 = [0.0] * dim
-        self._m3 = [0.0] * dim
         self._hist = [[0.0] * (bins + 2) for _ in range(dim)]
         self.count = 0
 
     def update(self, eta: float, state: Sequence[float]) -> None:
         self.weight_total += eta
-        m1, m2, m3, hist = self._m1, self._m2, self._m3, self._hist
+        m1, m2, hist = self._m1, self._m2, self._hist
         lo, inv_width, bins = self.lo, self._inv_width, self.bins
         for c in range(self.dim):
             x = state[c]
             m1[c] += eta * x
             m2[c] += eta * x * x
-            m3[c] += eta * x * x * x
             b = int((x - lo) * inv_width)
             if x < lo:
                 b = -1
@@ -251,16 +245,9 @@ class MarginalAccumulator:
             raise ValueError("marginal accumulator is empty")
         w = self.weight_total
         mean = np.array(self._m1) / w
-        var = np.maximum(np.array(self._m2) / w - mean**2, 0.0)
-        m3 = np.array(self._m3) / w
-        central3 = m3 - 3.0 * mean * var - mean**3
-        with np.errstate(divide="ignore", invalid="ignore"):
-            skew = np.where(var > 0.0, central3 / np.power(var, 1.5), 0.0)
         return MarginalStats(
-            weight_total=w,
             mean=mean,
-            variance=var,
-            skewness=skew,
+            variance=np.maximum(np.array(self._m2) / w - mean**2, 0.0),
             histogram=np.array(self._hist) / w,
             bin_edges=np.linspace(self.lo, self.hi, self.bins + 1),
         )

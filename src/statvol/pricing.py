@@ -45,9 +45,7 @@ __all__ = [
     "parity_rhs",
     "discounted_average_forward",
     "forward_average",
-    "price_asian",
     "price_asian_grid",
-    "price_european",
     "price_european_grid",
     "bs_call",
     "implied_vol",
@@ -282,18 +280,6 @@ def price_asian_grid(
     return _price_grid(driver, sched, specs, n_iters, rng, 0, use_parity)
 
 
-def price_asian(
-    driver,
-    sched: Schedule,
-    spec: AsianSpec,
-    n_iters: int,
-    rng: np.random.Generator,
-    use_parity: bool = True,
-) -> PriceEstimate:
-    """Estimate one Asian price (see :func:`price_asian_grid`)."""
-    return price_asian_grid(driver, sched, [spec], n_iters, rng, use_parity)[0]
-
-
 def price_european_grid(
     driver,
     sched: Schedule,
@@ -303,16 +289,6 @@ def price_european_grid(
 ) -> list[PriceEstimate]:
     """Estimate terminal-value (European) prices on a shared trajectory."""
     return _price_grid(driver, sched, specs, n_iters, rng, 1, False)
-
-
-def price_european(
-    driver,
-    sched: Schedule,
-    spec: AsianSpec,
-    n_iters: int,
-    rng: np.random.Generator,
-) -> PriceEstimate:
-    return price_european_grid(driver, sched, [spec], n_iters, rng)[0]
 
 
 # -- Black-Scholes and implied volatility -------------------------------------

@@ -52,6 +52,9 @@ __all__ = [
 # not carry across blocks and Gamma_n at n ~ 1e6 stays within ~1e-13 relative
 # of the exact sum.
 _BLOCK = 4096
+# Blocks kept built: an engine block reads the schedule blocks before, at and
+# after its starts, in turn for each slice it takes.
+_MEMO = 3
 
 
 class ScheduleError(ValueError):
@@ -83,8 +86,8 @@ class Schedule:
     ``_BLOCK`` indices and rebuilds any block from its anchor, so its memory
     grows by one anchor per block, not by arrays over every index reached.
     ``ensure(n)`` extends the anchors under a lock, so any number of threads
-    may share one schedule; the only other shared state is the last block
-    built, replaced as one tuple.  Index 0 is the empty prefix
+    may share one schedule; the only other shared state is the last
+    ``_MEMO`` blocks built, replaced as one tuple.  Index 0 is the empty prefix
     (``gamma_0 = eta_0 = Gamma_0 = H_0 = 0``); sequence values start at index 1.
     """
 
@@ -103,7 +106,7 @@ class Schedule:
         self.rho2 = float(rho2)
         self._anchors = [(0.0, 0.0)]  # (Gamma, H) at index m*B, for block m
         self._lock = threading.Lock()
-        self._memo = (-1, None)  # (m, block m) for the last block built
+        self._memo = ()  # (m, block m) for the last blocks built, newest first
 
     # -- blocks -------------------------------------------------------------
 
@@ -131,14 +134,15 @@ class Schedule:
     def _block(self, m: int) -> np.ndarray:
         # Rows gamma, eta, Gamma, H of block m; the caller has ensured it.
         memo = self._memo
-        if memo[0] == m:
-            return memo[1]
+        for k, block in memo:
+            if k == m:
+                return block
         (G0, H0), (G1, H1) = self._anchors[m], self._anchors[m + 1]
         g, e = self._steps(m)
         block = np.stack((g, e, G0 + np.cumsum(g), H0 + np.cumsum(e)))
         block[2:, -1] = G1, H1  # the fsum-anchored block end
         block.flags.writeable = False
-        self._memo = (m, block)
+        self._memo = ((m, block),) + memo[: _MEMO - 1]
         return block
 
     def _value(self, row: int, n: int) -> float:

@@ -52,7 +52,8 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self, tmp_path):
         # a misspelling, and keys of removed model options
         for key, raw in [("modle", "heston"), ("compensate_jumps", "on"),
-                         ("x_init", "3"), ("y_init", "0"), ("truncation_umax", "0.5")]:
+                         ("x_init", "3"), ("y_init", "0"), ("v_init", "0.01"),
+                         ("truncation_umax", "0.5")]:
             p = tmp_path / "c.cfg"
             p.write_text(f"{key} = {raw}\n")
             with pytest.raises(cli.ConfigError, match=f"unknown key '{key}'"):
@@ -81,7 +82,6 @@ class TestConfigParsing:
             ("strikes", "44,nan"),
             ("r", "nan"),
             ("s0", "inf"),
-            ("v_init", "nan"),
         ]
         for key, raw in cases:
             p = tmp_path / f"{key}.cfg"
@@ -103,19 +103,21 @@ class TestExitCodes:
         assert rc == 2
 
     def test_field_validation_names_field(self, tmp_path, capsys):
-        # (command, key, value): each value lies outside the key's domain
+        # (command, key, value, other keys): each value lies outside the key's domain
+        bns = {"model": "bns", "rho": -1.0}
         cases = [
-            ("price-asian", "replications", 0),
-            ("stationary-stats", "hist_bins", 0),
-            ("check-schedule", "scan_max", 9),
-            ("oracle", "oracle_paths", 1),
-            ("oracle", "oracle_fine_step", 0.0),
-            ("oracle", "oracle_fine_step", 0.5),
-            ("vol-surface", "maturities", ","),
-            ("vol-surface", "maturities", ""),
+            ("price-asian", "replications", 0, {}),
+            ("stationary-stats", "hist_bins", 0, {}),
+            ("check-schedule", "scan_max", 9, {}),
+            ("oracle", "oracle_paths", 1, {}),
+            ("oracle", "oracle_fine_step", 0.0, {}),
+            ("oracle", "oracle_fine_step", 0.5, {}),
+            ("vol-surface", "maturities", ",", {}),
+            ("vol-surface", "maturities", "", {}),
+            ("price-asian", "jump_lambda", 0.0, bns),
         ]
-        for command, key, value in cases:
-            cfg = write_config(tmp_path, **{key: value})
+        for command, key, value, other in cases:
+            cfg = write_config(tmp_path, **{**other, key: value})
             rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
             err = capsys.readouterr().err
             assert rc == 2, (command, key, value, err)
@@ -326,9 +328,9 @@ def _fresh_modules(code):
 
 @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.special", "mpmath"])
 def test_cli_import_leaves_heavy_modules_unloaded(module):
-    # scipy.integrate serves only levy's quadrature and mpmath only the
-    # jump-moment oracle, which no command calls; the BNS jump rates run on
-    # numpy alone.  Each would add its load time to every run's set-up
+    # scipy.integrate serves only levy's quadrature, which no command calls,
+    # and mpmath only the tests; the BNS jump rates run on numpy alone.  Each
+    # would add its load time to every run's set-up
     assert module not in _fresh_modules("import statvol.cli")
 
 
@@ -353,3 +355,17 @@ def test_bns_run_loads_no_scipy_or_mpmath(tmp_path, command):
     assert not _run_loads_scipy_or_mpmath(
         tmp_path, command, model="bns", rho=-1.0, strikes="50", n_iters=200,
         truncation_power=2.0)
+
+
+def test_no_command_needs_mpmath(tmp_path):
+    # mpmath is a test-only dependency: every command runs with its import blocked
+    cfg = write_config(tmp_path, strikes="50", n_iters=200, oracle_paths=50,
+                       scan_max=1000)
+    _fresh_modules(
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from statvol import cli\n"
+        f"for command in {list(cli._COMMANDS)!r}:\n"
+        f"    assert cli.main([command, '--config', {str(cfg)!r}, "
+        f"'--out', {str(tmp_path / 'o.csv')!r}]) == 0, command\n"
+    )

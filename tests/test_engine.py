@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from statvol import engine
 from statvol.engine import DriverStepError, FunctionalAverage, MarginalAccumulator
-from statvol.models import PricePathView
+from statvol.models import HestonDriver, HestonParams, PricePathView
+from statvol.pricing import AsianSpec, price_asian_grid
 from statvol.rng import stream
 from statvol.schedule import Schedule, make_polynomial_schedule
 
@@ -72,7 +73,6 @@ class TestFunctionalAverage:
         avg.update(0.7, 42.0)
         assert avg.value == 42.0
         assert avg.weight_total == 0.7
-        assert avg.count == 1
 
     def test_constant_stream_is_fixed_point(self):
         avg = FunctionalAverage()
@@ -306,6 +306,24 @@ class TestRunBookkeeping:
         res2 = engine.run(ConstantDriver(), s, lambda w: 1.0, T=0.5,
                           n_iters=137, rng=stream(0, 0))
         assert [n for n, _ in res2.checkpoints] == [1, 10, 100, 137]
+
+    def test_window_sweep_builds_each_schedule_block_once(self, monkeypatch):
+        # an engine block reads the schedule blocks before, at and after its
+        # own starts, in turn for each slice it takes: each schedule block
+        # costs one build for its anchor (ensure) and one for its values
+        built = []
+        steps = Schedule._steps
+
+        def counted(self, m):
+            built.append(m)
+            return steps(self, m)
+
+        monkeypatch.setattr(Schedule, "_steps", counted)
+        s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
+        params = HestonParams(s0=50.0, r=0.05, rho=0.5, k=2.0, theta=0.01, sigma_v=0.1)
+        specs = [AsianSpec(K=50.0, T=1.0, r=0.05)]
+        price_asian_grid(HestonDriver(params), s, specs, 15_000, stream(0, 0))
+        assert len(built) <= 2 * len(set(built)), sorted(built)
 
 
 class TestWindowIntegral:

@@ -3,7 +3,9 @@
 import copy
 import math
 import warnings
+from dataclasses import dataclass
 
+import mpmath as mp
 import pytest
 
 from statvol.levy import (
@@ -11,16 +13,44 @@ from statvol.levy import (
     small_jump_variance,
 )
 from statvol.models import HestonParams, heston_invariant_gamma
-from statvol.oracles import (
-    cir_direct_stationary_price,
-    levy_moment_oracle,
-    ou_stationary_check,
-)
-from statvol.pricing import AsianSpec
+from statvol.oracles import cir_direct_stationary_price, ou_stationary_check
+from statvol.pricing import AsianSpec, price_asian_grid
 from statvol.rng import stream
 from statvol.schedule import make_polynomial_schedule
 
 BENCH = TemperedStableMeasure(c=0.01, lam=1.0, alpha=0.5)
+
+
+@dataclass(frozen=True)
+class LevyMoments:
+    tail: float  # int_u^inf y^order pi(dy)
+    head: float  # int_0^u  y^order pi(dy)
+
+
+def levy_moment_oracle(m: TemperedStableMeasure, u: float, order: int) -> LevyMoments:
+    """High-precision quadrature of ``int y^order pi(dy)`` over the tail and head.
+
+    Independent of the package's own quadrature: evaluated with mpmath's
+    tanh-sinh integration at 30 working digits (tolerance well below 1e-12).
+    With ``lam = 0`` the tail moment diverges and is reported as ``inf``.
+    """
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order}")
+    if not u > 0.0:
+        raise ValueError(f"threshold must be positive, got {u}")
+    with mp.workdps(30):
+        c, lam, alpha = mp.mpf(m.c), mp.mpf(m.lam), mp.mpf(m.alpha)
+        uu = mp.mpf(u)
+
+        def f(yv):
+            return c * yv ** (order - 1 - alpha) * mp.e ** (-lam * yv)
+
+        head = mp.quad(f, [0, uu])
+        if m.lam == 0.0:
+            tail = mp.inf
+        else:
+            tail = mp.quad(f, [uu, uu + 1 / lam, mp.inf])
+        return LevyMoments(tail=float(tail), head=float(head))
 
 
 def bench_heston():
@@ -77,7 +107,6 @@ class TestOuStationaryCheck:
         assert rep.expected_variance == 0.5
         assert rep.variance == pytest.approx(0.5, rel=0.05)
         assert abs(rep.mean) < 0.02
-        assert abs(rep.skewness) < 0.15
 
 
 class TestFaultInjection:
@@ -87,7 +116,6 @@ class TestFaultInjection:
         # reconstruction keeps the true one) moves the engine estimate far
         # outside the combined band while the oracle stays put
         import statvol.models as models
-        from statvol.pricing import price_asian
 
         class BrokenKernel(models.HestonDriver):
             def advance(self, state, first, gam, rng):
@@ -102,8 +130,8 @@ class TestFaultInjection:
         p = bench_heston()
         s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
         spec = AsianSpec(K=50.0, T=1.0, kind="call", r=0.05)
-        broken = price_asian(BrokenKernel(p), s, spec, 20_000,
-                             stream(6, 0), use_parity=False)
+        [broken] = price_asian_grid(BrokenKernel(p), s, [spec], 20_000,
+                                    stream(6, 0), use_parity=False)
         oracle = cir_direct_stationary_price(p, spec, 4000, 1e-3, stream(6, 1))
         band = 3.0 * math.hypot(broken.se, oracle.se)
         assert abs(broken.value - oracle.value) > 3.0 * band

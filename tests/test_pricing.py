@@ -24,9 +24,8 @@ from statvol.pricing import (
     discounted_average_forward,
     implied_vol,
     parity_rhs,
-    price_asian,
     price_asian_grid,
-    price_european,
+    price_european_grid,
 )
 from statvol.rng import stream
 from statvol.schedule import make_polynomial_schedule
@@ -112,7 +111,7 @@ class TestZeroVolDegenerate:
         driver = ZeroVolDriver()
         s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
         spec = AsianSpec(K=44.0, T=1.0, kind="call", r=0.05)
-        est = price_european(driver, s, spec, 200, stream(2, 0))
+        [est] = price_european_grid(driver, s, [spec], 200, stream(2, 0))
         assert est.value == pytest.approx(
             math.exp(-0.05) * (50.0 * math.exp(0.05) - 44.0), rel=1e-12)
 
@@ -170,7 +169,7 @@ class TestPriceAsianGrid:
         s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
         driver = HestonDriver(bench_heston())
         spec = AsianSpec(K=56.0, T=1.0, kind="put", r=0.05)
-        est = price_asian(driver, s, spec, 20_000, stream(4, 0), use_parity=True)
+        [est] = price_asian_grid(driver, s, [spec], 20_000, stream(4, 0), use_parity=True)
         # K=56 is above the forward average: the put is reconstructed
         gap = discounted_average_forward(bench_heston(), 1.0) - 56.0 * math.exp(-0.05)
         assert est.value == pytest.approx(est.other_direct - gap, rel=1e-12)
