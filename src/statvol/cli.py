@@ -143,9 +143,22 @@ def load_config(path: str | Path) -> RunConfig:
 def _validate(cfg: RunConfig) -> None:
     if cfg.model not in ("heston", "bns"):
         raise ConfigError(f"model must be 'heston' or 'bns', got {cfg.model!r}")
-    # the measure itself accepts lambda = 0, but a BNS variance then has no mean
-    if cfg.model == "bns" and not cfg.jump_lambda > 0.0:
-        raise ConfigError(f"jump_lambda must be > 0, got {cfg.jump_lambda}")
+    # the model records check these too, but their messages name their own
+    # fields; the measure itself accepts lambda = 0, but a BNS variance then
+    # has no mean
+    if not cfg.s0 > 0.0:
+        raise ConfigError(f"s0 must be > 0, got {cfg.s0}")
+    if cfg.model == "heston" and cfg.rho is not None and not -1.0 <= cfg.rho <= 1.0:
+        raise ConfigError(f"rho must lie in [-1, 1], got {cfg.rho}")
+    if cfg.model == "bns":
+        if not cfg.jump_lambda > 0.0:
+            raise ConfigError(f"jump_lambda must be > 0, got {cfg.jump_lambda}")
+        if not cfg.jump_c > 0.0:
+            raise ConfigError(f"jump_c must be > 0, got {cfg.jump_c}")
+        if not 0.0 < cfg.jump_alpha < 1.0:
+            raise ConfigError(f"jump_alpha must lie in (0, 1), got {cfg.jump_alpha}")
+        if not cfg.truncation_power >= 1.0:
+            raise ConfigError(f"truncation_power must be >= 1, got {cfg.truncation_power}")
     if cfg.kind not in ("call", "put"):
         raise ConfigError(f"kind must be 'call' or 'put', got {cfg.kind!r}")
     if cfg.n_iters < 1:

@@ -6,13 +6,17 @@ that keeps only what it reads.
 
 *Window sweep* (a path functional).  Iteration ``j`` exposes the shifted
 window starting at grid index ``j`` (physical span
-``[Gamma_j, Gamma_j + T]``), evaluates the functional on it, and folds the
-result into a running weighted average through the recurrence
+``[Gamma_j, Gamma_j + T]``) and evaluates the functional on it.  The values
+are folded into a running weighted average a chunk of windows at a time:
+with ``H`` the weight total after the chunk,
 
-    value <- value + (eta_{j+1} / H_{j+1}) * (F(window_j) - value),
+    value <- value + sum_k (eta_k / H) * (F(window_{k-1}) - value),
 
-which reproduces the explicit weighted mean ``(1/H_n) sum eta_k F(window_{k-1})``
-without storing the history.  There is no engine-side second moment: a
+the one-window recurrence generalised to a range, which reproduces the
+explicit weighted mean ``(1/H_n) sum eta_k F(window_{k-1})`` without
+storing the history.  A chunk holds at most ``_RANGE_WINDOWS`` windows and
+is cut at every checkpoint, so each checkpoint is the value after exactly
+its ``n`` windows.  There is no engine-side second moment: a
 caller that wants one returns the squares as part of the functional's
 value.  The sweep works in blocks of up to ``_BLOCK`` window starts
 ``j0 .. j1-1``.  A block takes its window ends ``N_j = N(j, T)`` from
@@ -126,7 +130,7 @@ class Window:
     ``start .. end``.  Grid point ``i`` sits at local time
     ``Gam[a + i] - Gam[a]`` and holds its state for the next step, so the
     segment lengths are ``gam[a + 1 .. b]`` followed by the partial piece
-    ``tail = T - (Gam[b] - Gam[a])`` (possibly zero); they sum to ``T``.
+    ``T - (Gam[b] - Gam[a])`` (possibly zero); they sum to ``T``.
     """
 
     __slots__ = ("block", "a", "b", "start", "end", "T")
@@ -146,27 +150,22 @@ class Window:
         """Values of one state coordinate at the window grid points (a view)."""
         return self.block.cols[coord, self.a : self.b + 1]
 
-    @property
-    def tail(self) -> float:
-        """Length of the last segment, from the last grid point to ``T``."""
-        Gam = self.block.Gam
-        return self.T - (Gam[self.b] - Gam[self.a])
-
-    def seg_lengths(self) -> np.ndarray:
-        """Segment lengths: ``gam[a + 1 .. b]`` and then ``tail``."""
-        ell = np.empty(len(self))
-        ell[:-1] = self.block.gam[self.a + 1 : self.b + 1]
-        ell[-1] = self.tail
-        return ell
-
 
 class FunctionalAverage:
-    """Running weighted mean maintained by the one-pass recurrence.
+    """Running weighted mean, folded one window or one chunk of windows at a time.
 
-    After ``n`` updates with weights ``eta_k`` and values ``f_k``, ``value``
+    After updates with weights ``eta_k`` and values ``f_k``, ``value``
     equals ``(1/H_n) * sum_k eta_k f_k`` up to rounding, where
-    ``H_n = sum eta_k`` is kept in ``weight_total``.  Values may be scalars
-    or numpy arrays (updated componentwise).
+    ``H_n = sum eta_k`` is kept in ``weight_total`` (and ``sum eta_k^2`` in
+    ``weight_sq_total``).  An update takes either one window, a scalar
+    ``eta`` with its value, or a chunk, a 1-D ``eta`` with the values
+    stacked along the first axis.  Both are the one formula
+
+        value <- value + sum_k (eta_k / H) * (f_k - value),
+
+    with ``H`` the weight total after the update; for one window it is the
+    classic recurrence.  Values may be scalars or 1-D numpy arrays (updated
+    componentwise); the fold never writes into them.
     """
 
     __slots__ = ("weight_total", "weight_sq_total", "value")
@@ -176,12 +175,12 @@ class FunctionalAverage:
         self.weight_sq_total = 0.0
         self.value: float | np.ndarray = 0.0
 
-    def update(self, eta: float, f_value) -> "FunctionalAverage":
-        if not eta > 0.0:
+    def update(self, eta, f_value) -> "FunctionalAverage":
+        if not np.all(eta > 0.0):
             raise ValueError(f"weights must be positive, got {eta}")
-        self.weight_total += eta
-        self.weight_sq_total += eta * eta
-        self.value = self.value + (eta / self.weight_total) * (f_value - self.value)
+        self.weight_total += np.sum(eta)
+        self.weight_sq_total += np.dot(eta, eta)
+        self.value = self.value + np.dot(eta / self.weight_total, f_value - self.value)
         return self
 
     def copy_value(self):
@@ -302,8 +301,12 @@ def run(
     in with weight ``eta_{j+1}``; no other statistic of the value is kept.
     Starts go in blocks of up to ``_BLOCK``: a block first simulates every
     state its windows read, up to the end of its last window, then
-    evaluates and folds its windows in order.  The trajectory ends at
-    ``horizon_index(n_iters - 1, T)``.  A failing step raises
+    evaluates its windows in order and folds their values a chunk at a
+    time, ``value <- value + sum_k (eta_k / H) * (F_k - value)`` over the
+    chunk's windows ``k`` with ``H`` the weight total after it
+    (:meth:`FunctionalAverage.update`).  A chunk holds at most
+    ``_RANGE_WINDOWS`` windows and is cut at every checkpoint.  The
+    trajectory ends at ``horizon_index(n_iters - 1, T)``.  A failing step raises
     :class:`DriverStepError` carrying its own index.
 
     With a ``marginal`` accumulator, iteration ``j`` feeds it the state at
@@ -324,10 +327,10 @@ def run(
     if functional is not None and (T is None or not 0.0 < T < math.inf):
         raise ValueError(f"window horizon must be positive and finite, got {T}")
 
-    cp_grid = set(_checkpoint_grid(n_iters))
     state = [float(x) for x in driver.initial_state()]
 
     if marginal is not None:
+        cp_grid = set(_checkpoint_grid(n_iters))
         marginal_checkpoints = []
 
         def checkpoint(count):
@@ -355,6 +358,8 @@ def run(
 
     avg = FunctionalAverage()
     checkpoints = []
+    grid = iter(_checkpoint_grid(n_iters))
+    cp = next(grid)
     cols = np.array(state)[:, None]  # states from index j0 to the last one simulated
     for j0 in range(0, n_iters, _BLOCK):
         j1 = min(j0 + _BLOCK, n_iters)
@@ -363,17 +368,25 @@ def run(
         last = j0 + int(ends[-1])
         gam = sched.gamma_slice(j0, last + 1)
         Gam = sched.Gamma_slice(j0, last + 1)
-        eta = sched.eta_slice(j0 + 1, j1 + 1).tolist()
+        eta = sched.eta_slice(j0 + 1, j1 + 1)
         first = j0 + cols.shape[1]
         cols = np.concatenate(
             (cols, _advance(driver, cols[:, -1].tolist(), first, gam[first - j0 :], rng)),
             axis=1)
         block = WindowBlock(cols, j0, T, gam, Gam, ends)
 
-        for a, b in enumerate(ends.tolist()):
-            avg.update(eta[a], functional(Window(block, a, b)))
-            if j0 + a + 1 in cp_grid:
-                checkpoints.append((j0 + a + 1, avg.copy_value()))
+        ends_list = ends.tolist()
+        lo = 0
+        while lo < j1 - j0:
+            # a chunk of windows lo .. hi-1, cut at the next checkpoint
+            hi = min(lo + _RANGE_WINDOWS, j1 - j0, cp - j0)
+            values = [functional(Window(block, a, b))
+                      for a, b in zip(range(lo, hi), ends_list[lo:hi])]
+            avg.update(eta[lo:hi], np.array(values))
+            if j0 + hi == cp:
+                checkpoints.append((cp, avg.copy_value()))
+                cp = next(grid, n_iters)
+            lo = hi
         cols = cols[:, j1 - j0 :]  # the overlap [j1, N_{j1-1}] stays for the next block
 
     return RunResult(n_iters=n_iters, average=avg, checkpoints=checkpoints)

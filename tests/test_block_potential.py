@@ -37,6 +37,20 @@ def _cumsum0(x):
     return np.concatenate(([0.0], np.cumsum(x)))
 
 
+def tail(window):
+    """Length of the window's last segment, from its last grid point to ``T``."""
+    Gam = window.block.Gam
+    return window.T - (Gam[window.b] - Gam[window.a])
+
+
+def seg_lengths(window):
+    """The window's segment lengths: ``gam[a + 1 .. b]`` and then its tail."""
+    ell = np.empty(len(window))
+    ell[:-1] = window.block.gam[window.a + 1 : window.b + 1]
+    ell[-1] = tail(window)
+    return ell
+
+
 def reference_heston_path(window, params):
     """Price path of one (v, y) window, reconstructed from the window alone.
 
@@ -49,7 +63,7 @@ def reference_heston_path(window, params):
     y = window.states(1)
     Gam = window.block.Gam
     t = Gam[window.a : window.b + 1] - Gam[window.a]
-    ell = window.seg_lengths()
+    ell = seg_lengths(window)
     iv = _cumsum0(v[:-1] * ell[:-1])
     iy = _cumsum0(y[:-1] * ell[:-1])
     rho_c = math.sqrt(1.0 - params.rho**2)
@@ -65,7 +79,7 @@ def reference_heston_path(window, params):
 def reference_bns_path(window, params):
     """Price path of one (v, x) window: stepwise, re-based at its own start."""
     x = window.states(1)
-    return PricePathView(params.s0 * np.exp(x - x[0]), window.seg_lengths(), window.T)
+    return PricePathView(params.s0 * np.exp(x - x[0]), seg_lengths(window), window.T)
 
 
 def reference_functional(path_of, statistic, T, r):
@@ -100,12 +114,18 @@ MODELS = {
 
 
 def _grid_run(driver, sched, specs, n, european, parity, monkeypatch):
-    """The grid's estimates, its raw engine result and the ranges evaluated."""
-    results, ranges = [], []
+    """The grid's estimates, its raw engine result, the ranges evaluated and
+    every window's value."""
+    results, ranges, values = [], [], []
     run, stats = engine.run, driver.window_stats
 
-    def keep(*args, **kwargs):
-        results.append(run(*args, **kwargs))
+    def keep(drv, s, functional, *args, **kwargs):
+        def recorded(window):
+            value = functional(window)
+            values.append(np.array(value, copy=True))
+            return value
+
+        results.append(run(drv, s, recorded, *args, **kwargs))
         return results[-1]
 
     def spy(block, lo, hi):
@@ -120,7 +140,7 @@ def _grid_run(driver, sched, specs, n, european, parity, monkeypatch):
         ests = pricing.price_asian_grid(driver, sched, specs, n, stream(5, 0),
                                         use_parity=parity)
     monkeypatch.setattr(engine, "run", run)
-    return ests, results[0], ranges
+    return ests, results[0], ranges, values
 
 
 def _split(vec):
@@ -162,8 +182,8 @@ def test_window_stats_match_per_window_reference(model, r, rho, c2, T, n, by_poi
     sched = make_polynomial_schedule(1.0, 1 / 3, c2, 1 / 3)
     assert n > 2 * engine._BLOCK
     specs = [AsianSpec(K=k, T=T, kind="call", r=r) for k in STRIKES]
-    got, res, ranges = _grid_run(make_driver(params), sched, specs, n, european, parity,
-                                 monkeypatch)
+    got, res, ranges, _ = _grid_run(make_driver(params), sched, specs, n, european, parity,
+                                    monkeypatch)
 
     # the ranges tile every block's windows in order, from the block's first
     # column on; only a window's own block is ever read
@@ -193,6 +213,47 @@ def test_window_stats_match_per_window_reference(model, r, rho, c2, T, n, by_poi
         scale = disc * f.mean_average
         for field in ("value", "se", "direct", "other_direct"):
             assert _agree(getattr(e, field), getattr(f, field), scale), field
+
+
+@pytest.mark.parametrize("parity", [True, False])
+@pytest.mark.parametrize("model,r,rho", [("heston", 0.05, 0.5), ("heston", 0.0, -0.9),
+                                         ("bns", 0.05, -1.0)])
+def test_chunk_fold_matches_per_window_recurrence(model, r, rho, parity, monkeypatch):
+    # the engine folds a chunk of windows per update; the same values folded
+    # one window at a time by the recurrence give the same estimator at every
+    # checkpoint, up to the order of the sums
+    make_params, make_driver, _ = MODELS[model]
+    params = make_params(r, rho)
+    sched = make_polynomial_schedule(1.0, 1 / 3, 1.0, 1 / 3)
+    T, n = 1.0, 9000
+    assert n > 2 * engine._BLOCK
+    specs = [AsianSpec(K=k, T=T, kind="call", r=r) for k in STRIKES]
+    got, res, _, values = _grid_run(make_driver(params), sched, specs, n, False, parity,
+                                    monkeypatch)
+    assert len(values) == n
+
+    avg, grid, ref_checkpoints = engine.FunctionalAverage(), engine._checkpoint_grid(n), []
+    for k, value in enumerate(values, start=1):
+        avg.update(sched.eta(k), value)
+        if k in grid:
+            ref_checkpoints.append((k, avg.copy_value()))
+    ref_res = engine.RunResult(n_iters=n, average=avg, checkpoints=ref_checkpoints)
+    ref = pricing._assemble(specs, np.array(STRIKES), ref_res, params, parity, T, r)
+
+    disc = math.exp(-r * T)
+    assert [c for c, _ in res.checkpoints] == grid
+    for (c, vec), (_, ref_vec) in zip(res.checkpoints, ref_checkpoints):
+        (legs, a, spread), (ref_legs, ref_a, ref_spread) = _split(vec), _split(ref_vec)
+        assert _agree(a, ref_a), c
+        assert _agree(legs, ref_legs, disc * ref_a), c
+        assert _agree(spread, ref_spread, disc * ref_a), c
+    assert res.average.weight_total == pytest.approx(sched.H(n), rel=1e-12)
+    for e, f in zip(got, ref):
+        scale = disc * f.mean_average
+        for field in ("value", "se", "direct", "other_direct"):
+            assert _agree(getattr(e, field), getattr(f, field), scale), field
+        assert [v for _, v in e.checkpoints] == pytest.approx(
+            [v for _, v in f.checkpoints], rel=1e-12, abs=1e-12 * scale)
 
 
 def test_potential_far_past_the_exp_range():

@@ -115,6 +115,11 @@ class TestExitCodes:
             ("vol-surface", "maturities", ",", {}),
             ("vol-surface", "maturities", "", {}),
             ("price-asian", "jump_lambda", 0.0, bns),
+            ("price-asian", "jump_alpha", 1.5, bns),
+            ("price-asian", "jump_c", 0.0, bns),
+            ("price-asian", "truncation_power", 0.5, bns),
+            ("price-asian", "s0", 0.0, {}),
+            ("price-asian", "rho", 2.0, {}),
         ]
         for command, key, value, other in cases:
             cfg = write_config(tmp_path, **{**other, key: value})

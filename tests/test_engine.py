@@ -129,6 +129,36 @@ class TestFunctionalAverage:
         value = value + (0.5 / 1.5) * (rows[1] - value)
         assert np.array_equal(avg.value, value)
 
+    def test_one_row_chunk_equals_scalar_update(self):
+        # a chunk of one window is the recurrence: the same value to rounding,
+        # and the rows it reads stay as they were
+        rng = np.random.default_rng(5)
+        rows = rng.normal(3.0, 2.0, (50, 4))
+        etas = rng.uniform(0.1, 2.0, 50)
+        before = rows.copy()
+        scalar, chunked = FunctionalAverage(), FunctionalAverage()
+        for i, eta in enumerate(etas.tolist()):
+            scalar.update(eta, rows[i])
+            chunked.update(np.array([eta]), rows[None, i])
+            assert np.all(np.abs(chunked.value - scalar.value)
+                          <= 1e-15 * np.abs(scalar.value)), i
+            assert chunked.weight_total == pytest.approx(scalar.weight_total, rel=1e-15)
+        assert np.array_equal(rows, before)
+
+    def test_chunk_update_is_the_weighted_mean(self):
+        rng = np.random.default_rng(6)
+        etas = rng.uniform(0.1, 2.0, 300)
+        rows = rng.normal(5.0, 2.0, (300, 3))
+        avg = FunctionalAverage()
+        for lo, hi in ((0, 1), (1, 10), (10, 256), (256, 300)):
+            avg.update(etas[lo:hi], rows[lo:hi])
+            direct = etas[:hi] @ rows[:hi] / etas[:hi].sum()
+            assert avg.value == pytest.approx(direct, rel=1e-13)
+        assert avg.weight_total == pytest.approx(etas.sum(), rel=1e-14)
+        assert avg.weight_sq_total == pytest.approx(etas @ etas, rel=1e-14)
+        with pytest.raises(ValueError):
+            avg.update(np.array([1.0, 0.0]), rows[:2])
+
 
 class TestRunBookkeeping:
     def test_constant_functional_gives_one(self):
@@ -159,21 +189,28 @@ class TestRunBookkeeping:
         assert driver.simulated == [1, 2, 3]
 
     def test_one_fold_per_window(self, monkeypatch):
-        # the engine folds the functional's value once per window and keeps
-        # no statistic of its own beside it
+        # the engine folds each window's weight exactly once, in order, with
+        # that window's value, a chunk of windows per update, and keeps no
+        # statistic of its own beside it
         s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
-        folds = []
+        n = 9000
+        assert n > 2 * engine._BLOCK
+        folds, values = [], []
         update = FunctionalAverage.update
 
         def counting(self, eta, f_value):
-            folds.append(eta)
+            folds.append(np.array(eta, copy=True))
+            values.append(np.array(f_value, copy=True))
             return update(self, eta, f_value)
 
         monkeypatch.setattr(FunctionalAverage, "update", counting)
-        res = engine.run(ConstantDriver(), s, lambda w: 2.0, T=1.0, n_iters=40,
+        res = engine.run(ConstantDriver(), s, lambda w: float(w.start), T=1.0, n_iters=n,
                          rng=stream(0, 0))
-        assert folds == [s.eta(k) for k in range(1, 41)]
-        assert res.average.value == pytest.approx(2.0, abs=1e-14)
+        assert all(1 <= len(eta) <= engine._RANGE_WINDOWS for eta in folds)
+        assert np.concatenate(folds).tolist() == [s.eta(k) for k in range(1, n + 1)]
+        assert np.concatenate(values).tolist() == list(range(n))
+        direct = sum(s.eta(k) * (k - 1) for k in range(1, n + 1)) / s.H(n)
+        assert res.average.value == pytest.approx(direct, rel=1e-12)
 
     def test_marginal_sweep_is_window_free(self, monkeypatch):
         # without a functional the sweep reads states 0..n-1 only: no
