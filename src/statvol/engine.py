@@ -25,9 +25,9 @@ in one ``(dim, width)`` array that begins with the previous block's overlap
 ``[j0, N_{j0-1}]``, together with gamma and Gamma over the same span and
 every window's end column, in a :class:`WindowBlock`.  Each window is that
 block plus its column range, so no per-window array is built; a model may
-build block-wide arrays once, and a functional may evaluate a range of the
-block's windows at once (:meth:`WindowBlock.range_end`) and return each
-window's value from it.
+build block-wide arrays and statistics once, and a functional may evaluate
+a range of the block's windows at once (:meth:`WindowBlock.range_end`) and
+return each window's value from it.
 Stored states span one block of starts plus one window, whatever ``n``.
 The trajectory runs exactly to the last window's end, ``N(n-1, T)``.
 
@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -77,11 +78,8 @@ __all__ = [
 
 # Window starts per block of the window sweep.
 _BLOCK = 4096
-# A range of windows that a model evaluates at once holds at most this many
-# windows and grid points, so its transient memory depends on neither ``n``
-# nor ``T``.
+# Windows per range that a functional evaluates at once, and per chunk of the fold.
 _RANGE_WINDOWS = 256
-_RANGE_POINTS = 2**15
 
 
 class DriverStepError(RuntimeError):
@@ -112,15 +110,8 @@ class WindowBlock:
     ends: np.ndarray
 
     def range_end(self, lo: int) -> int:
-        """End of the range of windows from column ``lo`` that fits the budget.
-
-        Windows ``lo .. hi-1`` are at most ``_RANGE_WINDOWS`` and hold at most
-        ``_RANGE_POINTS`` grid points in all (always at least the one window
-        ``lo``).
-        """
-        ends = self.ends[lo : lo + _RANGE_WINDOWS]
-        points = np.cumsum(ends - np.arange(lo, lo + len(ends)) + 1)
-        return lo + max(1, int(np.searchsorted(points, _RANGE_POINTS, side="right")))
+        """End of the range of windows from column ``lo``: at most ``_RANGE_WINDOWS`` of them."""
+        return min(lo + _RANGE_WINDOWS, len(self.ends))
 
 
 class Window:
@@ -130,18 +121,29 @@ class Window:
     ``start .. end``.  Grid point ``i`` sits at local time
     ``Gam[a + i] - Gam[a]`` and holds its state for the next step, so the
     segment lengths are ``gam[a + 1 .. b]`` followed by the partial piece
-    ``T - (Gam[b] - Gam[a])`` (possibly zero); they sum to ``T``.
+    ``T - (Gam[b] - Gam[a])`` (possibly zero); they sum to ``T``.  A window
+    holds only its block and columns; ``start``, ``end`` and ``T`` are read
+    from the block when asked for.
     """
 
-    __slots__ = ("block", "a", "b", "start", "end", "T")
+    __slots__ = ("block", "a", "b")
 
     def __init__(self, block: WindowBlock, a: int, b: int):
         self.block = block
         self.a = a
         self.b = b
-        self.start = block.start + a
-        self.end = block.start + b
-        self.T = block.T
+
+    @property
+    def start(self) -> int:
+        return self.block.start + self.a
+
+    @property
+    def end(self) -> int:
+        return self.block.start + self.b
+
+    @property
+    def T(self) -> float:
+        return self.block.T
 
     def __len__(self) -> int:
         return self.b - self.a + 1
@@ -380,8 +382,8 @@ def run(
         while lo < j1 - j0:
             # a chunk of windows lo .. hi-1, cut at the next checkpoint
             hi = min(lo + _RANGE_WINDOWS, j1 - j0, cp - j0)
-            values = [functional(Window(block, a, b))
-                      for a, b in zip(range(lo, hi), ends_list[lo:hi])]
+            values = list(map(functional, map(Window, repeat(block), range(lo, hi),
+                                               ends_list[lo:hi])))
             avg.update(eta[lo:hi], np.array(values))
             if j0 + hi == cp:
                 checkpoints.append((cp, avg.copy_value()))

@@ -6,9 +6,11 @@ block: ``advance`` runs a block of steps, and ``_path_arrays`` gives the
 block's log price, segment weights and segment rates.  The shared base
 (:class:`_Driver`) maps a state window to the corresponding price path
 over ``[0, T]`` from these arrays: ``window_stats`` gives the time averages
-and terminal values of a range of windows at once, and ``price_path`` one
-window's path.  Both states carry the variance ``v`` first, so a marginal
-accumulator of dimension 1 folds the variance alone in either model.
+and terminal values of a range of windows, sliced from the whole block's,
+which are built once per block with O(1) work per window from chunked
+prefix and suffix sums; ``price_path`` gives one window's path.  Both
+states carry the variance ``v`` first, so a marginal accumulator of
+dimension 1 folds the variance alone in either model.
 
 Square-root (Heston-type) model
     d S = S (r dt + sqrt((1-rho^2) v) dW1 + rho sqrt(v) dW2)
@@ -42,15 +44,20 @@ Log-price/subordinator (BNS-type) model
   feeds both equations (leverage).  The scheme evolves ``(v, X)``; only
   ``v`` and the increments of ``X`` are stationary, so each window is
   re-based at its own start: ``S_t = s0 * exp(X_t - X_0)``.
+
+  Each step draws its Poisson jump count, then its jumps, then one normal
+  from chunks of 8192.  A block makes the same draws in the same order, but
+  draws the uniforms of numpy's multiplication-method counts (mean below
+  10) ``rng.random(k)`` at a time, ``k`` one per step still to come before
+  the next draw of another kind: each such step takes one uniform at
+  least, so a batch never draws ahead (:class:`BnsDriver`).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -236,8 +243,9 @@ class _Driver:
     A model supplies ``advance`` and ``_path_arrays(block)``: the block's
     log price at each column, the weight of each interior segment and each
     column's log-price rate (``None`` for a stepwise path).  These are built
-    once per block; a window's price is ``s0 exp`` of its log price less its
-    value at the window's start.
+    once per block, and so are the time average and terminal value of every
+    window of the block (:meth:`window_stats`); a window's price is ``s0
+    exp`` of its log price less its value at the window's start.
     """
 
     dim = 2
@@ -245,6 +253,7 @@ class _Driver:
     def __init__(self, params):
         self.params = params
         self._paths: tuple | None = None  # (block, *self._path_arrays(block))
+        self._stats: tuple | None = None  # (block, averages, terminal values)
 
     def initial_state(self) -> tuple[float, float]:
         return (self.params.v_init, 0.0)
@@ -253,58 +262,94 @@ class _Driver:
         """The state at ``index``: :meth:`advance` over the one step ``gamma``."""
         return tuple(self.advance(state, index, np.array([gamma]), rng)[:, 0].tolist())
 
-    def _range_paths(self, block: WindowBlock, lo: int, hi: int):
-        """Price paths of windows ``lo .. hi-1``: flat values, weights, last positions, growths.
-
-        Window ``w`` is block columns ``w .. ends[w]``, one flat gather in
-        which only differences inside one window are exponentiated.  Its
-        last segment, the tail, weighs ``tail * expm1over(x)`` and grows by
-        ``e^x``, with ``x = rates[ends[w]] * tail`` (0 without rates).
-        """
+    def _arrays(self, block: WindowBlock) -> tuple:
         memo = self._paths
         if memo is None or memo[0] is not block:
             memo = self._paths = (block, *self._path_arrays(block))
-        _, log_price, seg_weights, rates = memo
-        a = np.arange(lo, hi)
-        b = block.ends[lo:hi]
-        lens = b - a + 1
-        last = np.cumsum(lens) - 1  # each window's last position in the flat arrays
-        # flat position p of window w reads column p - (last[w] - b[w])
-        idx = np.repeat(b - last, lens)
-        idx += np.arange(len(idx))
-        values = log_price[idx]
-        values -= np.repeat(log_price[a], lens)
-        np.exp(values, out=values)
-        values *= self.params.s0
-        tail = block.T - (block.Gam[b] - block.Gam[a])
-        # each window's last weight is replaced by its tail's, so clip the gather
-        # (in a one-column block, with no segment weights, every point is a last)
-        weights = np.take(seg_weights, idx, mode="clip") if len(seg_weights) else np.empty(len(idx))
-        if rates is None:
-            weights[last] = tail
-            growth = np.ones(len(a))
-        else:
-            x = rates[b] * tail
-            weights[last] = tail * _expm1_over(x)
-            growth = np.exp(x)
-        return values, weights, last, growth
+        return memo[1:]
 
     def window_stats(self, block: WindowBlock, lo: int, hi: int):
         """``(average, terminal)`` of the price paths of windows ``lo .. hi-1`` of ``block``.
 
-        These are :meth:`PricePathView.average` and ``terminal`` of every
-        window at once; the averages are one ``np.add.reduceat``.
+        These are :meth:`PricePathView.average` and ``terminal`` of each
+        window, sliced from the whole block's, which are built once.
         """
-        values, weights, last, growth = self._range_paths(block, lo, hi)
-        terminal = values[last] * growth
-        weights *= values
-        firsts = np.concatenate(([0], last[:-1] + 1))
-        return np.add.reduceat(weights, firsts) / block.T, terminal
+        memo = self._stats
+        if memo is None or memo[0] is not block:
+            memo = self._stats = (block, *self._block_stats(block))
+        return memo[1][lo:hi], memo[2][lo:hi]
+
+    def _block_stats(self, block: WindowBlock):
+        """Every window's time average and terminal value, with O(1) work per window.
+
+        Window ``a``, columns ``a .. b = ends[a]``, integrates ``S/s0`` to
+        ``sum_{a <= i < b} e^{E_i - E_a} w_i`` over its segments plus
+        ``e^{E_b - E_a}`` times its tail's weight, with ``E`` the log price
+        and ``w`` the segment weights.  The block's segments are cut into
+        chunks of ``c`` columns, ``c`` the fewest segments of a window that
+        has any, and each chunk's terms ``e^{E_i - E_s} w_i`` are rebased at
+        its first column ``s`` and summed from both ends.  A window of ``c``
+        segments or more ends in a later chunk than it starts, so its sum is
+        the suffix of its first chunk, the whole chunks between and the
+        prefix of its last chunk before ``b``, each rescaled by the ``exp``
+        of a difference inside the window: nothing is subtracted, so nothing
+        cancels, and nothing overflows.  The chunks between are one or none
+        once a block's windows differ less than twofold in length (van Herk
+        1992; Gil & Werman 1993, applied to sums).  A one-point window has no
+        segment before its tail.
+        """
+        log_price, seg_weights, rates = self._arrays(block)
+        width = len(log_price)
+        b = block.ends
+        a = np.arange(len(b))
+        segs = b - a
+        c = int(np.min(segs, where=segs > 0, initial=width))
+        chunks = -(-width // c)
+        base = log_price[::c]  # each chunk's first column
+        terms = np.zeros(chunks * c)
+        terms[: width - 1] = np.exp(log_price[:-1] - np.repeat(base, c)[: width - 1])
+        terms[: width - 1] *= seg_weights
+        terms = terms.reshape(chunks, c)
+        prefix = np.zeros_like(terms)  # each chunk's terms before each column
+        np.cumsum(terms[:, :-1], axis=1, out=prefix[:, 1:])
+        suffix = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]  # and from each column on
+        ka, kb = a // c, b // c
+        start = log_price[a]
+        interior = (np.exp(base[ka] - start) * suffix.ravel()[a]
+                    + np.exp(base[kb] - start) * prefix.ravel()[b])
+        between = kb - ka - 1  # whole chunks ka + 1 .. kb - 1 (-1 for a one-point window)
+        for i in range(1, int(between.max()) + 1):
+            w = np.flatnonzero(between >= i)  # the windows with an i-th whole chunk
+            k = ka[w] + i
+            interior[w] += np.exp(base[k] - start[w]) * suffix[k, 0]
+        interior[segs == 0] = 0.0
+        tail_weight, growth = _tails(block, a, b, rates)
+        end = np.exp(log_price[b] - start)
+        end *= self.params.s0
+        return (self.params.s0 * interior + end * tail_weight) / block.T, end * growth
 
     def price_path(self, window: Window) -> PricePathView:
-        """The window's price path: the one-window range of :meth:`window_stats`."""
-        values, weights, _, growth = self._range_paths(window.block, window.a, window.a + 1)
-        return PricePathView(values, weights, window.T, growth[0])
+        """The window's price path, sliced from the block's arrays."""
+        log_price, seg_weights, rates = self._arrays(window.block)
+        a, b = window.a, window.b
+        values = np.exp(log_price[a : b + 1] - log_price[a])
+        values *= self.params.s0
+        tail_weight, growth = _tails(window.block, np.array([a]), np.array([b]), rates)
+        return PricePathView(values, np.append(seg_weights[a:b], tail_weight), window.T,
+                             float(growth[0]))
+
+
+def _tails(block: WindowBlock, a: np.ndarray, b: np.ndarray, rates):
+    """Weight and growth of the last segment of each window, columns ``a .. b``.
+
+    The tail ``T - (Gam[b] - Gam[a])`` weighs ``tail * expm1over(x)`` and
+    grows by ``e^x``, with ``x = rates[b] * tail`` (0 without rates).
+    """
+    tail = block.T - (block.Gam[b] - block.Gam[a])
+    if rates is None:
+        return tail, np.ones(len(tail))
+    x = rates[b] * tail
+    return tail * _expm1_over(x), np.exp(x)
 
 
 # -- square-root model --------------------------------------------------------
@@ -381,6 +426,76 @@ class HestonDriver(_Driver):
 
 _CHUNK = 8192  # standard normals per draw from the RNG
 _MAX_STEP_JUMPS = 1e7  # largest expected jump count of one BNS step
+_MULT_MAX = 10.0  # numpy draws a Poisson count of mean below this by multiplying uniforms
+
+
+class _Uniforms:
+    """The uniforms of a run of steps that draw nothing else, ``rng.random(k)`` at a time.
+
+    Each step of the run draws its Poisson count by numpy's multiplication
+    method, so it takes at least one uniform; a batch of at most one per
+    step still to come (``due`` after the current one) therefore never
+    reaches past the run's last draw.  Inside a step whose first uniform
+    ``first`` found a jump, the object stands in for the rng of
+    :func:`~statvol.levy.compound_poisson_sum`: ``poisson`` continues the
+    count from ``first`` and ``random`` hands out the next uniforms.
+    """
+
+    __slots__ = ("rng", "buf", "pos", "due", "first")
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.buf = np.empty(0)
+        self.pos = 0
+        self.due = 0
+        self.first = 0.0
+
+    def ahead(self, k: int) -> np.ndarray:
+        """The next ``k`` uniforms, without taking them; those not yet drawn in one call."""
+        short = k - (len(self.buf) - self.pos)
+        if short > 0:
+            self.buf = np.concatenate((self.buf[self.pos :], self.rng.random(short)))
+            self.pos = 0
+        return self.buf[self.pos : self.pos + k]
+
+    def random(self) -> float:
+        if self.pos == len(self.buf):
+            self.buf, self.pos = self.rng.random(1 + self.due), 0
+        self.pos += 1
+        return float(self.buf[self.pos - 1])
+
+    def poisson(self, mean: float) -> int:
+        """``Generator.poisson(mean)`` for ``0 < mean < 10``, its first uniform already drawn."""
+        count, prod, limit = 0, self.first, math.exp(-mean)
+        while prod > limit:
+            count += 1
+            prod *= self.random()
+        return count
+
+
+def _jump_sums(m, us, means, limits, steps, rng, dz) -> None:
+    """Write into ``dz`` the jump sums of ``steps``, a run of steps with ``0 < mean < 10``.
+
+    Step ``i`` has no jump when its first uniform is at most ``limits[i] =
+    exp(-means[i])``, the test numpy's multiplication method makes; a step
+    that finds one draws the rest of its count and its jumps, in the
+    per-step order, through :func:`~statvol.levy.compound_poisson_sum`.
+    """
+    src = _Uniforms(rng)
+    lim = limits[steps]
+    k, t = len(steps), 0
+    while t < k:
+        u = src.ahead(k - t)  # one uniform per step left: each step draws one at least
+        above = u > lim[t:]
+        hit = int(above.argmax())
+        if not above[hit]:
+            src.pos += k - t
+            break
+        src.pos += hit + 1
+        t += hit + 1
+        i = int(steps[t - 1])
+        src.first, src.due = float(u[hit]), k - t
+        dz[i] = levy.compound_poisson_sum(m, us[i], means[i], src)
 
 
 class BnsDriver(_Driver):
@@ -390,35 +505,46 @@ class BnsDriver(_Driver):
     Poisson sum of the jumps above the policy's threshold ``u_n``.
     :meth:`advance` computes the jump rates of a whole block at once
     (:func:`~statvol.levy.tail_intensities_closed`, on numpy alone, so
-    neither building the driver nor running it loads scipy).  Each step
-    then draws its jumps (:func:`~statvol.levy.compound_poisson_sum`) and
-    then its normal, so the RNG sees the same calls in the same order as
-    step by step.  A step whose threshold underflows to 0, whose expected jump
-    count ``gamma * Lambda(u)`` exceeds ``_MAX_STEP_JUMPS = 1e7`` (its
-    jumps are drawn one at a time, about a microsecond each; benchmark
-    and paper-scale steps expect at most 0.02), or whose new
-    variance is negative (``gamma * mu > 1``), raises
-    :class:`DriverStepError` with its index once the steps before it have
-    run, so no state it returns has ``v < 0``.  The first two checks come
-    before any draw.  The log price is stepwise, so each window's path is
-    ``s0 exp(x - x_start)`` on the segment lengths.
+    neither building the driver nor running it loads scipy).  A step whose
+    threshold underflows to 0, whose expected jump count ``gamma *
+    Lambda(u)`` exceeds ``_MAX_STEP_JUMPS = 1e7`` (its jumps are drawn one
+    at a time, about a microsecond each; benchmark and paper-scale steps
+    expect at most 0.02), or whose new variance is negative (``gamma * mu >
+    1``), raises :class:`DriverStepError` with its index once the steps
+    before it have run, so no state it returns has ``v < 0``.  The first
+    two checks come before any draw.  The log price is stepwise, so each
+    window's path is ``s0 exp(x - x_start)`` on the segment lengths.
+
+    Draw order.  Each step draws its Poisson count, then its jumps
+    (:func:`~statvol.levy.compound_poisson_sum`), then one standard normal;
+    the normals come ``_CHUNK`` at a time, each chunk drawn by the step that
+    needs its first normal, after that step's jumps.  :meth:`advance` makes
+    exactly these draws, in this order, without one call per step:
+
+    - A count of mean below 10 is numpy's multiplication method: uniforms
+      are multiplied until their product is at most ``exp(-mean)``, so a
+      step takes one uniform when it has no jump and more when it has one.
+      Between two normal chunks and the steps of mean 10 or more, the block
+      draws these uniforms with ``rng.random(k)``, where ``k`` is one per
+      step still to come: every such step draws one at least, so a batch
+      never draws ahead of a chunk of normals, a count of mean 10 or more
+      (numpy's PTRS sampler, left to ``rng.poisson`` at its own place in
+      the stream) or the end of the block.  A step is decided against
+      ``math.exp(-mean)``, the C ``exp`` numpy's sampler calls (``np.exp``
+      differs from it in the last bit for some inputs).
+    - The rare step with a jump draws the rest of its count and its jumps
+      through the unchanged :func:`~statvol.levy.compound_poisson_sum` and
+      :func:`~statvol.levy.sample_jump_above`, on the batch's remaining
+      uniforms and then on a new batch of the same lower bound.
+    - A step with mean 0 draws nothing, as ``rng.poisson(0)`` does.
+
+    So the stream, every state and every jump count are those of the step
+    by step scheme however a span is split into blocks.  A block draws all
+    its steps' jumps and normals before it runs the recursion; a step that
+    fails ends the run, so nothing drawn after it is ever read.
     """
 
-    _normals: tuple | None = None  # (rng, its normals not yet taken)
-
-    def _normal_stream(self, rng) -> Iterator[float]:
-        """The driver's standard normals on ``rng``, in order; a new stream starts afresh.
-
-        The Poisson counts and jumps draw from ``rng`` between the normals,
-        so where the normals are drawn is part of the stream's layout: they
-        come ``_CHUNK`` at a time, each chunk only when the last is used up,
-        so the RNG sees the same calls however a span is split into blocks.
-        """
-        cached = self._normals
-        if cached is None or cached[0] is not rng:
-            chunks = iter(lambda: rng.standard_normal(_CHUNK).tolist(), None)
-            cached = self._normals = (rng, chain.from_iterable(chunks))
-        return cached[1]
+    _normals: tuple | None = None  # (rng, its drawn normals not yet taken)
 
     def advance(self, state, first, gam, rng) -> np.ndarray:
         """States at indices ``first ..``, one per step length in ``gam``."""
@@ -441,17 +567,16 @@ class BnsDriver(_Driver):
                 f"expected {means[bad]:.3g} jumps in one step, above {_MAX_STEP_JUMPS:.0e}"
             )
             del means[bad:]
-        normal = self._normal_stream(rng).__next__
+        dz, normals = self._draws(us, means, rng)
         v, x = state
         vs, xs = [], []
         try:
-            for i, (g, u, mean) in enumerate(zip(gl, us, means)):
-                dz = levy.compound_poisson_sum(m, u, mean, rng)
-                dw = math.sqrt(g) * normal()
+            for i, (g, d, z) in enumerate(zip(gl, dz, normals)):
+                dw = math.sqrt(g) * z
                 # One subordinator increment enters both equations: the log price
                 # jumps by rho * dz <= 0 exactly when the variance jumps by dz >= 0.
-                x = x + g * (r - 0.5 * v) + math.sqrt(v) * dw + rho * dz
-                v = v - g * mu * v + dz
+                x = x + g * (r - 0.5 * v) + math.sqrt(v) * dw + rho * d
+                v = v - g * mu * v + d
                 if v < 0.0:
                     raise ValueError(f"variance went negative ({v}); need gamma*mu <= 1")
                 vs.append(v)
@@ -461,6 +586,38 @@ class BnsDriver(_Driver):
         if failure is not None:
             raise DriverStepError(first + len(means), str(failure)) from failure
         return np.array((vs, xs))
+
+    def _draws(self, us, means, rng) -> tuple[list, list]:
+        """Each step's jump sum and standard normal, drawn in the per-step order.
+
+        The normals not taken by one block stay for the next on the same
+        ``rng``; a new ``rng`` starts afresh.  Step ``len(normals)`` takes the
+        first normal of a new chunk, so its jumps come before the chunk.
+        """
+        m, n = self.params.jump, len(means)
+        cached = self._normals
+        normals = cached[1] if cached is not None and cached[0] is rng else []
+        mean_arr = np.array(means)
+        plain = (mean_arr > 0.0) & (mean_arr < _MULT_MAX)
+        # the C exp numpy's sampler calls; np.exp differs in the last bit for some inputs
+        limits = np.array([math.exp(-mean) for mean in means])
+        dz = [0.0] * n
+        lo = 0
+        while lo < n:
+            hi = min(len(normals) + 1, n)  # steps lo .. hi-1 draw before the next chunk
+            a = lo
+            for b in (np.flatnonzero(mean_arr[lo:hi] >= _MULT_MAX) + lo).tolist() + [hi]:
+                steps = np.flatnonzero(plain[a:b]) + a
+                if len(steps):
+                    _jump_sums(m, us, means, limits, steps, rng, dz)
+                if b < hi:  # a count for numpy's PTRS sampler, at its own place
+                    dz[b] = levy.compound_poisson_sum(m, us[b], means[b], rng)
+                a = b + 1
+            if len(normals) < hi:
+                normals += rng.standard_normal(_CHUNK).tolist()
+            lo = hi
+        self._normals = (rng, normals[n:])
+        return dz, normals
 
     def _path_arrays(self, block: WindowBlock):
         return block.cols[1], block.gam[1:], None

@@ -14,10 +14,12 @@ leg and reconstructing the other through the gap is the variance-reduced
 ("parity on") estimator.
 
 The functional hands the engine one value per window, but computes them a
-range of windows at a time: the driver's ``window_stats`` gives the range's
-averages (or terminal values), and the discounted payoffs of every strike
-are built for the whole range as one 2-D array, with the same elementwise
-operations a single window would use.
+range of windows at a time: the driver's ``window_stats`` slices the range's
+averages (or terminal values) from the whole block's, which the driver
+builds once per block, and the discounted payoffs of every strike are built
+for the whole range as one 2-D array, with the same elementwise operations
+a single window would use.  Each window's call then returns a ready-made
+view of its row.
 
 Standard errors come from the squared payoffs, which the functional
 returns after the payoffs so that the engine's one weighted average folds
@@ -227,7 +229,7 @@ def _price_grid(
     the discounted call and put payoffs of every strike, the statistic
     itself and the squared payoffs.  The functional builds these rows for a
     range of windows at once (:meth:`engine.WindowBlock.range_end`) and
-    hands the engine one row per window.
+    hands the engine one row per window, a view made with the range.
     """
     T, r = _common_T_r(specs)
     strikes = np.array([s.K for s in specs], dtype=float)
@@ -251,7 +253,7 @@ def _price_grid(
         np.multiply(legs, legs, out=rows[:, 2 * nk + 1 :])
         return rows
 
-    memo = (None, 0, ())  # (block, first window of a range, the range's rows)
+    memo = (None, 0, [])  # (block, first window of a range, views of the range's rows)
 
     def functional(window: engine.Window) -> np.ndarray:
         nonlocal memo
@@ -260,7 +262,7 @@ def _price_grid(
         if block is not window.block or not 0 <= i < len(rows):
             memo = rows = None  # the last range's rows go before the next ones are built
             block, lo, i = window.block, window.a, 0
-            rows = range_rows(block, lo)
+            rows = list(range_rows(block, lo))
             memo = (block, lo, rows)
         return rows[i]
 

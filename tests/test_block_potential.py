@@ -158,25 +158,24 @@ def _agree(x, ref, scale=0.0):
 
 
 CASES = [
-    # (model, r, rho, c2, T, n, by_points): benchmark rates and steps, two
-    # blocks crossed, so ranges start inside blocks; with by_points some range
-    # is cut short by its grid-point budget, not by its window count
-    ("heston", 0.05, 0.5, 1.0, 0.1, 9000, False),
-    ("heston", 0.05, 0.5, 1.0, 1.0, 9000, False),
-    ("heston", 0.05, 0.5, 1.0, 8.0, 9000, True),
+    # (model, r, rho, c2, T, n): benchmark rates and steps, two blocks
+    # crossed, so ranges start inside blocks
+    ("heston", 0.05, 0.5, 1.0, 0.1, 9000),
+    ("heston", 0.05, 0.5, 1.0, 1.0, 9000),
+    ("heston", 0.05, 0.5, 1.0, 8.0, 9000),
     # large rate and large steps: r * Gamma_n reaches about 290 in the first block
-    ("heston", 0.5, 0.5, 1.5, 1.0, 9000, False),
+    ("heston", 0.5, 0.5, 1.5, 1.0, 9000),
     # no discounting and strong negative correlation
-    ("heston", 0.0, -0.9, 1.0, 1.0, 9000, False),
-    ("bns", 0.05, -1.0, 1.0, 1.0, 9000, False),
-    ("bns", 0.05, -1.0, 1.0, 8.0, 9000, True),
+    ("heston", 0.0, -0.9, 1.0, 1.0, 9000),
+    ("bns", 0.05, -1.0, 1.0, 1.0, 9000),
+    ("bns", 0.05, -1.0, 1.0, 8.0, 9000),
 ]
 
 
 @pytest.mark.parametrize("european,parity", [(False, True), (False, False), (True, False)])
-@pytest.mark.parametrize("model,r,rho,c2,T,n,by_points", CASES)
-def test_window_stats_match_per_window_reference(model, r, rho, c2, T, n, by_points,
-                                                  european, parity, monkeypatch):
+@pytest.mark.parametrize("model,r,rho,c2,T,n", CASES)
+def test_window_stats_match_per_window_reference(model, r, rho, c2, T, n, european, parity,
+                                                  monkeypatch):
     make_params, make_driver, reference_path = MODELS[model]
     params = make_params(r, rho)
     sched = make_polynomial_schedule(1.0, 1 / 3, c2, 1 / 3)
@@ -186,13 +185,13 @@ def test_window_stats_match_per_window_reference(model, r, rho, c2, T, n, by_poi
                                     monkeypatch)
 
     # the ranges tile every block's windows in order, from the block's first
-    # column on; only a window's own block is ever read
+    # column on, _RANGE_WINDOWS at a time; only a window's own block is ever read
     assert sum(hi - lo for _, lo, hi in ranges) == n
     for (b0, lo0, hi0), (b1, lo1, hi1) in zip(ranges, ranges[1:]):
         assert (lo1 == hi0) if b1 is b0 else (lo1 == 0 and hi0 == len(b0.ends))
     assert any(lo > 0 for _, lo, _ in ranges)
-    assert any(hi - lo < engine._RANGE_WINDOWS and hi < len(block.ends)
-               for block, lo, hi in ranges) == by_points
+    assert all(hi - lo == engine._RANGE_WINDOWS or hi == len(block.ends)
+               for block, lo, hi in ranges)
 
     statistic = PricePathView.terminal if european else PricePathView.average
     ref_res = engine.run(make_driver(params), sched,
@@ -254,6 +253,54 @@ def test_chunk_fold_matches_per_window_recurrence(model, r, rho, parity, monkeyp
             assert _agree(getattr(e, field), getattr(f, field), scale), field
         assert [v for _, v in e.checkpoints] == pytest.approx(
             [v for _, v in f.checkpoints], rel=1e-12, abs=1e-12 * scale)
+
+
+BLOCK_CASES = [
+    # (model, r, rho, T, n, shape): the first block at T = 0.1 holds one-point
+    # windows (T < gamma) up to j = 998 and two-point ones after them; at T = 8
+    # its windows grow from 15 to 129 points, so the late ones span many chunks
+    # of the shortest window's length; and no discounting with rho = -0.9
+    ("heston", 0.05, 0.5, 0.1, engine._BLOCK, "one-point"),
+    ("bns", 0.05, -1.0, 0.1, engine._BLOCK, "one-point"),
+    ("heston", 0.05, 0.5, 8.0, engine._BLOCK, "many chunks"),
+    ("bns", 0.05, -1.0, 8.0, engine._BLOCK, "many chunks"),
+    ("heston", 0.0, -0.9, 1.0, 2 * engine._BLOCK + 500, "r = 0"),
+]
+
+
+@pytest.mark.parametrize("model,r,rho,T,n,shape", BLOCK_CASES)
+def test_block_stats_match_per_window_reference(model, r, rho, T, n, shape):
+    # every window of a block, its average and terminal value and their
+    # payoff legs, against the window rebuilt from its own states
+    make_params, make_driver, reference_path = MODELS[model]
+    params = make_params(r, rho)
+    sched = make_polynomial_schedule(1.0, 1 / 3, 1.0, 1 / 3)
+    driver = make_driver(params)
+    blocks = []
+    engine.run(driver, sched, lambda w: (w.a == 0 and blocks.append(w.block)) or 0.0, T, n,
+               stream(5, 0))
+    assert len(blocks) == -(-n // engine._BLOCK)
+    disc = math.exp(-r * T)
+    strikes = np.array(STRIKES)
+
+    def legs(stat):
+        return disc * np.maximum(np.concatenate((stat[:, None] - strikes, strikes - stat[:, None]),
+                                                axis=1), 0.0)
+
+    for block in blocks:
+        a = np.arange(len(block.ends))
+        segs = block.ends - a
+        if shape == "one-point":
+            assert (segs == 0).any() and (segs > 0).any()
+        elif shape == "many chunks":
+            assert segs.max() >= 3 * segs[segs > 0].min()
+        paths = [reference_path(engine.Window(block, i, int(b)), params)
+                 for i, b in enumerate(block.ends)]
+        got = driver.window_stats(block, 0, len(a))
+        for stat, statistic in zip(got, (PricePathView.average, PricePathView.terminal)):
+            ref = np.array([statistic(p) for p in paths])
+            assert _agree(stat, ref)
+            assert _agree(legs(stat), legs(ref), disc * ref[:, None])
 
 
 def test_potential_far_past_the_exp_range():

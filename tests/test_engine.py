@@ -308,32 +308,23 @@ class TestRunBookkeeping:
                            n_iters=n, rng=stream(0, 0))
             assert err.value.index == bad
 
-    def test_ranges_fit_the_point_budget(self):
+    def test_ranges_fit_the_window_budget(self):
+        # ranges tile a block's windows in order, each at most _RANGE_WINDOWS,
+        # however long the windows: T = 16 makes the last one 259 segments long
         s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
         blocks = []
         engine.run(ConstantDriver(), s, lambda w: blocks.append(w.block) or 0.0, T=16.0,
                    n_iters=engine._BLOCK, rng=stream(0, 0))
         block = blocks[0]
-        points = block.ends - np.arange(len(block.ends)) + 1
-        lo, cut_by = 0, set()
-        while lo < len(points):
+        assert block.ends[-1] - (len(block.ends) - 1) > engine._RANGE_WINDOWS
+        lo, lengths = 0, []
+        while lo < len(block.ends):
             hi = block.range_end(lo)
-            assert hi - lo <= engine._RANGE_WINDOWS
-            assert points[lo:hi].sum() <= engine._RANGE_POINTS
-            if hi < len(points):
-                # the next window would break one of the two budgets
-                if hi - lo == engine._RANGE_WINDOWS:
-                    cut_by.add("windows")
-                else:
-                    assert points[lo : hi + 1].sum() > engine._RANGE_POINTS
-                    cut_by.add("points")
+            lengths.append(hi - lo)
             lo = hi
-        # short early windows fill a range by count, long late ones by points
-        assert cut_by == {"windows", "points"}
-        # a window longer than the budget is a range of its own
-        long = engine.WindowBlock(block.cols, 0, 2.0, block.gam, block.Gam,
-                                  np.array([engine._RANGE_POINTS + 5] * 3))
-        assert [long.range_end(lo) for lo in range(3)] == [1, 2, 3]
+        assert lo == len(block.ends)
+        assert lengths == [engine._RANGE_WINDOWS] * (engine._BLOCK // engine._RANGE_WINDOWS)
+        assert block.range_end(len(block.ends) - 3) == len(block.ends)
 
     def test_checkpoint_grid(self):
         s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)

@@ -98,9 +98,12 @@ def reference_tail_rate(m, u):
     return m.c * m.lam**m.alpha * upper
 
 
-def reference_bns_steps(params, state, gam, rng):
-    """States after each step of ``gam``, by the per-step BNS arithmetic."""
-    normals = ReferenceNormals(rng)
+def reference_bns_steps(params, state, gam, rng, normals=None):
+    """States after each step of ``gam``, by the per-step BNS arithmetic.
+
+    ``normals`` continues the chunked normals of an earlier call on ``rng``.
+    """
+    normals = ReferenceNormals(rng) if normals is None else normals
     v, x = state
     out = []
     for g in gam:
@@ -116,13 +119,27 @@ def reference_bns_steps(params, state, gam, rng):
     return np.array(out).T
 
 
-def advance_in_pieces(driver, state, gam, rng, cuts):
-    """``driver.advance`` over ``gam`` in blocks split at the step offsets ``cuts``."""
+def advance_in_pieces(driver, state, gam, rng, cuts, rng_states=None):
+    """``driver.advance`` over ``gam`` in blocks split at the step offsets ``cuts``.
+
+    ``rng_states`` receives the rng's state after each piece.
+    """
     pieces = []
     for lo, hi in zip((0, *cuts), (*cuts, len(gam))):
         pieces.append(driver.advance(state, 1 + lo, gam[lo:hi], rng))
         state = pieces[-1][:, -1].tolist()
+        if rng_states is not None:
+            rng_states.append(rng.bit_generator.state)
     return np.concatenate(pieces, axis=1)
+
+
+def reference_bns_states(params, state, gam, rng, cuts):
+    """The rng's states after the pieces of ``advance_in_pieces``, step by step."""
+    normals, rng_states = ReferenceNormals(rng), []
+    for lo, hi in zip((0, *cuts), (*cuts, len(gam))):
+        state = reference_bns_steps(params, state, gam[lo:hi], rng, normals)[:, -1].tolist()
+        rng_states.append(rng.bit_generator.state)
+    return rng_states
 
 
 class ZeroRng:
@@ -193,23 +210,33 @@ class TestBlockAdvance:
     The reference takes its normals 8192 at a time, as the per-step drivers
     did.  A Heston block draws its normals in one call, so the Heston case
     shows that per-block draws equal that chunked stream.  A BNS step takes
-    one normal from the driver's own 8192-draw chunks, between its Poisson
+    one normal from the driver's own 8192-draw chunks, after its Poisson
     and jump draws, so its cuts fall on odd steps just before and after each
-    refill.
+    refill.  A BNS block draws its steps' uniforms in batches, so its cases
+    also check the rng's state after every piece against the per-step
+    scheme's: the driver draws exactly what that scheme draws, no more.
     """
 
     SCHED = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
 
-    def _check(self, make_driver, reference, n, cuts):
-        gam = self.SCHED.gamma_slice(1, n + 1)
+    def _check(self, make_driver, reference, n, cuts, gam=None):
+        gam = self.SCHED.gamma_slice(1, n + 1) if gam is None else gam
         driver = make_driver()
         state = list(driver.initial_state())
         ref = reference(driver.params, state, gam.tolist(), stream(21, 0))
         whole = make_driver().advance(state, 1, gam, stream(21, 0))
-        split = advance_in_pieces(make_driver(), state, gam, stream(21, 0), cuts)
+        rng_states = []
+        split = advance_in_pieces(make_driver(), state, gam, stream(21, 0), cuts, rng_states)
         assert ref.shape == whole.shape == split.shape == (2, n)
         assert np.array_equal(whole, ref)
         assert np.array_equal(split, ref)
+        if reference is reference_bns_steps:
+            # draw for draw: after each piece the stream stands where the
+            # per-step scheme leaves it, so no uniform was drawn ahead across
+            # a block's end or a refill of the normals
+            np.testing.assert_equal(
+                rng_states, reference_bns_states(driver.params, state, gam.tolist(),
+                                                 stream(21, 0), cuts))
 
     def test_heston_matches_per_step_scheme(self):
         # 9001 steps take 18002 > 2 * 8192 normals: the reference refills at
@@ -240,6 +267,26 @@ class TestBlockAdvance:
         self._check(lambda: BnsDriver(p), reference_bns_steps, n, (5, 8191, 8193))
         # three passes over the span: the reference, one call, the pieces
         assert len(jumps) % 3 == 0 and len(jumps) // 3 >= n / 300
+
+    def test_bns_zero_and_ptrs_counts(self):
+        # at lam = 1000 and power 20 a step of 1 or 0.99 has the threshold 1
+        # or 0.82, where the tail rate is exactly 0.0: it draws nothing, as
+        # rng.poisson(0) does; steps of 0.6 and 0.5 expect 14 and 97 jumps,
+        # drawn by numpy's PTRS sampler; 0.7 expects 0.6 and 0.8 6e-7, both
+        # drawn by multiplying uniforms; the cuts fall next to each kind
+        p = BNSParams(s0=50.0, r=0.05, rho=-1.0, mu=1.0,
+                      jump=TemperedStableMeasure(c=0.1, lam=1000.0, alpha=0.5),
+                      truncation=TruncationPolicy(power=20.0))
+        pattern = [1.0, 0.7, 0.6, 0.8, 0.99, 0.5] + [0.8] * 7 + [0.7] * 7
+        means = [g * levy.tail_intensity_closed(p.jump, p.truncation.threshold(g))
+                 for g in pattern]
+        assert means[0] == means[4] == 0.0
+        assert 10.0 <= means[2] < means[5] <= 1e7
+        assert 0.0 < means[3] < means[1] < 10.0
+        n = 8400
+        gam = np.array(pattern * (n // len(pattern)))
+        self._check(lambda: BnsDriver(p), reference_bns_steps, n,
+                    (1, 2, 3, 5, 6, 8191, 8192, 8193), gam)
 
     def test_ou_oracle_driver_split_invariance(self):
         # one call of standard_normal per block: any split, and the chunked
@@ -379,11 +426,15 @@ class TestBnsJointStep:
     def test_leverage_signs(self):
         # a jump dz > 0 moves x down (rho < 0) and v up by the same dz
         class OneJumpRng(ZeroRng):
-            def poisson(self, lam):
-                return 1
+            # the step's first uniform lies above exp(-mean), so it has a jump;
+            # the second ends its count at one; the jump's proposal 0.5 is
+            # accepted by the uniform 0.5 (deterministic size)
+            uniforms = iter([1.0 - 1e-12, 0.5, 0.5, 0.5])
 
             def random(self, size=None):
-                return 0.5  # accepted proposal, deterministic size
+                if size is None:
+                    return next(self.uniforms)
+                return np.array([next(self.uniforms) for _ in range(size)])
 
         p = bench_bns(v_init=0.0)
         x0, v0 = 0.0, 0.01

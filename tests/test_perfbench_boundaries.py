@@ -11,6 +11,9 @@ suite, so without this check a renamed or removed attribute would break
 only traced benchmark runs.  Both drivers inherit ``step`` and
 ``price_path`` from one base, so the check also calls each once per
 driver and counts the calls: each subclass is wrapped, and none twice.
+A BNS run with frequent jumps checks that ``levy.jump`` counts every jump
+the run draws, so a driver that drew its jumps past ``sample_jump_above``
+fails here.
 """
 
 import subprocess
@@ -47,9 +50,53 @@ assert counts == {"models.step": 2, "models.price_path": 2}, counts
 """
 
 
+JUMPS = """
+import sys
+sys.path[:0] = [sys.argv[1], sys.argv[2], sys.argv[3]]
+import numpy as np
+from statvol import cli, engine, levy, models, pricing, schedule
+from statvol.rng import stream
+from test_models import reference_bns_steps
+from tracer import Tracer
+
+# c = 0.5: a jump every few steps; the per-step scheme counts its jumps on
+# the same stream before the tracer is installed
+p = models.BNSParams(s0=50.0, r=0.05, rho=-1.0, mu=1.0,
+                     jump=levy.TemperedStableMeasure(c=0.5, lam=1.0, alpha=0.5))
+sched = schedule.make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
+n, T = 3000, 1.0
+last = sched.horizon_index(n - 1, T)
+drawn = []
+sample = levy.sample_jump_above
+levy.sample_jump_above = lambda m, u, rng: drawn.append(u) or sample(m, u, rng)
+ref = reference_bns_steps(p, [p.v_init, 0.0], sched.gamma_slice(1, last + 1).tolist(),
+                          stream(3, 0))
+levy.sample_jump_above = sample
+
+tracer = Tracer()
+tracer.install(cli, engine, levy, models, pricing, schedule)
+ends = []
+engine.run(models.BnsDriver(p), sched, lambda w: ends.append(w.states(0)[-1]) or 0.0, T=T,
+           n_iters=n, rng=stream(3, 0))
+assert ends[-1] == ref[0, -1], (ends[-1], ref[0, -1])
+jumps = tracer.report()["aggregates"]["levy.jump"]["calls"]
+assert jumps == len(drawn) > 0, (jumps, len(drawn))
+"""
+
+
 def test_tracer_installs_on_the_package():
     # in a fresh interpreter: installing replaces the attributes for good
     proc = subprocess.run(
         [sys.executable, "-c", INSTALL, str(ROOT / "src"), str(ROOT / "perfbench")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_tracer_counts_every_bns_jump():
+    # the tracer's levy.jump count is the number of jumps the run drew: a
+    # driver that drew its jumps without levy.sample_jump_above would read 0
+    proc = subprocess.run(
+        [sys.executable, "-c", JUMPS, str(ROOT / "src"), str(ROOT / "perfbench"),
+         str(ROOT / "tests")],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
