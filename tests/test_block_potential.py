@@ -1,13 +1,14 @@
 """Window statistics over ranges of windows against a per-window reference.
 
 The pricing functional takes each window's time average or terminal value
-from the driver's ``window_stats``, which evaluates a whole range of windows
-of a block at once (for Heston, from one log-price potential per block).
-The reference below rebuilds every window from its own states instead, as
-the scheme is written, and runs as a per-window functional through
-``engine.run`` on the same trajectory.  Both must give the same estimator
-at every checkpoint, to 1e-12 relative, because they differ only in the
-order of their sums.
+from the driver's ``window_stats``, which slices a range of windows from the
+statistics of the whole block, built once from chunked prefix and suffix
+sums (for Heston, of one log-price potential per block).  The reference
+below rebuilds every window from its own states instead, as the scheme is
+written, and runs as a per-window functional through ``engine.run`` on the
+same trajectory; it is also compared with a block's statistics directly.
+Both must give the same estimator at every checkpoint, to 1e-12 relative,
+because they differ only in the order of their sums.
 
 The payoff legs are measured against the larger of themselves and the
 discounted average ``e^{-rT} a`` they are payoffs of: a leg moves by at
