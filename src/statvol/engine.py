@@ -35,7 +35,12 @@ The trajectory runs exactly to the last window's end, ``N(n-1, T)``.
 at grid index ``j`` with weight ``eta_{j+1}`` into the weighted occupation
 measure of the coordinates the accumulator was built for.  It stores no
 states and builds no windows, simulates nothing past index ``n-1`` and
-needs no horizon ``T``.
+needs no horizon ``T``.  Each run of points between two checkpoints is
+folded by one C-level ``map`` of :meth:`MarginalAccumulator.update` over
+the run's weights and state tuples, drained by a zero-length ``deque``, so
+no Python loop runs in the engine per point.  The update is still called
+once per point: the benchmark's tracer wraps it and counts one call per
+point, and a block fold waits until that boundary moves to blocks.
 
 The trajectory itself is produced by a *driver*: any object with
 
@@ -57,8 +62,9 @@ the replication level with one RNG stream per engine run.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -227,18 +233,20 @@ class MarginalAccumulator:
 
     def update(self, eta: float, state: Sequence[float]) -> None:
         self.weight_total += eta
-        m1, m2, hist = self._m1, self._m2, self._hist
+        m1, m2 = self._m1, self._m2
         lo, inv_width, bins = self.lo, self._inv_width, self.bins
-        for c in range(self.dim):
+        for c, row in enumerate(self._hist):
             x = state[c]
-            m1[c] += eta * x
-            m2[c] += eta * x * x
-            b = int((x - lo) * inv_width)
+            ex = eta * x
+            m1[c] += ex
+            m2[c] += ex * x  # eta * x * x, which Python evaluates as (eta * x) * x
+            b = int((x - lo) * inv_width)  # raises on a NaN or infinite x
             if x < lo:
-                b = -1
-            elif b >= bins:
-                b = bins
-            hist[c][b + 1] += eta
+                row[0] += eta
+            elif b < bins:
+                row[b + 1] += eta
+            else:
+                row[bins + 1] += eta
         self.count += 1
 
     def stats(self) -> MarginalStats:
@@ -316,8 +324,11 @@ def run(
     ``n_iters - 1`` and ``T`` is not read (pass ``None``).  Iterations go
     in blocks of up to ``_BLOCK``: a block folds the state at its first
     index ``j0``, simulates the rest of its states in one ``advance`` call,
-    then folds them.  When a step fails, its block folds none of the states
-    it simulated, so the accumulator holds the points ``0 .. j0``.
+    then folds them.  Points are folded a run between checkpoints at a
+    time, ``deque(map(marginal.update, eta, points), 0)``: the loop runs in
+    C, but each point is still one ``update`` call, which the benchmark
+    counts.  When a step fails, its block folds none of the states it
+    simulated, so the accumulator holds the points ``0 .. j0``.
 
     Estimates are checkpointed at ``n = 1, 10, 100, ...`` and at the final
     iteration.
@@ -331,13 +342,23 @@ def run(
 
     state = [float(x) for x in driver.initial_state()]
 
+    grid = iter(_checkpoint_grid(n_iters))
+    cp = next(grid)
+
     if marginal is not None:
-        cp_grid = set(_checkpoint_grid(n_iters))
         marginal_checkpoints = []
 
-        def checkpoint(count):
-            st = marginal.stats()
-            marginal_checkpoints.append((count, st.mean.copy(), st.variance.copy()))
+        def fold(j0, lo, hi, eta, points):
+            # the points of block-local indices lo .. hi-1, a run between checkpoints at a time
+            nonlocal cp
+            while lo < hi:
+                stop = min(hi, cp - j0)
+                deque(map(marginal.update, eta[lo:stop], islice(points, stop - lo)), 0)
+                if j0 + stop == cp:
+                    st = marginal.stats()
+                    marginal_checkpoints.append((cp, st.mean.copy(), st.variance.copy()))
+                    cp = next(grid, n_iters)
+                lo = stop
 
         for j0 in range(0, n_iters, _BLOCK):
             j1 = min(j0 + _BLOCK, n_iters)
@@ -345,14 +366,9 @@ def run(
             # next block's first state, but nothing past index n_iters - 1
             last = min(j1, n_iters - 1)
             eta = sched.eta_slice(j0 + 1, j1 + 1).tolist()
-            marginal.update(eta[0], state)
-            if j0 + 1 in cp_grid:
-                checkpoint(j0 + 1)
+            fold(j0, 0, 1, eta, iter((state,)))
             cols = _advance(driver, state, j0 + 1, sched.gamma_slice(j0 + 1, last + 1), rng)
-            for j, x in zip(range(j0 + 1, j1), cols.T.tolist()):
-                marginal.update(eta[j - j0], x)
-                if j + 1 in cp_grid:
-                    checkpoint(j + 1)
+            fold(j0, 1, j1 - j0, eta, zip(*cols[:, : j1 - j0 - 1].tolist()))
             if last > j0:
                 state = cols[:, -1].tolist()
         return RunResult(n_iters=n_iters, average=None,
@@ -360,8 +376,6 @@ def run(
 
     avg = FunctionalAverage()
     checkpoints = []
-    grid = iter(_checkpoint_grid(n_iters))
-    cp = next(grid)
     cols = np.array(state)[:, None]  # states from index j0 to the last one simulated
     for j0 in range(0, n_iters, _BLOCK):
         j1 = min(j0 + _BLOCK, n_iters)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -146,19 +147,33 @@ def tail_intensities_closed(m: TemperedStableMeasure, us: list) -> list:
 
     For ``lam > 0`` the rate is ``c * lam**alpha * Gamma(-alpha, lam * u)``,
     the upper incomplete gamma function taken one recurrence step up to
-    ``Gamma(1 - alpha, lam * u)``, whose parameter lies in ``(0, 1)``.  Only
-    that function is vectorised (one :func:`_upper_gamma` call); the rest
-    runs per threshold on Python floats.
+    ``Gamma(1 - alpha, lam * u)``, whose parameter lies in ``(0, 1)``:
+    with ``x = lam * u``, ``scale * ((x**-alpha * e**-x - Gamma(1 - alpha, x))
+    / alpha)`` and ``scale = c * lam**alpha``; for ``lam = 0`` it is
+    ``c * u**-alpha / alpha``.  The thresholds are checked once, as an
+    array.  The incomplete gamma function is one :func:`_upper_gamma` call;
+    the powers and exponentials are the C library's ``pow`` and ``exp``,
+    mapped over Python floats (numpy's ``exp`` differs from it in the last
+    bit for some inputs); the products, difference and quotient are numpy's,
+    in the formula's order.  So each rate is the float that the formula
+    gives on one threshold in Python floats.
     """
-    for u in us:
-        _check_u(u)
+    u = np.array(us, dtype=float)
+    bad = ~(u > 0.0)  # catches NaN, which min() over a list can skip
+    if bad.any():
+        raise ValueError(f"threshold must be positive, got {u[bad.argmax()]}")
     if m.lam == 0.0:
-        return [m.c * u ** (-m.alpha) / m.alpha for u in us]
+        return (m.c * _powers(u, -m.alpha) / m.alpha).tolist()
     s = -m.alpha
     scale = m.c * m.lam**m.alpha
-    xs = [m.lam * u for u in us]
-    upper = _upper_gamma(s + 1.0, np.array(xs)).tolist()
-    return [scale * ((x**s * math.exp(-x) - g) / (-s)) for x, g in zip(xs, upper)]
+    x = m.lam * u
+    e = np.fromiter(map(math.exp, (-x).tolist()), float, x.size)
+    return (scale * ((_powers(x, s) * e - _upper_gamma(s + 1.0, x)) / (-s))).tolist()
+
+
+def _powers(x: np.ndarray, s: float) -> np.ndarray:
+    """``x_i ** s`` at each element of ``x``, by the C library's ``pow`` on Python floats."""
+    return np.fromiter(map(pow, x.tolist(), repeat(s)), float, x.size)
 
 
 def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:

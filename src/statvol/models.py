@@ -600,7 +600,7 @@ class BnsDriver(_Driver):
         mean_arr = np.array(means)
         plain = (mean_arr > 0.0) & (mean_arr < _MULT_MAX)
         # the C exp numpy's sampler calls; np.exp differs in the last bit for some inputs
-        limits = np.array([math.exp(-mean) for mean in means])
+        limits = np.fromiter(map(math.exp, (-mean_arr).tolist()), float, n)
         dz = [0.0] * n
         lo = 0
         while lo < n:

@@ -1,6 +1,13 @@
-"""Engine: running averages, block/window bookkeeping, marginals."""
+"""Engine: running averages, block/window bookkeeping, marginals.
+
+The marginal sweep folds its points a run between checkpoints at a time,
+through C-level ``map``; :func:`reference_marginal_run` keeps the plain
+per-point loop, with the accumulator's update written out as
+:class:`ReferenceMarginal`, and the engine must agree with it exactly.
+"""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +72,82 @@ class FailingDriver(ConstantDriver):
         if index == self.bad:
             raise ValueError("boom")
         return state
+
+
+class ReferenceMarginal(MarginalAccumulator):
+    """The accumulator with its update written plainly, one float operation at a time."""
+
+    def update(self, eta, state):
+        self.weight_total += eta
+        m1, m2, hist = self._m1, self._m2, self._hist
+        lo, inv_width, bins = self.lo, self._inv_width, self.bins
+        for c in range(self.dim):
+            x = state[c]
+            m1[c] += eta * x
+            m2[c] += eta * x * x
+            b = int((x - lo) * inv_width)
+            if x < lo:
+                b = -1
+            elif b >= bins:
+                b = bins
+            hist[c][b + 1] += eta
+        self.count += 1
+
+
+def reference_marginal_run(driver, sched, n_iters, rng, marginal):
+    """The marginal sweep as a per-point loop; returns its checkpoints ``(n, mean, variance)``."""
+    cp_grid = set(engine._checkpoint_grid(n_iters))
+    checkpoints = []
+
+    def checkpoint(count):
+        st_ = marginal.stats()
+        checkpoints.append((count, st_.mean.copy(), st_.variance.copy()))
+
+    state = [float(x) for x in driver.initial_state()]
+    for j0 in range(0, n_iters, engine._BLOCK):
+        j1 = min(j0 + engine._BLOCK, n_iters)
+        last = min(j1, n_iters - 1)
+        eta = sched.eta_slice(j0 + 1, j1 + 1).tolist()
+        marginal.update(eta[0], state)
+        if j0 + 1 in cp_grid:
+            checkpoint(j0 + 1)
+        cols = engine._advance(driver, state, j0 + 1, sched.gamma_slice(j0 + 1, last + 1), rng)
+        for j, x in zip(range(j0 + 1, j1), cols.T.tolist()):
+            marginal.update(eta[j - j0], x)
+            if j + 1 in cp_grid:
+                checkpoint(j + 1)
+        if last > j0:
+            state = cols[:, -1].tolist()
+    return checkpoints
+
+
+# histogram range of EdgeDriver's states
+EDGE_LO, EDGE_HI = -0.3, 1.7
+EDGES = (EDGE_LO, EDGE_HI, math.nextafter(EDGE_LO, -math.inf), math.nextafter(EDGE_LO, math.inf),
+         math.nextafter(EDGE_HI, -math.inf), math.nextafter(EDGE_HI, math.inf),
+         EDGE_LO - 1.0, EDGE_HI + 1.0)
+
+
+class EdgeDriver:
+    """States below ``EDGE_LO``, exactly at it, inside, exactly at ``EDGE_HI`` and above it.
+
+    Every third index takes the edge values of ``EDGES`` in turn (shifted by
+    one per coordinate); the others are uniform on ``[lo - 1, hi + 1]``.
+    """
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def initial_state(self):
+        return (EDGE_LO,) * self.dim
+
+    def advance(self, state, first, gam, rng):
+        idx = np.arange(first, first + len(gam))
+        cols = rng.uniform(EDGE_LO - 1.0, EDGE_HI + 1.0, (self.dim, len(gam)))
+        edge = idx % 3 == 0
+        pick = (idx[edge] // 3 + np.arange(self.dim)[:, None]) % len(EDGES)
+        cols[:, edge] = np.array(EDGES)[pick]
+        return cols
 
 
 class TestFunctionalAverage:
@@ -409,3 +492,32 @@ class TestMarginalAccumulator:
     def test_empty_accumulator_raises(self):
         with pytest.raises(ValueError):
             MarginalAccumulator(dim=1).stats()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 10, 11, engine._BLOCK + 1, 2 * engine._BLOCK + 17])
+    def test_fold_matches_per_point_reference(self, n, dim):
+        # same floats in the same order: every sum, cell and checkpoint is equal
+        s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
+        got = MarginalAccumulator(dim=dim, bins=7, lo=EDGE_LO, hi=EDGE_HI)
+        res = engine.run(EdgeDriver(dim), s, None, T=None, n_iters=n, rng=stream(4, 0),
+                         marginal=got)
+        want = ReferenceMarginal(dim=dim, bins=7, lo=EDGE_LO, hi=EDGE_HI)
+        want_cps = reference_marginal_run(EdgeDriver(dim), s, n, stream(4, 0), want)
+        assert (got._m1, got._m2, got._hist) == (want._m1, want._m2, want._hist)
+        assert (got.weight_total, got.count) == (want.weight_total, want.count)
+        assert got.count == n
+        assert [(c, m.tolist(), v.tolist()) for c, m, v in res.marginal_checkpoints] == \
+            [(c, m.tolist(), v.tolist()) for c, m, v in want_cps]
+        # the edge values reach the under- and overflow cells in every coordinate
+        if n > 20:
+            assert all(row[0] > 0.0 and row[-1] > 0.0 for row in got._hist)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_coordinate_raises(self, bad):
+        for state in ((bad,), (0.5, bad)):
+            with pytest.raises(Exception) as want:
+                ReferenceMarginal(dim=len(state), bins=7, lo=EDGE_LO, hi=EDGE_HI).update(
+                    0.5, state)
+            with pytest.raises(want.type, match=re.escape(str(want.value))):
+                MarginalAccumulator(dim=len(state), bins=7, lo=EDGE_LO, hi=EDGE_HI).update(
+                    0.5, state)

@@ -128,6 +128,34 @@ class TestUpperGamma:
         us = [1e-9, 1e-3, 0.5, 1.0, 4.0]
         assert tail_intensities_closed(STABLE, us) == [0.01 * u**-0.5 / 0.5 for u in us]
 
+    @pytest.mark.parametrize("m", [BENCH, STABLE, TemperedStableMeasure(c=0.3, lam=7.0, alpha=0.8)],
+                             ids=["bench", "stable", "steep"])
+    def test_block_rates_equal_the_per_threshold_formula(self, m):
+        # the formula on Python floats, one threshold at a time, with the same
+        # incomplete gamma values; lam * u spans both _upper_gamma branches
+        rng = np.random.default_rng(19)
+        us = np.concatenate((np.logspace(-12, 2.88, 100_000) / max(m.lam, 1.0),
+                             rng.uniform(0.0, 3.0, 20_000) + 1e-300)).tolist()
+        got = tail_intensities_closed(m, us)
+        if m.lam == 0.0:
+            want = [m.c * u ** (-m.alpha) / m.alpha for u in us]
+        else:
+            s = -m.alpha
+            xs = [m.lam * u for u in us]
+            assert min(xs) < 1.0 + s < max(xs)
+            upper = _upper_gamma(s + 1.0, np.array(xs)).tolist()
+            scale = m.c * m.lam**m.alpha
+            want = [scale * ((x**s * math.exp(-x) - g) / (-s)) for x, g in zip(xs, upper)]
+        assert got == want
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, -math.inf])
+    def test_rejects_any_bad_threshold_in_a_block(self, bad):
+        # min() over [0.1, nan] is 0.1: the check must see every threshold
+        for m in (BENCH, STABLE):
+            for us in ([bad], [0.1, bad], [bad, 0.1], [0.1, 0.2, bad, 0.3]):
+                with pytest.raises(ValueError, match="threshold must be positive"):
+                    tail_intensities_closed(m, us)
+
 
 class TestSmallJumpVariance:
     def test_untempered_closed_form(self):

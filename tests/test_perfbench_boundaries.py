@@ -13,7 +13,11 @@ only traced benchmark runs.  Both drivers inherit ``step`` and
 driver and counts the calls: each subclass is wrapped, and none twice.
 A BNS run with frequent jumps checks that ``levy.jump`` counts every jump
 the run draws, so a driver that drew its jumps past ``sample_jump_above``
-fails here.
+fails here.  The benchmark's checks also count calls: one
+``MarginalAccumulator.update`` per marginal point and one functional call
+per window.  A sweep of each kind under the installed tracer pins those
+counts, so a sweep that folded a block per call fails here until the
+tracer's boundaries move to blocks.
 """
 
 import subprocess
@@ -84,6 +88,38 @@ assert jumps == len(drawn) > 0, (jumps, len(drawn))
 """
 
 
+COUNTS = """
+import sys
+import warnings
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+from statvol import cli, engine, levy, models, pricing, schedule
+from statvol.rng import stream
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install(cli, engine, levy, models, pricing, schedule)
+warnings.simplefilter("ignore", RuntimeWarning)
+heston = models.HestonParams(s0=50.0, r=0.05, rho=0.5, k=2.0, theta=0.01, sigma_v=0.1)
+sched = schedule.make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
+
+# a marginal sweep across a block boundary: one update per point, no functional
+n = 5000
+assert n > engine._BLOCK
+acc = engine.MarginalAccumulator(dim=1, bins=50, lo=0.0, hi=0.04)
+engine.run(models.HestonDriver(heston), sched, None, T=None, n_iters=n, rng=stream(1, 0),
+           marginal=acc)
+aggregates = tracer.report()["aggregates"]
+assert aggregates["engine.marginal"]["calls"] == n, aggregates["engine.marginal"]["calls"]
+assert "pricing.functional" not in aggregates, sorted(aggregates)
+
+# a window sweep: one functional call per window
+n = 300
+engine.run(models.HestonDriver(heston), sched, lambda w: 0.0, 1.0, n, stream(2, 0))
+aggregates = tracer.report()["aggregates"]
+assert aggregates["pricing.functional"]["calls"] == n, aggregates["pricing.functional"]["calls"]
+"""
+
+
 def test_tracer_installs_on_the_package():
     # in a fresh interpreter: installing replaces the attributes for good
     proc = subprocess.run(
@@ -98,5 +134,14 @@ def test_tracer_counts_every_bns_jump():
     proc = subprocess.run(
         [sys.executable, "-c", JUMPS, str(ROOT / "src"), str(ROOT / "perfbench"),
          str(ROOT / "tests")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_tracer_counts_per_point_and_per_window():
+    # perfbench requires one engine.marginal call per marginal point and one
+    # pricing.functional call per window; a sweep that folds per block reads less
+    proc = subprocess.run(
+        [sys.executable, "-c", COUNTS, str(ROOT / "src"), str(ROOT / "perfbench")],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
