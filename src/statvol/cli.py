@@ -25,12 +25,11 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 
-from . import engine, oracles, pricing, schedule
+from . import engine, pricing, schedule
 from .engine import DriverStepError, MarginalAccumulator
 from .levy import TemperedStableMeasure, TruncationPolicy
 from .models import BNSParams, BnsDriver, HestonDriver, HestonParams
@@ -262,6 +261,8 @@ def _map_reps(cfg: RunConfig, worker):
     reps = range(cfg.replications)
     if cfg.threads <= 1 or cfg.replications == 1:
         return [worker(i) for i in reps]
+    from concurrent.futures import ThreadPoolExecutor  # imported here: only a pool needs it
+
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         return list(pool.map(worker, reps))
 
@@ -369,6 +370,8 @@ def cmd_check_schedule(cfg: RunConfig) -> None:
 
 
 def cmd_oracle(cfg: RunConfig) -> None:
+    from . import oracles  # imported here, with schemes: no other command needs them
+
     if cfg.model != "heston":
         raise ConfigError("the oracle command supports only model=heston")
     # Checked here, not in _validate: only the oracle ties its grid step to

@@ -34,13 +34,15 @@ The trajectory runs exactly to the last window's end, ``N(n-1, T)``.
 *Marginal sweep* (a marginal accumulator).  Iteration ``j`` folds the state
 at grid index ``j`` with weight ``eta_{j+1}`` into the weighted occupation
 measure of the coordinates the accumulator was built for.  It stores no
-states and builds no windows, simulates nothing past index ``n-1`` and
-needs no horizon ``T``.  Each run of points between two checkpoints is
-folded by one C-level ``map`` of :meth:`MarginalAccumulator.update` over
-the run's weights and state tuples, drained by a zero-length ``deque``, so
-no Python loop runs in the engine per point.  The update is still called
-once per point: the benchmark's tracer wraps it and counts one call per
-point, and a block fold waits until that boundary moves to blocks.
+states and builds no windows, simulates nothing past index ``n-1``, needs
+no horizon ``T`` and reads only gamma and eta of the schedule, so it sums
+no prefix.  Each run of points between two checkpoints is folded by one
+C-level ``map`` of :meth:`MarginalAccumulator.update` over the run's
+weights and the tuples of the accumulator's ``dim`` coordinates, drained by
+a zero-length ``deque``, so no Python loop runs in the engine per point.
+The update is still called once per point: the benchmark's tracer wraps it
+and counts one call per point, and a block fold waits until that boundary
+moves to blocks.
 
 The trajectory itself is produced by a *driver*: any object with
 
@@ -212,7 +214,9 @@ class MarginalAccumulator:
     weighted occupation of the first ``dim`` state coordinates (later ones
     are not read): per-coordinate first and second moment sums plus a
     histogram with explicit under/overflow bins.  Total accumulated weight
-    equals ``H_n``.
+    equals ``H_n``.  :meth:`update` folds one point; with ``dim == 1`` it
+    folds that coordinate without the per-coordinate loop, making the same
+    float operations in the same order.
     """
 
     def __init__(self, dim: int, bins: int = 200, lo: float = 0.0, hi: float = 1.0):
@@ -233,20 +237,35 @@ class MarginalAccumulator:
 
     def update(self, eta: float, state: Sequence[float]) -> None:
         self.weight_total += eta
-        m1, m2 = self._m1, self._m2
         lo, inv_width, bins = self.lo, self._inv_width, self.bins
-        for c, row in enumerate(self._hist):
-            x = state[c]
+        if self.dim == 1:
+            # the one coordinate, without the loop: the same operations as below
+            x = state[0]
             ex = eta * x
-            m1[c] += ex
-            m2[c] += ex * x  # eta * x * x, which Python evaluates as (eta * x) * x
+            self._m1[0] += ex
+            self._m2[0] += ex * x
             b = int((x - lo) * inv_width)  # raises on a NaN or infinite x
+            row = self._hist[0]
             if x < lo:
                 row[0] += eta
             elif b < bins:
                 row[b + 1] += eta
             else:
                 row[bins + 1] += eta
+        else:
+            m1, m2 = self._m1, self._m2
+            for c, row in enumerate(self._hist):
+                x = state[c]
+                ex = eta * x
+                m1[c] += ex
+                m2[c] += ex * x  # eta * x * x, which Python evaluates as (eta * x) * x
+                b = int((x - lo) * inv_width)  # raises on a NaN or infinite x
+                if x < lo:
+                    row[0] += eta
+                elif b < bins:
+                    row[b + 1] += eta
+                else:
+                    row[bins + 1] += eta
         self.count += 1
 
     def stats(self) -> MarginalStats:
@@ -324,10 +343,10 @@ def run(
     ``n_iters - 1`` and ``T`` is not read (pass ``None``).  Iterations go
     in blocks of up to ``_BLOCK``: a block folds the state at its first
     index ``j0``, simulates the rest of its states in one ``advance`` call,
-    then folds them.  Points are folded a run between checkpoints at a
-    time, ``deque(map(marginal.update, eta, points), 0)``: the loop runs in
-    C, but each point is still one ``update`` call, which the benchmark
-    counts.  When a step fails, its block folds none of the states it
+    then folds their first ``marginal.dim`` coordinates.  Points are folded
+    a run between checkpoints at a time,
+    ``deque(map(marginal.update, eta, points), 0)``: the loop runs in C, but
+    each point is still one ``update`` call, which the benchmark counts.  When a step fails, its block folds none of the states it
     simulated, so the accumulator holds the points ``0 .. j0``.
 
     Estimates are checkpointed at ``n = 1, 10, 100, ...`` and at the final
@@ -368,7 +387,7 @@ def run(
             eta = sched.eta_slice(j0 + 1, j1 + 1).tolist()
             fold(j0, 0, 1, eta, iter((state,)))
             cols = _advance(driver, state, j0 + 1, sched.gamma_slice(j0 + 1, last + 1), rng)
-            fold(j0, 1, j1 - j0, eta, zip(*cols[:, : j1 - j0 - 1].tolist()))
+            fold(j0, 1, j1 - j0, eta, zip(*cols[: marginal.dim, : j1 - j0 - 1].tolist()))
             if last > j0:
                 state = cols[:, -1].tolist()
         return RunResult(n_iters=n_iters, average=None,

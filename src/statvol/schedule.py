@@ -86,12 +86,18 @@ class Schedule:
     ``_BLOCK`` indices and rebuilds any block from its anchor, so its memory
     grows by one anchor per block, not by arrays over every index reached.
     ``ensure(n)`` extends the anchors under a lock, so any number of threads
-    may share one schedule; the only other shared state is the last
-    ``_MEMO`` blocks built, replaced as one tuple.  Index 0 is the empty prefix
-    (``gamma_0 = eta_0 = Gamma_0 = H_0 = 0``); sequence values start at index 1.
+    may share one schedule.  ``gamma`` and ``eta`` are closed forms, so
+    :meth:`gamma_slice` and :meth:`eta_slice` read a block's powers without
+    its anchors: a sweep that reads only them (the marginal sweep) extends
+    no anchor and sums no prefix.  The only other shared state is the last
+    ``_MEMO`` blocks of powers and of prefix rows built, each memo replaced as
+    one tuple; the anchors and the prefix rows read the same memoized powers,
+    so each block's powers are computed once while it is in use.  Index 0 is
+    the empty prefix (``gamma_0 = eta_0 = Gamma_0 = H_0 = 0``); sequence
+    values start at index 1.
     """
 
-    __slots__ = ("c1", "rho1", "c2", "rho2", "_anchors", "_lock", "_memo")
+    __slots__ = ("c1", "rho1", "c2", "rho2", "_anchors", "_lock", "_powers_memo", "_memo")
 
     def __init__(self, c1: float, rho1: float, c2: float, rho2: float):
         if not (c1 > 0.0 and c2 > 0.0):
@@ -106,15 +112,27 @@ class Schedule:
         self.rho2 = float(rho2)
         self._anchors = [(0.0, 0.0)]  # (Gamma, H) at index m*B, for block m
         self._lock = threading.Lock()
-        self._memo = ()  # (m, block m) for the last blocks built, newest first
+        self._powers_memo = ()  # (m, powers of block m) for the last blocks built, newest first
+        self._memo = ()  # (m, rows of block m) for the last blocks built, newest first
 
     # -- blocks -------------------------------------------------------------
 
-    def _steps(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        # gamma and eta over block m, always as one whole aligned block, so
-        # every value is independent of the call pattern.
+    def _steps(self, m: int) -> np.ndarray:
+        # Rows gamma and eta over block m, always as one whole aligned block,
+        # so every value is independent of the call pattern.
         idx = np.arange(m * _BLOCK + 1, (m + 1) * _BLOCK + 1, dtype=np.float64)
-        return self.c2 * idx ** (-self.rho2), self.c1 * idx ** (-self.rho1)
+        return np.stack((self.c2 * idx ** (-self.rho2), self.c1 * idx ** (-self.rho1)))
+
+    def _powers(self, m: int) -> np.ndarray:
+        # Rows gamma and eta of block m, built once while among the last _MEMO asked for.
+        memo = self._powers_memo
+        for k, powers in memo:
+            if k == m:
+                return powers
+        powers = self._steps(m)
+        powers.flags.writeable = False
+        self._powers_memo = ((m, powers),) + memo[: _MEMO - 1]
+        return powers
 
     def ensure(self, n: int) -> None:
         """Extend the anchors through the end of the block holding index ``n``.
@@ -128,7 +146,7 @@ class Schedule:
             anchors = self._anchors
             while len(anchors) < need:
                 G0, H0 = anchors[-1]
-                g, e = self._steps(len(anchors) - 1)
+                g, e = self._powers(len(anchors) - 1)
                 anchors.append((G0 + math.fsum(memoryview(g)), H0 + math.fsum(memoryview(e))))
 
     def _block(self, m: int) -> np.ndarray:
@@ -138,7 +156,7 @@ class Schedule:
             if k == m:
                 return block
         (G0, H0), (G1, H1) = self._anchors[m], self._anchors[m + 1]
-        g, e = self._steps(m)
+        g, e = self._powers(m)
         block = np.stack((g, e, G0 + np.cumsum(g), H0 + np.cumsum(e)))
         block[2:, -1] = G1, H1  # the fsum-anchored block end
         block.flags.writeable = False
@@ -152,17 +170,21 @@ class Schedule:
         m, i = divmod(n - 1, _BLOCK)
         return float(self._block(m)[row, i])
 
-    def _range(self, row, lo: int, hi: int) -> np.ndarray:
+    def _range(self, row, lo: int, hi: int, blocks=None) -> np.ndarray:
         """Fresh read-only array of ``row`` over indices ``lo .. hi-1``.
 
-        Rows are 0 gamma, 1 eta, 2 Gamma and 3 H; a list of rows gives a 2-D array.
+        Rows are 0 gamma, 1 eta, 2 Gamma and 3 H; a list of rows gives a 2-D
+        array.  ``blocks`` maps a block number to its rows; the default is
+        :meth:`_block`, whose prefix rows need the anchors, which it extends.
         """
-        self.ensure(hi - 1)
+        if blocks is None:
+            self.ensure(hi - 1)
+            blocks = self._block
         parts = [np.zeros((4, 1))[row, lo:hi]]  # index 0, the empty prefix
         first = max(lo, 1)
         for m in range((first - 1) // _BLOCK, (hi - 2) // _BLOCK + 1):
             base = m * _BLOCK + 1
-            parts.append(self._block(m)[row, max(first - base, 0) : hi - base])
+            parts.append(blocks(m)[row, max(first - base, 0) : hi - base])
         out = np.concatenate(parts, axis=-1)
         out.flags.writeable = False
         return out
@@ -190,12 +212,12 @@ class Schedule:
         return self._value(3, n)
 
     def gamma_slice(self, lo: int, hi: int) -> np.ndarray:
-        """Fresh read-only array of ``gamma_lo .. gamma_{hi-1}``."""
-        return self._range(0, lo, hi)
+        """Fresh read-only array of ``gamma_lo .. gamma_{hi-1}``; extends no anchor."""
+        return self._range(0, lo, hi, self._powers)
 
     def eta_slice(self, lo: int, hi: int) -> np.ndarray:
-        """Fresh read-only array of ``eta_lo .. eta_{hi-1}``."""
-        return self._range(1, lo, hi)
+        """Fresh read-only array of ``eta_lo .. eta_{hi-1}``; extends no anchor."""
+        return self._range(1, lo, hi, self._powers)
 
     def Gamma_slice(self, lo: int, hi: int) -> np.ndarray:
         """Fresh read-only array of ``Gamma_lo .. Gamma_{hi-1}``."""

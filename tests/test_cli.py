@@ -331,11 +331,14 @@ def _fresh_modules(code):
     return set(out.stdout.split())
 
 
-@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.special", "mpmath"])
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.special", "mpmath",
+                                    "statvol.oracles", "concurrent.futures"])
 def test_cli_import_leaves_heavy_modules_unloaded(module):
     # scipy.integrate serves only levy's quadrature, which no command calls,
-    # and mpmath only the tests; the BNS jump rates run on numpy alone.  Each
-    # would add its load time to every run's set-up
+    # and mpmath only the tests; the BNS jump rates run on numpy alone.  The
+    # oracles serve only the oracle command, and the thread pool only a run
+    # with more than one thread and replication.  Each would add its load
+    # time to every run's set-up
     assert module not in _fresh_modules("import statvol.cli")
 
 

@@ -418,10 +418,8 @@ class TestRunBookkeeping:
                           n_iters=137, rng=stream(0, 0))
         assert [n for n, _ in res2.checkpoints] == [1, 10, 100, 137]
 
-    def test_window_sweep_builds_each_schedule_block_once(self, monkeypatch):
-        # an engine block reads the schedule blocks before, at and after its
-        # own starts, in turn for each slice it takes: each schedule block
-        # costs one build for its anchor (ensure) and one for its values
+    @staticmethod
+    def _count_builds(monkeypatch):
         built = []
         steps = Schedule._steps
 
@@ -430,11 +428,32 @@ class TestRunBookkeeping:
             return steps(self, m)
 
         monkeypatch.setattr(Schedule, "_steps", counted)
+        return built
+
+    def test_window_sweep_builds_each_schedule_block_once(self, monkeypatch):
+        # an engine block reads the schedule blocks before, at and after its
+        # own starts, in turn for each slice it takes; the anchor (ensure) and
+        # the prefix rows of a block read the one build of its powers
+        built = self._count_builds(monkeypatch)
         s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
         params = HestonParams(s0=50.0, r=0.05, rho=0.5, k=2.0, theta=0.01, sigma_v=0.1)
         specs = [AsianSpec(K=50.0, T=1.0, r=0.05)]
         price_asian_grid(HestonDriver(params), s, specs, 15_000, stream(0, 0))
-        assert len(built) <= 2 * len(set(built)), sorted(built)
+        assert sorted(built) == sorted(set(built)) == list(range(max(built) + 1))
+
+    def test_marginal_sweep_reads_no_prefix_sums(self, monkeypatch):
+        # the marginal sweep reads gamma and eta alone: it extends no anchor
+        # and builds each schedule block's powers once
+        built = self._count_builds(monkeypatch)
+        s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
+        n = 2 * engine._BLOCK + 17
+        acc = MarginalAccumulator(dim=1, bins=10, lo=0.0, hi=0.04)
+        params = HestonParams(s0=50.0, r=0.05, rho=0.5, k=2.0, theta=0.01, sigma_v=0.1)
+        engine.run(HestonDriver(params), s, None, T=None, n_iters=n, rng=stream(0, 0),
+                   marginal=acc)
+        assert acc.count == n
+        assert s._anchors == [(0.0, 0.0)]
+        assert built == [0, 1, 2]
 
 
 class TestWindowIntegral:
@@ -493,16 +512,19 @@ class TestMarginalAccumulator:
         with pytest.raises(ValueError):
             MarginalAccumulator(dim=1).stats()
 
-    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dim,width", [(1, 1), (2, 2), (1, 3), (2, 3)],
+                             ids=["1", "2", "1-of-3", "2-of-3"])
     @pytest.mark.parametrize("n", [1, 2, 10, 11, engine._BLOCK + 1, 2 * engine._BLOCK + 17])
-    def test_fold_matches_per_point_reference(self, n, dim):
-        # same floats in the same order: every sum, cell and checkpoint is equal
+    def test_fold_matches_per_point_reference(self, n, dim, width):
+        # same floats in the same order: every sum, cell and checkpoint is
+        # equal, on the one-coordinate path and the general one, also when
+        # the driver's states carry coordinates the accumulator does not read
         s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
         got = MarginalAccumulator(dim=dim, bins=7, lo=EDGE_LO, hi=EDGE_HI)
-        res = engine.run(EdgeDriver(dim), s, None, T=None, n_iters=n, rng=stream(4, 0),
+        res = engine.run(EdgeDriver(width), s, None, T=None, n_iters=n, rng=stream(4, 0),
                          marginal=got)
         want = ReferenceMarginal(dim=dim, bins=7, lo=EDGE_LO, hi=EDGE_HI)
-        want_cps = reference_marginal_run(EdgeDriver(dim), s, n, stream(4, 0), want)
+        want_cps = reference_marginal_run(EdgeDriver(width), s, n, stream(4, 0), want)
         assert (got._m1, got._m2, got._hist) == (want._m1, want._m2, want._hist)
         assert (got.weight_total, got.count) == (want.weight_total, want.count)
         assert got.count == n
@@ -512,12 +534,30 @@ class TestMarginalAccumulator:
         if n > 20:
             assert all(row[0] > 0.0 and row[-1] > 0.0 for row in got._hist)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_each_point_matches_reference(self, dim):
+        # one point per accumulator, so no running sum can absorb a last-bit
+        # difference: (eta * x) * x differs from eta * (x * x) for about a
+        # third of these points
+        rng = np.random.default_rng(8)
+        points = rng.uniform(EDGE_LO - 1.0, EDGE_HI + 1.0, (500, 3)).tolist() + [
+            [x, EDGES[i - 1], 0.5] for i, x in enumerate(EDGES)]
+        for eta, state in zip(rng.uniform(0.01, 1.0, len(points)).tolist(), points):
+            got = MarginalAccumulator(dim=dim, bins=7, lo=EDGE_LO, hi=EDGE_HI)
+            want = ReferenceMarginal(dim=dim, bins=7, lo=EDGE_LO, hi=EDGE_HI)
+            got.update(eta, state)
+            want.update(eta, state)
+            assert (got._m1, got._m2, got._hist) == (want._m1, want._m2, want._hist), state
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_coordinate_raises(self, bad):
-        for state in ((bad,), (0.5, bad)):
+        # dim 1 takes the one-coordinate path, dim 2 the loop; a coordinate
+        # past dim is not read
+        for dim, state in ((1, (bad,)), (1, (bad, 0.5)), (2, (bad, 0.5)), (2, (0.5, bad))):
             with pytest.raises(Exception) as want:
-                ReferenceMarginal(dim=len(state), bins=7, lo=EDGE_LO, hi=EDGE_HI).update(
-                    0.5, state)
+                ReferenceMarginal(dim=dim, bins=7, lo=EDGE_LO, hi=EDGE_HI).update(0.5, state)
             with pytest.raises(want.type, match=re.escape(str(want.value))):
-                MarginalAccumulator(dim=len(state), bins=7, lo=EDGE_LO, hi=EDGE_HI).update(
-                    0.5, state)
+                MarginalAccumulator(dim=dim, bins=7, lo=EDGE_LO, hi=EDGE_HI).update(0.5, state)
+        acc = MarginalAccumulator(dim=1, bins=7, lo=EDGE_LO, hi=EDGE_HI)
+        acc.update(0.5, (0.5, bad))
+        assert acc.count == 1

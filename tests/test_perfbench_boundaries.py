@@ -16,8 +16,9 @@ the run draws, so a driver that drew its jumps past ``sample_jump_above``
 fails here.  The benchmark's checks also count calls: one
 ``MarginalAccumulator.update`` per marginal point and one functional call
 per window.  A sweep of each kind under the installed tracer pins those
-counts, so a sweep that folded a block per call fails here until the
-tracer's boundaries move to blocks.
+counts, the marginal one for one coordinate and for two, so a sweep that
+folded a block per call fails here until the tracer's boundaries move to
+blocks.
 """
 
 import subprocess
@@ -102,14 +103,18 @@ warnings.simplefilter("ignore", RuntimeWarning)
 heston = models.HestonParams(s0=50.0, r=0.05, rho=0.5, k=2.0, theta=0.01, sigma_v=0.1)
 sched = schedule.make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
 
-# a marginal sweep across a block boundary: one update per point, no functional
+# marginal sweeps across a block boundary, on the one-coordinate path and on
+# the general one: one update per point, no functional
 n = 5000
 assert n > engine._BLOCK
-acc = engine.MarginalAccumulator(dim=1, bins=50, lo=0.0, hi=0.04)
-engine.run(models.HestonDriver(heston), sched, None, T=None, n_iters=n, rng=stream(1, 0),
-           marginal=acc)
-aggregates = tracer.report()["aggregates"]
-assert aggregates["engine.marginal"]["calls"] == n, aggregates["engine.marginal"]["calls"]
+calls = 0
+for dim in (1, 2):
+    acc = engine.MarginalAccumulator(dim=dim, bins=50, lo=0.0, hi=0.04)
+    engine.run(models.HestonDriver(heston), sched, None, T=None, n_iters=n, rng=stream(1, 0),
+               marginal=acc)
+    aggregates = tracer.report()["aggregates"]
+    before, calls = calls, aggregates["engine.marginal"]["calls"]
+    assert calls - before == n, (dim, calls - before)
 assert "pricing.functional" not in aggregates, sorted(aggregates)
 
 # a window sweep: one functional call per window

@@ -54,6 +54,24 @@ class TestMakePolynomialSchedule:
             with pytest.raises(ValueError):
                 view[4] = 0.0
 
+    @pytest.mark.parametrize("lo", [0, 1, 4095, 4096, 4097])
+    def test_power_slices_equal_anchored_block_rows(self, lo):
+        # gamma_slice and eta_slice read a block's powers without its anchor;
+        # they equal the rows of the anchored blocks, within one block and
+        # across block boundaries (block m holds indices m*4096+1 .. (m+1)*4096)
+        params = (0.8, 0.6, 1.5, 0.25)
+        anchored = sch.make_polynomial_schedule(*params)
+        anchored.ensure(4 * 4096)
+        rows = np.concatenate((np.zeros((2, 1)), *(anchored._block(m)[:2] for m in range(4))),
+                              axis=1)  # column i is index i
+        for hi in (lo + 1, lo + 2, 4096, 4097, 4098, 8193, 8194, lo + 2 * 4096 + 5):
+            if hi <= lo:
+                continue
+            fresh = sch.make_polynomial_schedule(*params)
+            assert np.array_equal(fresh.gamma_slice(lo, hi), rows[0, lo:hi]), hi
+            assert np.array_equal(fresh.eta_slice(lo, hi), rows[1, lo:hi]), hi
+            assert fresh._anchors == [(0.0, 0.0)]
+
     def test_prefix_sums_match_exact_summation_at_1e6(self, benchmark_schedule):
         s = benchmark_schedule
         n = 10**6
