@@ -395,7 +395,7 @@ def run(
 
     avg = FunctionalAverage()
     checkpoints = []
-    cols = np.array(state)[:, None]  # states from index j0 to the last one simulated
+    cols = np.array(state)[:, None]  # states from index j0 on; `state` is the last one simulated
     for j0 in range(0, n_iters, _BLOCK):
         j1 = min(j0 + _BLOCK, n_iters)
         # the block's window ends and schedule over [j0, N_{j1-1}], as columns from j0
@@ -405,9 +405,8 @@ def run(
         Gam = sched.Gamma_slice(j0, last + 1)
         eta = sched.eta_slice(j0 + 1, j1 + 1)
         first = j0 + cols.shape[1]
-        cols = np.concatenate(
-            (cols, _advance(driver, cols[:, -1].tolist(), first, gam[first - j0 :], rng)),
-            axis=1)
+        cols = np.concatenate((cols, _advance(driver, state, first, gam[first - j0 :], rng)),
+                              axis=1)
         block = WindowBlock(cols, j0, T, gam, Gam, ends)
 
         ends_list = ends.tolist()
@@ -422,6 +421,9 @@ def run(
                 checkpoints.append((cp, avg.copy_value()))
                 cp = next(grid, n_iters)
             lo = hi
-        cols = cols[:, j1 - j0 :]  # the overlap [j1, N_{j1-1}] stays for the next block
+        # the overlap [j1, N_{j1-1}] stays for the next block; it is empty when
+        # the last window has one point, so the next block starts from `state`
+        state = cols[:, -1].tolist()
+        cols = cols[:, j1 - j0 :]
 
     return RunResult(n_iters=n_iters, average=avg, checkpoints=checkpoints)

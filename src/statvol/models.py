@@ -5,12 +5,14 @@ that supplies only its dynamics and the arrays of its log price along a
 block: ``advance`` runs a block of steps, and ``_path_arrays`` gives the
 block's log price, segment weights and segment rates.  The shared base
 (:class:`_Driver`) maps a state window to the corresponding price path
-over ``[0, T]`` from these arrays: ``window_stats`` gives the time averages
-and terminal values of a range of windows, sliced from the whole block's,
-which are built once per block with O(1) work per window from chunked
-prefix and suffix sums; ``price_path`` gives one window's path.  Both
+over ``[0, T]`` from these arrays, and keeps no block between calls:
+``window_stats(block)`` gives the time averages and terminal values of
+every window of a block, with O(1) work per window from chunked prefix and
+suffix sums, and the pricing functional calls it once per block;
+``price_path`` gives one window's path, the per-window reference.  Both
 states carry the variance ``v`` first, so a marginal accumulator of
-dimension 1 folds the variance alone in either model.
+dimension 1 folds the variance alone in either model.  Each scheme starts
+``v`` at its stationary mean.
 
 Square-root (Heston-type) model
     d S = S (r dt + sqrt((1-rho^2) v) dW1 + rho sqrt(v) dW2)
@@ -30,8 +32,9 @@ Square-root (Heston-type) model
       S_t = s0 * exp(r t - 0.5 int_0^t v ds + rho Lam(t) + sqrt(1-rho^2) M_t),
 
   so the log price inside a window is ``E_k - E_j`` for one potential ``E``
-  along the trajectory (:func:`heston_potential`).  The driver builds ``E``
-  once per engine block of windows and reads every window's path from it.
+  along the trajectory (:func:`heston_potential`).  ``window_stats``
+  builds ``E`` once per engine block of windows and reads every window's
+  statistics from it.
 
   The invariant law of ``v`` is Gamma with shape ``2 k theta / sigma_v**2``
   and mean ``theta``.
@@ -82,7 +85,7 @@ _SQRT6 = math.sqrt(6.0)
 
 @dataclass(frozen=True)
 class HestonParams:
-    """Square-root SSV parameters plus scheme initial values.
+    """Square-root SSV parameters.
 
     Requires the positivity condition ``2 k theta > sigma_v**2`` (the
     variance process then never hits 0 from a positive start).  The
@@ -98,7 +101,6 @@ class HestonParams:
     k: float
     theta: float
     sigma_v: float
-    v_init: float | None = None
 
     def __post_init__(self):
         if not self.s0 > 0.0:
@@ -122,15 +124,11 @@ class HestonParams:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        if self.v_init is None:
-            object.__setattr__(self, "v_init", self.theta)
-        elif self.v_init < 0.0:
-            raise ValueError(f"v_init must be >= 0, got {self.v_init}")
 
 
 @dataclass(frozen=True)
 class BNSParams:
-    """Log-price/subordinator SSV parameters plus scheme initial values.
+    """Log-price/subordinator SSV parameters.
 
     The scheme's log price starts at 0: each window re-bases it at its own
     start, so no starting value would reach a price.  ``truncation`` sets
@@ -143,7 +141,6 @@ class BNSParams:
     rho: float
     mu: float
     jump: TemperedStableMeasure
-    v_init: float | None = None
     truncation: TruncationPolicy = field(default_factory=TruncationPolicy)
 
     def __post_init__(self):
@@ -153,11 +150,9 @@ class BNSParams:
             raise ValueError(f"leverage rho must be <= 0, got {self.rho}")
         if not self.mu > 0.0:
             raise ValueError(f"reversion mu must be positive, got {self.mu}")
-        if self.v_init is None:
-            # stationary mean of v = (mean jump rate) / mu
-            object.__setattr__(self, "v_init", self.jump.mean_rate() / self.mu)
-        elif self.v_init < 0.0:
-            raise ValueError(f"v_init must be >= 0, got {self.v_init}")
+        if not self.jump.lam > 0.0:
+            # the stationary mean of v, the scheme's start, is mean_rate() / mu
+            raise ValueError(f"tempering rate lambda must be positive, got {self.jump.lam}")
 
 
 def heston_invariant_gamma(params: HestonParams) -> tuple[float, float]:
@@ -238,49 +233,34 @@ class PricePathView:
 
 
 class _Driver:
-    """The engine driver of a model with state ``(v, .)`` that starts at ``(v_init, 0)``.
+    """The engine driver of a model with state ``(v, .)``.
 
-    A model supplies ``advance`` and ``_path_arrays(block)``: the block's
-    log price at each column, the weight of each interior segment and each
-    column's log-price rate (``None`` for a stepwise path).  These are built
-    once per block, and so are the time average and terminal value of every
-    window of the block (:meth:`window_stats`); a window's price is ``s0
-    exp`` of its log price less its value at the window's start.
+    A model supplies ``initial_state`` (the stationary mean of ``v``, then
+    0), ``advance`` and ``_path_arrays(block)``: the block's log price at
+    each column, the weight of each interior segment and each column's
+    log-price rate (``None`` for a stepwise path).  The driver keeps no
+    block: :meth:`window_stats` builds these arrays and from them the time
+    average and terminal value of every window of a block, and the pricing
+    functional calls it once per block.  A window's price is ``s0 exp`` of
+    its log price less its value at the window's start.
     """
 
     dim = 2
 
     def __init__(self, params):
         self.params = params
-        self._paths: tuple | None = None  # (block, *self._path_arrays(block))
-        self._stats: tuple | None = None  # (block, averages, terminal values)
-
-    def initial_state(self) -> tuple[float, float]:
-        return (self.params.v_init, 0.0)
 
     def step(self, state, index, gamma, rng):
         """The state at ``index``: :meth:`advance` over the one step ``gamma``."""
         return tuple(self.advance(state, index, np.array([gamma]), rng)[:, 0].tolist())
 
-    def _arrays(self, block: WindowBlock) -> tuple:
-        memo = self._paths
-        if memo is None or memo[0] is not block:
-            memo = self._paths = (block, *self._path_arrays(block))
-        return memo[1:]
-
-    def window_stats(self, block: WindowBlock, lo: int, hi: int):
-        """``(average, terminal)`` of the price paths of windows ``lo .. hi-1`` of ``block``.
+    def window_stats(self, block: WindowBlock):
+        """``(average, terminal)``: every window's time average and terminal value.
 
         These are :meth:`PricePathView.average` and ``terminal`` of each
-        window, sliced from the whole block's, which are built once.
-        """
-        memo = self._stats
-        if memo is None or memo[0] is not block:
-            memo = self._stats = (block, *self._block_stats(block))
-        return memo[1][lo:hi], memo[2][lo:hi]
-
-    def _block_stats(self, block: WindowBlock):
-        """Every window's time average and terminal value, with O(1) work per window.
+        window of ``block``, built from the block's ``_path_arrays`` with O(1)
+        work per window on every call: the driver keeps nothing, and the
+        pricing functional calls this once per block.
 
         Window ``a``, columns ``a .. b = ends[a]``, integrates ``S/s0`` to
         ``sum_{a <= i < b} e^{E_i - E_a} w_i`` over its segments plus
@@ -298,7 +278,7 @@ class _Driver:
         1992; Gil & Werman 1993, applied to sums).  A one-point window has no
         segment before its tail.
         """
-        log_price, seg_weights, rates = self._arrays(block)
+        log_price, seg_weights, rates = self._path_arrays(block)
         width = len(log_price)
         b = block.ends
         a = np.arange(len(b))
@@ -330,7 +310,7 @@ class _Driver:
 
     def price_path(self, window: Window) -> PricePathView:
         """The window's price path, sliced from the block's arrays."""
-        log_price, seg_weights, rates = self._arrays(window.block)
+        log_price, seg_weights, rates = self._path_arrays(window.block)
         a, b = window.a, window.b
         values = np.exp(log_price[a : b + 1] - log_price[a])
         values *= self.params.s0
@@ -400,6 +380,10 @@ class HestonDriver(_Driver):
     :func:`~statvol.schemes.cir_reflected_step` and
     :func:`~statvol.schemes.ou_companion_step` inlined in their own order.
     """
+
+    def initial_state(self) -> tuple[float, float]:
+        """``(theta, 0)``: the stationary means of ``v`` and ``y``."""
+        return (self.params.theta, 0.0)
 
     def advance(self, state, first, gam, rng) -> np.ndarray:
         """States at indices ``first ..``, one per step length in ``gam``."""
@@ -545,6 +529,11 @@ class BnsDriver(_Driver):
     """
 
     _normals: tuple | None = None  # (rng, its drawn normals not yet taken)
+
+    def initial_state(self) -> tuple[float, float]:
+        """The stationary mean of ``v``, the mean jump rate over ``mu``, and ``x = 0``."""
+        p = self.params
+        return (p.jump.mean_rate() / p.mu, 0.0)
 
     def advance(self, state, first, gam, rng) -> np.ndarray:
         """States at indices ``first ..``, one per step length in ``gam``."""

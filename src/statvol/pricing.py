@@ -14,12 +14,12 @@ leg and reconstructing the other through the gap is the variance-reduced
 ("parity on") estimator.
 
 The functional hands the engine one value per window, but computes them a
-range of windows at a time: the driver's ``window_stats`` slices the range's
-averages (or terminal values) from the whole block's, which the driver
-builds once per block, and the discounted payoffs of every strike are built
-for the whole range as one 2-D array, with the same elementwise operations
-a single window would use.  Each window's call then returns a ready-made
-view of its row.
+range of windows at a time: it calls the driver's ``window_stats`` once per
+block for every window's average (or terminal value), slices each range's
+from them, and builds the discounted payoffs of every strike for the whole
+range as one 2-D array, with the same elementwise operations a single
+window would use.  Each window's call then returns a ready-made view of its
+row.
 
 Standard errors come from the squared payoffs, which the functional
 returns after the payoffs so that the engine's one weighted average folds
@@ -227,9 +227,12 @@ def _price_grid(
     ``statistic`` picks it from the driver's ``window_stats``: 0 for the
     time average, 1 for the terminal value.  One sweep folds, per window,
     the discounted call and put payoffs of every strike, the statistic
-    itself and the squared payoffs.  The functional builds these rows for a
-    range of windows at once (:meth:`engine.WindowBlock.range_end`) and
-    hands the engine one row per window, a view made with the range.
+    itself and the squared payoffs.  The functional calls ``window_stats``
+    once per block, on the block's first window, and keeps only that block's
+    statistic.  It builds the rows for a range of windows at once
+    (:meth:`engine.WindowBlock.range_end`) from the range's slice of the
+    statistic and hands the engine one row per window, a view made with the
+    range.
     """
     T, r = _common_T_r(specs)
     strikes = np.array([s.K for s in specs], dtype=float)
@@ -239,11 +242,10 @@ def _price_grid(
     signs = np.repeat([1.0, -1.0], nk)
     signed_strikes = signs * np.tile(strikes, 2)
 
-    def range_rows(block: engine.WindowBlock, lo: int) -> np.ndarray:
-        """The functional's values of the range of windows from ``lo``, one row each."""
-        hi = block.range_end(lo)
-        a = driver.window_stats(block, lo, hi)[statistic][:, None]
-        rows = np.empty((hi - lo, 4 * nk + 1))
+    def range_rows(stat: np.ndarray) -> np.ndarray:
+        """The functional's values of the windows whose statistic is ``stat``, one row each."""
+        a = stat[:, None]
+        rows = np.empty((len(stat), 4 * nk + 1))
         legs = rows[:, : 2 * nk]
         np.multiply(a, signs, out=legs)
         legs -= signed_strikes
@@ -253,17 +255,21 @@ def _price_grid(
         np.multiply(legs, legs, out=rows[:, 2 * nk + 1 :])
         return rows
 
-    memo = (None, 0, [])  # (block, first window of a range, views of the range's rows)
+    # (block, its windows' statistic, first window of a range, views of the range's rows)
+    memo = (None, None, 0, [])
 
     def functional(window: engine.Window) -> np.ndarray:
         nonlocal memo
-        block, lo, rows = memo
+        block, stat, lo, rows = memo
         i = window.a - lo
         if block is not window.block or not 0 <= i < len(rows):
             memo = rows = None  # the last range's rows go before the next ones are built
-            block, lo, i = window.block, window.a, 0
-            rows = list(range_rows(block, lo))
-            memo = (block, lo, rows)
+            if block is not window.block:
+                block = window.block
+                stat = driver.window_stats(block)[statistic]
+            lo, i = window.a, 0
+            rows = list(range_rows(stat[lo : block.range_end(lo)]))
+            memo = (block, stat, lo, rows)
         return rows[i]
 
     result = engine.run(driver, sched, functional, T, n_iters, rng)

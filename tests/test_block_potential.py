@@ -1,12 +1,13 @@
-"""Window statistics over ranges of windows against a per-window reference.
+"""Window statistics of whole blocks against a per-window reference.
 
 The pricing functional takes each window's time average or terminal value
-from the driver's ``window_stats``, which slices a range of windows from the
-statistics of the whole block, built once from chunked prefix and suffix
-sums (for Heston, of one log-price potential per block).  The reference
-below rebuilds every window from its own states instead, as the scheme is
-written, and runs as a per-window functional through ``engine.run`` on the
-same trajectory; it is also compared with a block's statistics directly.
+from the driver's ``window_stats``, which it calls once per block and which
+builds the statistics of every window of the block from chunked prefix and
+suffix sums (for Heston, of one log-price potential per block); the driver
+keeps none of it between calls.  The reference below rebuilds every window
+from its own states instead, as the scheme is written, and runs as a
+per-window functional through ``engine.run`` on the same trajectory; it is
+also compared with a block's statistics directly.
 Both must give the same estimator at every checkpoint, to 1e-12 relative,
 because they differ only in the order of their sums.
 
@@ -115,10 +116,14 @@ MODELS = {
 
 
 def _grid_run(driver, sched, specs, n, european, parity, monkeypatch):
-    """The grid's estimates, its raw engine result, the ranges evaluated and
-    every window's value."""
-    results, ranges, values = [], [], []
-    run, stats = engine.run, driver.window_stats
+    """The grid's estimates, its raw engine result and every window's value.
+
+    The sweep calls ``window_stats`` once per block, in the engine's order,
+    and leaves nothing on the driver but its parameters and, for BNS, the
+    normals drawn for the next block.
+    """
+    results, blocks, values = [], [], []
+    run, stats = engine.run, type(driver).window_stats
 
     def keep(drv, s, functional, *args, **kwargs):
         def recorded(window):
@@ -129,19 +134,23 @@ def _grid_run(driver, sched, specs, n, european, parity, monkeypatch):
         results.append(run(drv, s, recorded, *args, **kwargs))
         return results[-1]
 
-    def spy(block, lo, hi):
-        ranges.append((block, lo, hi))
-        return stats(block, lo, hi)
+    def spy(drv, block):
+        blocks.append(block)
+        return stats(drv, block)
 
     monkeypatch.setattr(engine, "run", keep)
-    monkeypatch.setattr(driver, "window_stats", spy)
+    monkeypatch.setattr(type(driver), "window_stats", spy)
     if european:
         ests = pricing.price_european_grid(driver, sched, specs, n, stream(5, 0))
     else:
         ests = pricing.price_asian_grid(driver, sched, specs, n, stream(5, 0),
                                         use_parity=parity)
     monkeypatch.setattr(engine, "run", run)
-    return ests, results[0], ranges, values
+    assert [b.start for b in blocks] == list(range(0, n, engine._BLOCK))
+    assert sum(len(b.ends) for b in blocks) == n
+    assert set(vars(driver)) == ({"params", "_normals"} if isinstance(driver, BnsDriver)
+                                 else {"params"})
+    return ests, results[0], values
 
 
 def _split(vec):
@@ -170,6 +179,10 @@ CASES = [
     ("heston", 0.0, -0.9, 1.0, 1.0, 9000),
     ("bns", 0.05, -1.0, 1.0, 1.0, 9000),
     ("bns", 0.05, -1.0, 1.0, 8.0, 9000),
+    # T < gamma_4096: the last window of the first block has one point, so
+    # no state of it carries over to the next block
+    ("heston", 0.05, 0.5, 1.0, 0.05, 9000),
+    ("bns", 0.05, -1.0, 1.0, 0.05, 9000),
 ]
 
 
@@ -182,17 +195,8 @@ def test_window_stats_match_per_window_reference(model, r, rho, c2, T, n, europe
     sched = make_polynomial_schedule(1.0, 1 / 3, c2, 1 / 3)
     assert n > 2 * engine._BLOCK
     specs = [AsianSpec(K=k, T=T, kind="call", r=r) for k in STRIKES]
-    got, res, ranges, _ = _grid_run(make_driver(params), sched, specs, n, european, parity,
-                                    monkeypatch)
-
-    # the ranges tile every block's windows in order, from the block's first
-    # column on, _RANGE_WINDOWS at a time; only a window's own block is ever read
-    assert sum(hi - lo for _, lo, hi in ranges) == n
-    for (b0, lo0, hi0), (b1, lo1, hi1) in zip(ranges, ranges[1:]):
-        assert (lo1 == hi0) if b1 is b0 else (lo1 == 0 and hi0 == len(b0.ends))
-    assert any(lo > 0 for _, lo, _ in ranges)
-    assert all(hi - lo == engine._RANGE_WINDOWS or hi == len(block.ends)
-               for block, lo, hi in ranges)
+    got, res, _ = _grid_run(make_driver(params), sched, specs, n, european, parity,
+                            monkeypatch)
 
     statistic = PricePathView.terminal if european else PricePathView.average
     ref_res = engine.run(make_driver(params), sched,
@@ -228,8 +232,8 @@ def test_chunk_fold_matches_per_window_recurrence(model, r, rho, parity, monkeyp
     T, n = 1.0, 9000
     assert n > 2 * engine._BLOCK
     specs = [AsianSpec(K=k, T=T, kind="call", r=r) for k in STRIKES]
-    got, res, _, values = _grid_run(make_driver(params), sched, specs, n, False, parity,
-                                    monkeypatch)
+    got, res, values = _grid_run(make_driver(params), sched, specs, n, False, parity,
+                                 monkeypatch)
     assert len(values) == n
 
     avg, grid, ref_checkpoints = engine.FunctionalAverage(), engine._checkpoint_grid(n), []
@@ -297,7 +301,7 @@ def test_block_stats_match_per_window_reference(model, r, rho, T, n, shape):
             assert segs.max() >= 3 * segs[segs > 0].min()
         paths = [reference_path(engine.Window(block, i, int(b)), params)
                  for i, b in enumerate(block.ends)]
-        got = driver.window_stats(block, 0, len(a))
+        got = driver.window_stats(block)
         for stat, statistic in zip(got, (PricePathView.average, PricePathView.terminal)):
             ref = np.array([statistic(p) for p in paths])
             assert _agree(stat, ref)

@@ -258,6 +258,14 @@ class TestVolSurfaceCommand:
                   and "scheme-convergence" in str(w.message)]
         assert len(scheme) == 1
 
+    def test_maturity_below_the_last_step_of_a_block(self, tmp_path):
+        # T = 0.05 < gamma_4096 = 0.0625: the first block's last window has
+        # one point, so no state of that block overlaps the next one
+        cfg = write_config(tmp_path, n_iters=5000, maturities="0.05,1")
+        out = tmp_path / "s.csv"
+        assert cli.main(["vol-surface", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 2 * 3
+
     def test_single_point_composes_with_inversion(self, tmp_path):
         cfg = write_config(tmp_path, n_iters=4000, strikes="50", maturity=1.0)
         out = tmp_path / "s.csv"

@@ -164,9 +164,17 @@ class TestParamValidation:
 
     def test_default_inits(self):
         p = bench_heston()
-        assert p.v_init == p.theta
+        assert HestonDriver(p).initial_state() == (p.theta, 0.0)
         b = bench_bns()
-        assert b.v_init == pytest.approx(b.jump.mean_rate() / b.mu)
+        v, x = BnsDriver(b).initial_state()
+        assert v == pytest.approx(b.jump.mean_rate() / b.mu)
+        assert x == 0.0
+
+    def test_bns_needs_tempering(self):
+        # lam = 0: v has no stationary mean to start from
+        with pytest.raises(ValueError):
+            BNSParams(s0=50.0, r=0.05, rho=-1.0, mu=1.0,
+                      jump=TemperedStableMeasure(c=0.01, lam=0.0, alpha=0.5))
 
     def test_bns_rejects_positive_leverage(self):
         with pytest.raises(ValueError):
@@ -313,7 +321,7 @@ class TestBlockAdvance:
 
     def test_bns_failure_names_its_step_inside_the_block(self):
         # gamma * mu = 2 on the fourth step of a block starting at index 17
-        p = bench_bns(v_init=0.01)
+        p = bench_bns()
         gam = np.array([0.1, 0.1, 0.1, 2.0, 0.1])
         with pytest.raises(DriverStepError) as err:
             BnsDriver(p).advance([0.01, 0.0], 17, gam, ZeroRng())
@@ -329,7 +337,7 @@ class TestBlockAdvance:
         # on its negative variance, while a step of 0.9 has the threshold
         # 1e-92 and expects about 1e44 jumps, which fails before the later
         # zero threshold
-        ok = bench_bns(v_init=0.01, truncation=TruncationPolicy(power=100.0))
+        ok = bench_bns(truncation=TruncationPolicy(power=100.0))
         steep = dataclasses.replace(ok, truncation=TruncationPolicy(power=2000.0))
         cases = (
             (ok, [0.95, 0.95, 1e-5, 0.95], 19, "threshold must be positive"),
@@ -348,7 +356,7 @@ class TestBlockAdvance:
             def __getattr__(self, name):
                 raise AssertionError(f"drew from rng.{name}")
 
-        steep = bench_bns(v_init=0.01, truncation=TruncationPolicy(power=2000.0))
+        steep = bench_bns(truncation=TruncationPolicy(power=2000.0))
         with pytest.raises(DriverStepError, match="jumps in one step") as err:
             BnsDriver(steep).advance([0.01, 0.0], 17, np.array([0.9, 0.1]), NoDraws())
         assert err.value.index == 17
@@ -418,7 +426,7 @@ class TestBnsJointStep:
     """The joint (v, x) transition of :class:`BnsDriver`."""
 
     def test_deterministic_drift(self):
-        p = bench_bns(v_init=0.0)
+        p = bench_bns()
         v, x = BnsDriver(p).step((0.0, 1.0), 1, 0.2, ZeroRng())
         assert x == pytest.approx(1.0 + 0.2 * p.r)
         assert v == 0.0
@@ -436,7 +444,7 @@ class TestBnsJointStep:
                     return next(self.uniforms)
                 return np.array([next(self.uniforms) for _ in range(size)])
 
-        p = bench_bns(v_init=0.0)
+        p = bench_bns()
         x0, v0 = 0.0, 0.01
         v, x = BnsDriver(p).step((v0, x0), 1, 1e-9, OneJumpRng())
         dv = v - v0 * (1.0 - 1e-9 * p.mu)
@@ -459,7 +467,7 @@ class TestBnsJointStep:
 
     def test_negative_variance_fails_at_its_own_index(self):
         # gamma_1 * mu = 5 and no jumps: the step to index 1 returns
-        # v = -4 v_init, the last state a two-point marginal sweep folds
+        # v = -4 times its start, the last state a two-point marginal sweep folds
         p = dataclasses.replace(bench_bns(), mu=5.0)
         s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
         marg = engine.MarginalAccumulator(dim=1)
@@ -494,7 +502,7 @@ class TestBnsPricePath:
 
 
 class TestWindowStats:
-    """``window_stats`` over any range of a block is each window's ``price_path``."""
+    """``window_stats`` of a block, over any range of it, is each window's ``price_path``."""
 
     @pytest.mark.parametrize("driver", [HestonDriver(bench_heston(rho=-0.9)),
                                         BnsDriver(bench_bns())], ids=["heston", "bns"])
@@ -508,19 +516,20 @@ class TestWindowStats:
             blocks.setdefault(w.block, []).append(w)
         assert len(blocks) == 2
         for block, ws in blocks.items():
+            averages, terminals = driver.window_stats(block)
+            assert len(averages) == len(terminals) == len(ws)
             cuts = [0, 1, 333, len(ws)]
             for lo, hi in zip(cuts, cuts[1:]):
-                average, terminal = driver.window_stats(block, lo, hi)
                 paths = [driver.price_path(w) for w in ws[lo:hi]]
-                assert average == pytest.approx([p.average() for p in paths], rel=1e-14)
-                assert terminal == pytest.approx([p.terminal() for p in paths], rel=1e-14)
+                assert averages[lo:hi] == pytest.approx([p.average() for p in paths], rel=1e-14)
+                assert terminals[lo:hi] == pytest.approx([p.terminal() for p in paths], rel=1e-14)
 
     def test_one_point_window(self):
         # the window is all tail: no segment weight is read
         w = make_window([(0.012, 0.3)], [0.6], 0.6)
         for driver in (HestonDriver(bench_heston()), BnsDriver(bench_bns())):
             path = driver.price_path(w)
-            average, terminal = driver.window_stats(w.block, 0, 1)
+            average, terminal = driver.window_stats(w.block)
             assert average == pytest.approx([path.average()], rel=1e-15)
             assert terminal == pytest.approx([path.terminal()], rel=1e-15)
 

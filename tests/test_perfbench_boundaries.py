@@ -74,8 +74,8 @@ last = sched.horizon_index(n - 1, T)
 drawn = []
 sample = levy.sample_jump_above
 levy.sample_jump_above = lambda m, u, rng: drawn.append(u) or sample(m, u, rng)
-ref = reference_bns_steps(p, [p.v_init, 0.0], sched.gamma_slice(1, last + 1).tolist(),
-                          stream(3, 0))
+ref = reference_bns_steps(p, list(models.BnsDriver(p).initial_state()),
+                          sched.gamma_slice(1, last + 1).tolist(), stream(3, 0))
 levy.sample_jump_above = sample
 
 tracer = Tracer()
