@@ -16,19 +16,22 @@ the one-window recurrence generalised to a range, which reproduces the
 explicit weighted mean ``(1/H_n) sum eta_k F(window_{k-1})`` without
 storing the history.  A chunk holds at most ``_RANGE_WINDOWS`` windows and
 is cut at every checkpoint, so each checkpoint is the value after exactly
-its ``n`` windows.  There is no engine-side second moment: a
-caller that wants one returns the squares as part of the functional's
-value.  The sweep works in blocks of up to ``_BLOCK`` window starts
-``j0 .. j1-1``.  A block takes its window ends ``N_j = N(j, T)`` from
-:meth:`Schedule.horizon_indices` and holds the states of ``[j0, N_{j1-1}]``
-in one ``(dim, width)`` array that begins with the previous block's overlap
-``[j0, N_{j0-1}]``, together with gamma and Gamma over the same span and
-every window's end column, in a :class:`WindowBlock`.  Each window is that
-block plus its column range, so no per-window array is built; a model may
-build block-wide arrays and statistics once, and a functional may evaluate
-a range of the block's windows at once (:meth:`WindowBlock.range_end`) and
-return each window's value from it.
-Stored states span one block of starts plus one window, whatever ``n``.
+its ``n`` windows.  ``F`` may be split in two: the functional returns one
+statistic per window, and a row map ``rows`` turns a chunk's statistics
+into the chunk's values at once, so ``F(window) = rows([stat(window)])[0]``
+and the per-window call does no array work.  There is no engine-side
+second moment: a caller that wants one returns the squares as part of
+``F``'s value.  The sweep works in blocks of up to ``_BLOCK`` window
+starts ``j0 .. j1-1``.  A block takes its window ends ``N_j = N(j, T)``
+from :meth:`Schedule.horizon_indices` and holds the states of
+``[j0, N_{j1-1}]`` in one ``(dim, width)`` array that begins with the
+previous block's overlap ``[j0, N_{j0-1}]``, together with gamma and Gamma
+over the same span and every window's end column, in a
+:class:`WindowBlock`.  Each window is that block plus its column range, so
+no per-window array is built; a model may build block-wide arrays and
+statistics once, and a functional may read each window's from them.
+Stored states span one block of starts plus one window, whatever ``n``,
+and a chunk's values at most ``_RANGE_WINDOWS`` rows, whatever ``T``.
 The trajectory runs exactly to the last window's end, ``N(n-1, T)``.
 
 *Marginal sweep* (a marginal accumulator).  Iteration ``j`` folds the state
@@ -86,7 +89,7 @@ __all__ = [
 
 # Window starts per block of the window sweep.
 _BLOCK = 4096
-# Windows per range that a functional evaluates at once, and per chunk of the fold.
+# Windows per chunk of the fold, and so per call of a row map.
 _RANGE_WINDOWS = 256
 
 
@@ -106,8 +109,8 @@ class WindowBlock:
     ``start = j0`` on, one row per coordinate; ``gam`` and ``Gam`` hold gamma
     and Gamma over the same indices, so column ``i`` is index ``start + i``.
     The window starting at column ``a`` ends at column ``ends[a]``.  A model
-    may derive block-wide arrays from it once and slice them for each of its
-    windows, or evaluate a range of windows at once.
+    may derive block-wide arrays and window statistics from it once and read
+    each window's from them.
     """
 
     cols: np.ndarray
@@ -116,10 +119,6 @@ class WindowBlock:
     gam: np.ndarray
     Gam: np.ndarray
     ends: np.ndarray
-
-    def range_end(self, lo: int) -> int:
-        """End of the range of windows from column ``lo``: at most ``_RANGE_WINDOWS`` of them."""
-        return min(lo + _RANGE_WINDOWS, len(self.ends))
 
 
 class Window:
@@ -320,6 +319,7 @@ def run(
     n_iters: int,
     rng: np.random.Generator,
     marginal: MarginalAccumulator | None = None,
+    rows: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> RunResult:
     """Sweep ``n_iters`` iterations along one trajectory.
 
@@ -334,8 +334,12 @@ def run(
     time, ``value <- value + sum_k (eta_k / H) * (F_k - value)`` over the
     chunk's windows ``k`` with ``H`` the weight total after it
     (:meth:`FunctionalAverage.update`).  A chunk holds at most
-    ``_RANGE_WINDOWS`` windows and is cut at every checkpoint.  The
-    trajectory ends at ``horizon_index(n_iters - 1, T)``.  A failing step raises
+    ``_RANGE_WINDOWS`` windows and is cut at every checkpoint.  Without
+    ``rows`` the chunk's values are the functional's, stacked; with it they
+    are ``rows(np.array(values))``, one row per window, so a functional
+    that returns one float per window has its rows built once per chunk.
+    ``rows`` needs a functional.  The trajectory ends at
+    ``horizon_index(n_iters - 1, T)``.  A failing step raises
     :class:`DriverStepError` carrying its own index.
 
     With a ``marginal`` accumulator, iteration ``j`` feeds it the state at
@@ -356,6 +360,8 @@ def run(
         raise ValueError(f"need at least one iteration, got {n_iters}")
     if (functional is None) == (marginal is None):
         raise ValueError("give exactly one of a functional and a marginal accumulator")
+    if rows is not None and functional is None:
+        raise ValueError("a row map needs a functional")
     if functional is not None and (T is None or not 0.0 < T < math.inf):
         raise ValueError(f"window horizon must be positive and finite, got {T}")
 
@@ -414,9 +420,9 @@ def run(
         while lo < j1 - j0:
             # a chunk of windows lo .. hi-1, cut at the next checkpoint
             hi = min(lo + _RANGE_WINDOWS, j1 - j0, cp - j0)
-            values = list(map(functional, map(Window, repeat(block), range(lo, hi),
-                                               ends_list[lo:hi])))
-            avg.update(eta[lo:hi], np.array(values))
+            values = np.array(list(map(functional, map(Window, repeat(block), range(lo, hi),
+                                                        ends_list[lo:hi]))))
+            avg.update(eta[lo:hi], values if rows is None else rows(values))
             if j0 + hi == cp:
                 checkpoints.append((cp, avg.copy_value()))
                 cp = next(grid, n_iters)

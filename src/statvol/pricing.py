@@ -13,13 +13,13 @@ and the exact call-put gap ``e^{-rT} (E[A] - K)`` is known in closed form
 leg and reconstructing the other through the gap is the variance-reduced
 ("parity on") estimator.
 
-The functional hands the engine one value per window, but computes them a
-range of windows at a time: it calls the driver's ``window_stats`` once per
-block for every window's average (or terminal value), slices each range's
-from them, and builds the discounted payoffs of every strike for the whole
-range as one 2-D array, with the same elementwise operations a single
-window would use.  Each window's call then returns a ready-made view of its
-row.
+The functional hands the engine one float per window, the window's
+average (or terminal value), read from the driver's ``window_stats``,
+which it calls once per block.  The payoffs are built once per chunk of
+the engine's fold: the engine passes a chunk's statistics to the row map,
+which builds the discounted payoffs of every strike for the whole chunk as
+one 2-D array, with the same elementwise operations a single window would
+use.
 
 Standard errors come from the squared payoffs, which the functional
 returns after the payoffs so that the engine's one weighted average folds
@@ -228,11 +228,10 @@ def _price_grid(
     time average, 1 for the terminal value.  One sweep folds, per window,
     the discounted call and put payoffs of every strike, the statistic
     itself and the squared payoffs.  The functional calls ``window_stats``
-    once per block, on the block's first window, and keeps only that block's
-    statistic.  It builds the rows for a range of windows at once
-    (:meth:`engine.WindowBlock.range_end`) from the range's slice of the
-    statistic and hands the engine one row per window, a view made with the
-    range.
+    once per block, on the block's first window, keeps only that block's
+    statistic as a list of floats and returns each window's one float.
+    ``engine.run`` hands each chunk's floats to ``range_rows``, which
+    builds the chunk's rows at once.
     """
     T, r = _common_T_r(specs)
     strikes = np.array([s.K for s in specs], dtype=float)
@@ -243,7 +242,7 @@ def _price_grid(
     signed_strikes = signs * np.tile(strikes, 2)
 
     def range_rows(stat: np.ndarray) -> np.ndarray:
-        """The functional's values of the windows whose statistic is ``stat``, one row each."""
+        """The rows the engine folds for the windows whose statistic is ``stat``, one each."""
         a = stat[:, None]
         rows = np.empty((len(stat), 4 * nk + 1))
         legs = rows[:, : 2 * nk]
@@ -255,24 +254,15 @@ def _price_grid(
         np.multiply(legs, legs, out=rows[:, 2 * nk + 1 :])
         return rows
 
-    # (block, its windows' statistic, first window of a range, views of the range's rows)
-    memo = (None, None, 0, [])
+    memo = (None, None)  # (block, its windows' statistic as floats)
 
-    def functional(window: engine.Window) -> np.ndarray:
+    def functional(window: engine.Window) -> float:
         nonlocal memo
-        block, stat, lo, rows = memo
-        i = window.a - lo
-        if block is not window.block or not 0 <= i < len(rows):
-            memo = rows = None  # the last range's rows go before the next ones are built
-            if block is not window.block:
-                block = window.block
-                stat = driver.window_stats(block)[statistic]
-            lo, i = window.a, 0
-            rows = list(range_rows(stat[lo : block.range_end(lo)]))
-            memo = (block, stat, lo, rows)
-        return rows[i]
+        if memo[0] is not window.block:
+            memo = window.block, driver.window_stats(window.block)[statistic].tolist()
+        return memo[1][window.a]
 
-    result = engine.run(driver, sched, functional, T, n_iters, rng)
+    result = engine.run(driver, sched, functional, T, n_iters, rng, rows=range_rows)
     return _assemble(specs, strikes, result, driver.params, use_parity, T, r)
 
 

@@ -116,11 +116,13 @@ MODELS = {
 
 
 def _grid_run(driver, sched, specs, n, european, parity, monkeypatch):
-    """The grid's estimates, its raw engine result and every window's value.
+    """The grid's estimates, its raw engine result and every window's folded row.
 
-    The sweep calls ``window_stats`` once per block, in the engine's order,
-    and leaves nothing on the driver but its parameters and, for BNS, the
-    normals drawn for the next block.
+    The functional returns each window's statistic and the engine folds the
+    row that ``rows`` maps it to; the row recorded here is that map applied
+    to the one statistic.  The sweep calls ``window_stats`` once per block,
+    in the engine's order, and leaves nothing on the driver but its
+    parameters and, for BNS, the normals drawn for the next block.
     """
     results, blocks, values = [], [], []
     run, stats = engine.run, type(driver).window_stats
@@ -128,7 +130,7 @@ def _grid_run(driver, sched, specs, n, european, parity, monkeypatch):
     def keep(drv, s, functional, *args, **kwargs):
         def recorded(window):
             value = functional(window)
-            values.append(np.array(value, copy=True))
+            values.append(kwargs["rows"](np.array([value]))[0])
             return value
 
         results.append(run(drv, s, recorded, *args, **kwargs))
@@ -223,9 +225,10 @@ def test_window_stats_match_per_window_reference(model, r, rho, c2, T, n, europe
 @pytest.mark.parametrize("model,r,rho", [("heston", 0.05, 0.5), ("heston", 0.0, -0.9),
                                          ("bns", 0.05, -1.0)])
 def test_chunk_fold_matches_per_window_recurrence(model, r, rho, parity, monkeypatch):
-    # the engine folds a chunk of windows per update; the same values folded
-    # one window at a time by the recurrence give the same estimator at every
-    # checkpoint, up to the order of the sums
+    # the engine maps a chunk of windows' statistics to rows and folds them in
+    # one update; each window's row, mapped alone and folded one window at a
+    # time by the recurrence, gives the same estimator at every checkpoint, up
+    # to the order of the sums
     make_params, make_driver, _ = MODELS[model]
     params = make_params(r, rho)
     sched = make_polynomial_schedule(1.0, 1 / 3, 1.0, 1 / 3)

@@ -324,6 +324,9 @@ class TestRunBookkeeping:
                        rng=stream(0, 0), marginal=acc)
         with pytest.raises(ValueError, match="exactly one"):
             engine.run(ConstantDriver(), s, None, T=1.0, n_iters=5, rng=stream(0, 0))
+        with pytest.raises(ValueError, match="needs a functional"):
+            engine.run(ConstantDriver(), s, None, T=None, n_iters=5, rng=stream(0, 0),
+                       marginal=acc, rows=lambda x: x)
         assert acc.count == 0
 
     def test_nonfinite_horizon_rejected(self):
@@ -392,22 +395,51 @@ class TestRunBookkeeping:
             assert err.value.index == bad
 
     def test_ranges_fit_the_window_budget(self):
-        # ranges tile a block's windows in order, each at most _RANGE_WINDOWS,
-        # however long the windows: T = 16 makes the last one 259 segments long
+        # the chunks the row map receives tile each block's windows in order,
+        # each at most _RANGE_WINDOWS rows, however long the windows: T = 16
+        # makes the first block's last window 259 segments long
         s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
-        blocks = []
-        engine.run(ConstantDriver(), s, lambda w: blocks.append(w.block) or 0.0, T=16.0,
-                   n_iters=engine._BLOCK, rng=stream(0, 0))
+        n = engine._BLOCK + 300
+        blocks, chunks = [], []
+
+        def functional(w):
+            if w.a == 0:
+                blocks.append(w.block)
+            return float(w.start)
+
+        def rows(values):
+            chunks.append(values.tolist())
+            return values
+
+        engine.run(ConstantDriver(), s, functional, T=16.0, n_iters=n, rng=stream(0, 0),
+                   rows=rows)
         block = blocks[0]
         assert block.ends[-1] - (len(block.ends) - 1) > engine._RANGE_WINDOWS
-        lo, lengths = 0, []
-        while lo < len(block.ends):
-            hi = block.range_end(lo)
-            lengths.append(hi - lo)
-            lo = hi
-        assert lo == len(block.ends)
-        assert lengths == [engine._RANGE_WINDOWS] * (engine._BLOCK // engine._RANGE_WINDOWS)
-        assert block.range_end(len(block.ends) - 3) == len(block.ends)
+        assert [start for chunk in chunks for start in chunk] == list(range(n))
+        assert all(1 <= len(chunk) <= engine._RANGE_WINDOWS for chunk in chunks)
+        assert all(chunk[0] // engine._BLOCK == chunk[-1] // engine._BLOCK for chunk in chunks)
+
+    def test_row_map_folds_as_the_mapped_functional(self):
+        # mapping a chunk of values to rows at once folds what a functional
+        # that returned each window's row would, at every checkpoint; n = 9000
+        # crosses two blocks, and the checkpoint 1000 falls inside a chunk
+        s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
+        n = 9000
+        assert n > 2 * engine._BLOCK and 1000 % engine._RANGE_WINDOWS != 0
+
+        def F(w):
+            return math.sqrt(w.start) + 0.1 * len(w)
+
+        def G(x):
+            return np.stack((x, x * x, np.maximum(x - 5.0, 0.0)), axis=1)
+
+        mapped = engine.run(CountingDriver(), s, F, T=1.0, n_iters=n, rng=stream(0, 0), rows=G)
+        ref = engine.run(CountingDriver(), s, lambda w: G(np.array([F(w)]))[0], T=1.0,
+                         n_iters=n, rng=stream(0, 0))
+        assert [c for c, _ in mapped.checkpoints] == [1, 10, 100, 1000, n]
+        assert ([(c, v.tolist()) for c, v in mapped.checkpoints]
+                == [(c, v.tolist()) for c, v in ref.checkpoints])
+        assert mapped.average.value.tolist() == ref.average.value.tolist()
 
     def test_checkpoint_grid(self):
         s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)

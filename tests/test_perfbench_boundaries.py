@@ -18,7 +18,9 @@ fails here.  The benchmark's checks also count calls: one
 per window.  A sweep of each kind under the installed tracer pins those
 counts, the marginal one for one coordinate and for two, so a sweep that
 folded a block per call fails here until the tracer's boundaries move to
-blocks.
+blocks.  A traced strike grid must also price as an untraced one: the
+tracer replaces the functional with a plain wrapper, so the payoff row map
+has to reach ``engine.run`` as its own argument.
 """
 
 import subprocess
@@ -97,11 +99,14 @@ from statvol import cli, engine, levy, models, pricing, schedule
 from statvol.rng import stream
 from tracer import Tracer
 
-tracer = Tracer()
-tracer.install(cli, engine, levy, models, pricing, schedule)
 warnings.simplefilter("ignore", RuntimeWarning)
 heston = models.HestonParams(s0=50.0, r=0.05, rho=0.5, k=2.0, theta=0.01, sigma_v=0.1)
 sched = schedule.make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
+specs = [pricing.AsianSpec(K=k, T=1.0, r=0.05) for k in (44.0, 50.0, 56.0)]
+untraced = pricing.price_asian_grid(models.HestonDriver(heston), sched, specs, 300, stream(3, 0))
+
+tracer = Tracer()
+tracer.install(cli, engine, levy, models, pricing, schedule)
 
 # marginal sweeps across a block boundary, on the one-coordinate path and on
 # the general one: one update per point, no functional
@@ -122,6 +127,14 @@ n = 300
 engine.run(models.HestonDriver(heston), sched, lambda w: 0.0, 1.0, n, stream(2, 0))
 aggregates = tracer.report()["aggregates"]
 assert aggregates["pricing.functional"]["calls"] == n, aggregates["pricing.functional"]["calls"]
+
+# a pricing sweep: one functional call per window, and the same estimates as
+# untraced, since the tracer forwards the row map to engine.run untouched
+before = aggregates["pricing.functional"]["calls"]
+traced = pricing.price_asian_grid(models.HestonDriver(heston), sched, specs, 300, stream(3, 0))
+calls = tracer.report()["aggregates"]["pricing.functional"]["calls"] - before
+assert calls == 300, calls
+assert traced == untraced, (traced, untraced)
 """
 
 
