@@ -15,7 +15,15 @@ Replication ``i`` always consumes the Philox stream derived from
 pool only changes scheduling, never values.  Wall time goes to stderr, not
 into the CSV.
 
-Exit codes: 0 ok, 2 configuration error, 3 numerical failure.
+A flag is read exactly as its key would be in a config file (``--iters``
+is ``n_iters``): :data:`_FLAGS` maps each flag to its key, and both go
+through :func:`_parse`, which picks the parser from the key's ``RunConfig``
+annotation.
+
+Exit codes: 0 ok, 2 configuration error, 3 numerical failure.  Exit 2
+covers an unknown key, a value its key's type cannot read (in the file or
+as a flag), a value outside its key's domain, an invalid schedule, and an
+``out`` that cannot be written; each message names its key or path.
 """
 
 from __future__ import annotations
@@ -83,19 +91,12 @@ class RunConfig:
     scan_max: int = 1_000_000
 
 
-_BOOL_KEYS = {"parity"}
-_INT_KEYS = {"n_iters", "seed", "replications", "threads", "hist_bins",
-             "oracle_paths", "scan_max"}
-_LIST_KEYS = {"strikes", "maturities"}
-_STR_KEYS = {"model", "kind", "out"}
-
-
-def _parse_bool(key: str, raw: str) -> bool:
+def _parse_bool(raw: str) -> bool:
     if raw in ("on", "true", "1", "yes"):
         return True
     if raw in ("off", "false", "0", "no"):
         return False
-    raise ConfigError(f"{key}: expected on/off, got {raw!r}")
+    raise ValueError("expected on/off")
 
 
 def _parse_float(raw: str) -> float:
@@ -105,10 +106,29 @@ def _parse_float(raw: str) -> float:
     return value
 
 
+def _parse_floats(raw: str) -> tuple:
+    return tuple(_parse_float(tok) for tok in raw.split(",") if tok.strip())
+
+
+# Each key's parser, from its RunConfig annotation (an optional key parses
+# as its type); an annotation without a parser fails at import.
+_TYPE_PARSERS = {"str": str, "bool": _parse_bool, "int": int,
+                 "float": _parse_float, "tuple": _parse_floats}
+_KEY_PARSERS = {f.name: _TYPE_PARSERS[f.type.removesuffix(" | None")]
+                for f in fields(RunConfig)}
+
+
+def _parse(key: str, raw: str, where: str):
+    """``raw`` read as config key ``key``: file values and flags both come here."""
+    try:
+        return _KEY_PARSERS[key](raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where}bad value for {key}: {raw!r} ({exc})") from exc
+
+
 def load_config(path: str | Path) -> RunConfig:
     """Parse a flat key=value config file (see config_schema.txt)."""
     cfg = RunConfig()
-    known = {f.name for f in fields(RunConfig)}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -120,22 +140,9 @@ def load_config(path: str | Path) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in _KEY_PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            if key in _STR_KEYS:
-                value = raw
-            elif key in _BOOL_KEYS:
-                value = _parse_bool(key, raw)
-            elif key in _INT_KEYS:
-                value = int(raw)
-            elif key in _LIST_KEYS:
-                value = tuple(_parse_float(tok) for tok in raw.split(",") if tok.strip())
-            else:
-                value = _parse_float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {raw!r} ({exc})") from exc
-        setattr(cfg, key, value)
+        setattr(cfg, key, _parse(key, raw, f"{path}:{lineno}: "))
     return cfg
 
 
@@ -189,10 +196,7 @@ def _validate(cfg: RunConfig) -> None:
 
 
 def _build_schedule(cfg: RunConfig) -> schedule.Schedule:
-    try:
-        return schedule.make_polynomial_schedule(cfg.c1, cfg.rho1, cfg.c2, cfg.rho2)
-    except schedule.ScheduleError as exc:
-        raise ConfigError(str(exc)) from exc
+    return schedule.make_polynomial_schedule(cfg.c1, cfg.rho1, cfg.c2, cfg.rho2)
 
 
 _DRIVERS = {"heston": HestonDriver, "bns": BnsDriver}
@@ -267,25 +271,16 @@ def _map_reps(cfg: RunConfig, worker):
         return list(pool.map(worker, reps))
 
 
-def _combined_rows(cfg: RunConfig, per_rep: list[list[pricing.PriceEstimate]]):
-    """Average per-strike estimates over replications (fixed order)."""
-    n_reps = len(per_rep)
-    rows = []
-    for i, k in enumerate(cfg.strikes):
-        vals = [per_rep[r][i].value for r in range(n_reps)]
-        value = sum(vals) / n_reps
-        se = math.sqrt(sum(per_rep[r][i].se ** 2 for r in range(n_reps))) / n_reps
-        rows.append([k, value, se, n_reps * cfg.n_iters, cfg.seed])
-    return rows
-
-
 def _replicate_grid(cfg: RunConfig, maturities, kind: str, estimate):
-    """Per maturity, every replication's ``estimate`` of the strike grid.
+    """Per maturity, each strike's ``(mean value, sqrt(sum se**2) / R)``.
 
-    The model parameters are built and validated once; each replication
-    gets a fresh driver on them.  Replication ``rep`` of maturity index
-    ``ti`` consumes stream ``ti * replications + rep``.
+    ``estimate`` prices the strike grid once per replication; the ``R``
+    replications are reduced in replication order.  The model parameters
+    are built and validated once; each replication gets a fresh driver on
+    them.  Replication ``rep`` of maturity index ``ti`` consumes stream
+    ``ti * replications + rep``.
     """
+    n_reps = cfg.replications
     params = _build_params(cfg)
     sched = _build_schedule(cfg)  # one for every maturity and replication
     new_driver = _DRIVERS[cfg.model]
@@ -295,15 +290,19 @@ def _replicate_grid(cfg: RunConfig, maturities, kind: str, estimate):
 
         def worker(rep: int, _specs=specs, _ti=ti):
             return estimate(new_driver(params), sched, _specs, cfg.n_iters,
-                            stream(cfg.seed, _ti * cfg.replications + rep))
+                            stream(cfg.seed, _ti * n_reps + rep))
 
-        per_maturity.append(_map_reps(cfg, worker))
+        per_maturity.append([
+            (sum(e.value for e in ests) / n_reps,
+             math.sqrt(sum(e.se ** 2 for e in ests)) / n_reps)
+            for ests in zip(*_map_reps(cfg, worker))])
     return per_maturity
 
 
 def _price_strike_grid(cfg: RunConfig, estimate) -> None:
-    [per_rep] = _replicate_grid(cfg, (cfg.maturity,), cfg.kind, estimate)
-    rows = _combined_rows(cfg, per_rep)
+    [grid] = _replicate_grid(cfg, (cfg.maturity,), cfg.kind, estimate)
+    n = cfg.replications * cfg.n_iters
+    rows = [[k, value, se, n, cfg.seed] for k, (value, se) in zip(cfg.strikes, grid)]
     _emit(cfg.out, ["strike", "estimate", "std_error", "n", "seed"], rows)
 
 
@@ -319,9 +318,8 @@ def cmd_vol_surface(cfg: RunConfig) -> None:
     maturities = cfg.maturities if cfg.maturities is not None else (cfg.maturity,)
     per_maturity = _replicate_grid(cfg, maturities, "call", pricing.price_european_grid)
     rows = []
-    for T, per_rep in zip(maturities, per_maturity):
-        for i, k in enumerate(cfg.strikes):
-            price = sum(per_rep[r][i].value for r in range(len(per_rep))) / len(per_rep)
+    for T, grid in zip(maturities, per_maturity):
+        for k, (price, _se) in zip(cfg.strikes, grid):
             try:
                 iv = pricing.implied_vol(price, cfg.s0, k, T, cfg.r)
                 status = "ok"
@@ -355,16 +353,13 @@ def cmd_stationary_stats(cfg: RunConfig) -> None:
 
 def cmd_check_schedule(cfg: RunConfig) -> None:
     sched = _build_schedule(cfg)
-    try:
-        diags = [
-            schedule.check_weight_step_condition(sched, cfg.eps, n_max=cfg.scan_max),
-            schedule.check_invariance_condition(sched, n_max=min(cfg.scan_max, 10**5)),
-            schedule.check_series_condition(
-                sched, cfg.series_s, eps=cfg.eps, T=cfg.maturity,
-                k_max=min(cfg.scan_max, 10**5)),
-        ]
-    except schedule.ScheduleError as exc:
-        raise ConfigError(str(exc)) from exc
+    diags = [
+        schedule.check_weight_step_condition(sched, cfg.eps, n_max=cfg.scan_max),
+        schedule.check_invariance_condition(sched, n_max=min(cfg.scan_max, 10**5)),
+        schedule.check_series_condition(
+            sched, cfg.series_s, eps=cfg.eps, T=cfg.maturity,
+            k_max=min(cfg.scan_max, 10**5)),
+    ]
     rows = [[d.name, "pass" if d.passed else "fail", d.summary] for d in diags]
     _emit(cfg.out, ["condition", "verdict", "detail"], rows)
 
@@ -401,6 +396,16 @@ _COMMANDS = {
 }
 
 
+# flag -> (config key, help, choices); main reads each flag's value as its key
+_FLAGS = {
+    "--seed": ("seed", "64-bit RNG seed", None),
+    "--iters": ("n_iters", "iterations per replication", None),
+    "--out": ("out", "output CSV path ('-' for stdout)", None),
+    "--parity": ("parity", "call-put parity variance reduction", ("on", "off")),
+    "--threads": ("threads", "worker threads", None),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="statvol",
@@ -411,12 +416,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--seed", type=int, help="64-bit RNG seed")
-        p.add_argument("--iters", type=int, help="iterations per replication")
-        p.add_argument("--out", help="output CSV path ('-' for stdout)")
-        p.add_argument("--parity", choices=["on", "off"],
-                       help="call-put parity variance reduction")
-        p.add_argument("--threads", type=int, help="worker threads")
+        for flag, (key, help_text, choices) in _FLAGS.items():
+            p.add_argument(flag, dest=key, help=help_text, choices=choices)
     return parser
 
 
@@ -425,20 +426,14 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.iters is not None:
-            cfg.n_iters = args.iters
-        if args.out is not None:
-            cfg.out = args.out
-        if args.parity is not None:
-            cfg.parity = args.parity == "on"
-        if args.threads is not None:
-            cfg.threads = args.threads
+        for flag, (key, *_) in _FLAGS.items():
+            raw = getattr(args, key)
+            if raw is not None:
+                setattr(cfg, key, _parse(key, raw, f"{flag}: "))
         _validate(cfg)
         _check_out(cfg.out)
         _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, schedule.ScheduleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DriverStepError, ArithmeticError) as exc:

@@ -93,9 +93,6 @@ class TruncationPolicy:
         if not self.power >= 1.0:
             raise ValueError(f"threshold power must be >= 1, got {self.power}")
 
-    def threshold(self, gamma: float) -> float:
-        return self.thresholds((gamma,))[0]
-
     def thresholds(self, gammas) -> list[float]:
         """The threshold of each step length in ``gammas``.
 

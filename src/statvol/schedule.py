@@ -166,8 +166,10 @@ class Schedule:
     def _value(self, row: int, n: int) -> float:
         if n == 0:
             return 0.0
-        self.ensure(n)
         m, i = divmod(n - 1, _BLOCK)
+        if row < 2:  # gamma and eta are closed forms: no anchor needed
+            return float(self._powers(m)[row, i])
+        self.ensure(n)
         return float(self._block(m)[row, i])
 
     def _range(self, row, lo: int, hi: int, blocks=None) -> np.ndarray:

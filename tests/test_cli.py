@@ -90,6 +90,16 @@ class TestConfigParsing:
                                match=re.escape(f"{p}:2: bad value for {key}: ")):
                 cli.load_config(p)
 
+    def test_every_key_parses_as_its_annotation(self):
+        # the parser comes from the RunConfig annotation alone, so a new
+        # int, bool or str key cannot fall through to a float parse
+        samples = {"str": ("heston", "heston"), "bool": ("off", False), "int": ("7", 7),
+                   "float": ("0.5", 0.5), "tuple": ("1, 2", (1.0, 2.0))}
+        for f in fields(cli.RunConfig):
+            raw, want = samples[f.type.removesuffix(" | None")]
+            got = cli._parse(f.name, raw, "")
+            assert got == want and type(got) is type(want), f.name
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(cli.ConfigError):
             cli.load_config(tmp_path / "absent.cfg")
@@ -128,6 +138,17 @@ class TestExitCodes:
             assert rc == 2, (command, key, value, err)
             assert key in err, (command, key, value, err)
 
+    def test_schedule_error_exit_2(self, tmp_path, capsys):
+        # a ScheduleError is a config error wherever the run raises it
+        for command, key, value, message in (
+                ("price-asian", "c1", 0.0, "c1=0.0"),
+                ("check-schedule", "series_s", 1.0, "moment order s must exceed 1")):
+            cfg = write_config(tmp_path, **{key: value})
+            rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+            err = capsys.readouterr().err
+            assert rc == 2, (command, err)
+            assert "config error" in err and message in err, (command, err)
+
     def test_unwritable_out_exit_2(self, tmp_path, capsys, monkeypatch):
         swept, run = [], engine.run
 
@@ -143,6 +164,16 @@ class TestExitCodes:
             assert rc == 2
             assert str(out) in capsys.readouterr().err
         assert not swept  # failed before any simulation
+
+    def test_bad_flag_value_exit_2_names_its_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, n_iters=50)
+        for flag, raw, key in (("--seed", "x", "seed"), ("--iters", "1.5", "n_iters"),
+                               ("--threads", "two", "threads")):
+            rc = cli.main(["price-asian", "--config", str(cfg), "--out",
+                           str(tmp_path / "o.csv"), flag, raw])
+            err = capsys.readouterr().err
+            assert rc == 2, (flag, err)
+            assert f"bad value for {key}: {raw!r}" in err, (flag, err)
 
     def test_ok_exit_0(self, tmp_path):
         cfg = write_config(tmp_path, n_iters=500)
@@ -222,6 +253,18 @@ class TestPriceAsianCommand:
                   "--seed", "2"])
         assert out1.read_bytes() != out2.read_bytes()
 
+    def test_flag_reads_as_its_key_in_the_file(self, tmp_path):
+        # a flag's value is parsed exactly as its key's value in a config file
+        base = write_config(tmp_path, name="base.cfg", n_iters=500)
+        for flag, key, raw in (("--parity", "parity", "off"), ("--iters", "n_iters", "700"),
+                               ("--seed", "seed", "99")):
+            keyed = write_config(tmp_path, name="keyed.cfg", **{"n_iters": 500, key: raw})
+            flagged, filed = tmp_path / "flag.csv", tmp_path / "file.csv"
+            assert cli.main(["price-asian", "--config", str(base), "--out", str(flagged),
+                             flag, raw]) == 0
+            assert cli.main(["price-asian", "--config", str(keyed), "--out", str(filed)]) == 0
+            assert flagged.read_bytes() == filed.read_bytes(), flag
+
     def test_bns_model_runs(self, tmp_path):
         cfg = write_config(tmp_path, model="bns", rho=-1.0, n_iters=500,
                            truncation_power=2.0)
@@ -243,6 +286,18 @@ class TestVolSurfaceCommand:
         for line in lines[1:]:
             status = line.split(",")[-1]
             assert status in ("ok", "band_violation")
+
+    def test_thread_count_does_not_change_bytes(self, tmp_path):
+        cfg = write_config(tmp_path, n_iters=800, maturities="0.5,1", replications=2)
+        outs = []
+        for threads in (1, 4):
+            out = tmp_path / f"t{threads}.csv"
+            rc = cli.main(["vol-surface", "--config", str(cfg), "--out", str(out),
+                           "--threads", str(threads)])
+            assert rc == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) == 1 + 2 * 3
 
     def test_scheme_warning_raised_once(self, tmp_path):
         # the benchmark Heston parameters violate the sufficient

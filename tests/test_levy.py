@@ -47,15 +47,12 @@ class TestMeasureValidation:
 
     def test_truncation_policy(self):
         pol = TruncationPolicy()
-        assert pol.threshold(0.2) == 0.2
-        assert pol.threshold(3.0) == 1.0  # capped at 1
+        assert pol.thresholds((0.2,))[0] == 0.2
+        assert pol.thresholds((3.0,))[0] == 1.0  # capped at 1
         sq = TruncationPolicy(power=2.0)
-        assert sq.threshold(0.2) == pytest.approx(0.04)
+        assert sq.thresholds((0.2,))[0] == pytest.approx(0.04)
         # the cap needs no power: 2.0 ** 2000 would overflow
-        assert TruncationPolicy(power=2000.0).threshold(2.0) == 1.0
-        gammas = [3.0, 1.0, 0.9, 0.2, 1e-5]
-        for pol in (TruncationPolicy(), sq, TruncationPolicy(power=2000.0)):
-            assert pol.thresholds(gammas) == [pol.threshold(g) for g in gammas]
+        assert TruncationPolicy(power=2000.0).thresholds((2.0,))[0] == 1.0
         with pytest.raises(ValueError):
             TruncationPolicy(power=0.5)
 

@@ -107,7 +107,7 @@ def reference_bns_steps(params, state, gam, rng, normals=None):
     v, x = state
     out = []
     for g in gam:
-        u = params.truncation.threshold(g)
+        u = params.truncation.thresholds((g,))[0]
         dz = 0.0
         for _ in range(int(rng.poisson(g * reference_tail_rate(params.jump, u)))):
             dz += levy.sample_jump_above(params.jump, u, rng)
@@ -286,8 +286,8 @@ class TestBlockAdvance:
                       jump=TemperedStableMeasure(c=0.1, lam=1000.0, alpha=0.5),
                       truncation=TruncationPolicy(power=20.0))
         pattern = [1.0, 0.7, 0.6, 0.8, 0.99, 0.5] + [0.8] * 7 + [0.7] * 7
-        means = [g * levy.tail_intensity_closed(p.jump, p.truncation.threshold(g))
-                 for g in pattern]
+        means = [g * levy.tail_intensity_closed(p.jump, u)
+                 for g, u in zip(pattern, p.truncation.thresholds(pattern))]
         assert means[0] == means[4] == 0.0
         assert 10.0 <= means[2] < means[5] <= 1e7
         assert 0.0 < means[3] < means[1] < 10.0

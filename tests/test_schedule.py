@@ -72,6 +72,15 @@ class TestMakePolynomialSchedule:
             assert np.array_equal(fresh.eta_slice(lo, hi), rows[1, lo:hi]), hi
             assert fresh._anchors == [(0.0, 0.0)]
 
+    def test_scalar_steps_extend_no_anchor(self):
+        # gamma(n) and eta(n) are closed forms: at n = 1e7 they read the
+        # block's powers, as the slices do, and fsum no block before it
+        s = sch.make_polynomial_schedule(0.8, 0.6, 1.5, 0.25)
+        n = 10**7
+        assert s.gamma(n) == s.gamma_slice(n, n + 1)[0]
+        assert s.eta(n) == s.eta_slice(n, n + 1)[0]
+        assert s._anchors == [(0.0, 0.0)]
+
     def test_prefix_sums_match_exact_summation_at_1e6(self, benchmark_schedule):
         s = benchmark_schedule
         n = 10**6

@@ -1,14 +1,17 @@
-"""Compare the CSVs of the benchmark workloads between another checkout and this one.
+"""Compare the CSVs of every CLI command between another checkout and this one.
 
     python3 tools/same_numbers.py PARENT_CHECKOUT [--seeds 7,11]
 
-Each workload of ``perfbench/workloads.py`` (read, never written) runs its
-CLI command at its own ``n`` and config, once from ``PARENT_CHECKOUT/src``
-and once from this checkout's ``src``, for every seed, with the config's
-own ``threads`` and with ``--threads 1`` (one run when the two agree).  The
-script prints how many CSV cells differ in each case and exits 1 if any
-cell differs or any run fails, 0 otherwise.  It uses the standard library
-only; the runs go one at a time.
+The cases are the workloads of ``perfbench/workloads.py`` (read, never
+written) at their own ``n`` and config, plus small fixed cases for the
+commands no workload runs (``price-european``, ``check-schedule``,
+``oracle``) and one run whose flags override its config file.  Each case
+runs once from ``PARENT_CHECKOUT/src`` and once from this checkout's
+``src``, for every seed, with the config's own ``threads`` and with
+``--threads 1`` (one run when the two agree).  The script prints how many
+CSV cells differ in each case and exits 1 if any cell differs or any run
+fails, 0 otherwise.  It uses the standard library only; the runs go one at
+a time.
 """
 
 from __future__ import annotations
@@ -19,24 +22,45 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from workloads import WORKLOADS  # noqa: E402
+from workloads import GRID, HESTON, WORKLOADS  # noqa: E402
 
 
-def run_csv(src: Path, wl, seed: int, threads: int, tmp: Path) -> list[list[str]]:
-    """The CSV rows of workload ``wl`` run from ``src``; raises if the run fails."""
+@dataclass(frozen=True)
+class Case:
+    command: str
+    config: dict  # config file keys; n_iters and out are added
+    n_iters: int
+    flags: tuple = ()  # more command-line flags, after --seed and --threads
+
+
+CASES = {
+    **{name: Case(wl.command, wl.config, wl.n_iters) for name, wl in WORKLOADS.items()},
+    "heston-european": Case("price-european",
+                            {**HESTON, **GRID, "replications": "2", "threads": "2"}, 3_000),
+    "check-schedule": Case("check-schedule", {**HESTON, "scan_max": "20000"}, 1),
+    "oracle": Case("oracle", {**HESTON, "strikes": "48,50,52", "oracle_paths": "400"}, 1),
+    "heston-asian-flags": Case("price-asian", {**HESTON, **GRID, "parity": "on"}, 15_000,
+                               ("--parity", "off", "--iters", "5000")),
+}
+
+
+def run_csv(src: Path, case: Case, seed: int, threads: int, tmp: Path) -> list[list[str]]:
+    """The CSV rows of ``case`` run from ``src``; raises if the run fails."""
     out = tmp / "out.csv"
     cfg = tmp / "run.cfg"
-    cfg.write_text(wl.config_text(wl.n_iters, str(out)))
+    keys = dict(case.config, n_iters=str(case.n_iters), out=str(out))
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-m", "statvol.cli", wl.command, "--config", str(cfg),
-         "--seed", str(seed), "--threads", str(threads)],
+        [sys.executable, "-m", "statvol.cli", case.command, "--config", str(cfg),
+         "--seed", str(seed), "--threads", str(threads), *case.flags],
         cwd=tmp, env=env, capture_output=True, text=True, timeout=600)
     if proc.returncode != 0:
         raise RuntimeError(f"exit {proc.returncode} from {src}: {proc.stderr.strip()}")
@@ -64,19 +88,19 @@ def main(argv: list[str]) -> int:
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for name, wl in WORKLOADS.items():
+        for name, case in CASES.items():
             for seed in seeds:
-                for threads in sorted({int(wl.config.get("threads", 1)), 1}):
-                    case = f"{name} seed={seed} threads={threads}"
+                for threads in sorted({int(case.config.get("threads", 1)), 1}):
+                    label = f"{name} seed={seed} threads={threads}"
                     try:
-                        parent, change = [run_csv(src, wl, seed, threads, tmp)
+                        parent, change = [run_csv(src, case, seed, threads, tmp)
                                           for src in sides]
                         diff, total = differing_cells(parent, change)
                     except (RuntimeError, subprocess.TimeoutExpired) as exc:
-                        print(f"{case}: run failed: {exc}")
+                        print(f"{label}: run failed: {exc}")
                         bad += 1
                         continue
-                    print(f"{case}: {diff} of {total} cells differ", flush=True)
+                    print(f"{label}: {diff} of {total} cells differ", flush=True)
                     bad += diff > 0
     return 1 if bad else 0
 
