@@ -8,12 +8,11 @@ Subcommands
     check-schedule    step/weight admissibility diagnostics
     oracle            classical fixed-grid MC cross-check (square-root model)
 
-Determinism contract: for a fixed (config, seed, threads) the emitted CSV is
-byte-identical across runs, and results are identical across thread counts.
-Replication ``i`` always consumes the Philox stream derived from
-``(seed, i)`` and results are reduced in replication order, so the thread
-pool only changes scheduling, never values.  Wall time goes to stderr, not
-into the CSV.
+Determinism contract: for a fixed (config, seed) the emitted CSV is
+byte-identical across runs.  Replication ``i`` always consumes the Philox
+stream derived from ``(seed, i)``, and the replications run in order on the
+calling thread; ``threads`` is accepted and has no effect.  Wall time goes
+to stderr, not into the CSV.
 
 A flag is read exactly as its key would be in a config file (``--iters``
 is ``n_iters``): :data:`_FLAGS` maps each flag to its key, and both go
@@ -107,7 +106,10 @@ def _parse_float(raw: str) -> float:
 
 
 def _parse_floats(raw: str) -> tuple:
-    return tuple(_parse_float(tok) for tok in raw.split(",") if tok.strip())
+    toks = raw.split(",")
+    if not all(tok.strip() for tok in toks):
+        raise ValueError("empty list element")
+    return tuple(_parse_float(tok) for tok in toks)
 
 
 # Each key's parser, from its RunConfig annotation (an optional key parses
@@ -177,12 +179,10 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"threads must be >= 1, got {cfg.threads}")
     if not cfg.maturity > 0.0:
         raise ConfigError(f"maturity must be positive, got {cfg.maturity}")
-    if not cfg.strikes:
-        raise ConfigError("strikes must be non-empty")
     if any(k < 0.0 for k in cfg.strikes):
         raise ConfigError(f"strikes must be >= 0, got {cfg.strikes}")
-    if cfg.maturities is not None and (not cfg.maturities or min(cfg.maturities) <= 0.0):
-        raise ConfigError(f"maturities must be non-empty and positive, got {cfg.maturities}")
+    if cfg.maturities is not None and min(cfg.maturities) <= 0.0:
+        raise ConfigError(f"maturities must be positive, got {cfg.maturities}")
     if cfg.hist_bins < 1:
         raise ConfigError(f"hist_bins must be >= 1, got {cfg.hist_bins}")
     if not cfg.hist_hi > cfg.hist_lo:
@@ -261,14 +261,8 @@ def _emit(out: str, header: list[str], rows: list[list]) -> None:
 
 
 def _map_reps(cfg: RunConfig, worker):
-    """Run ``worker(rep)`` for every replication, reduced in fixed order."""
-    reps = range(cfg.replications)
-    if cfg.threads <= 1 or cfg.replications == 1:
-        return [worker(i) for i in reps]
-    from concurrent.futures import ThreadPoolExecutor  # imported here: only a pool needs it
-
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        return list(pool.map(worker, reps))
+    """``worker(rep)`` for every replication, in replication order."""
+    return [worker(i) for i in range(cfg.replications)]
 
 
 def _replicate_grid(cfg: RunConfig, maturities, kind: str, estimate):
@@ -288,9 +282,9 @@ def _replicate_grid(cfg: RunConfig, maturities, kind: str, estimate):
     for ti, T in enumerate(maturities):
         specs = [AsianSpec(K=k, T=T, kind=kind, r=cfg.r) for k in cfg.strikes]
 
-        def worker(rep: int, _specs=specs, _ti=ti):
-            return estimate(new_driver(params), sched, _specs, cfg.n_iters,
-                            stream(cfg.seed, _ti * n_reps + rep))
+        def worker(rep: int):
+            return estimate(new_driver(params), sched, specs, cfg.n_iters,
+                            stream(cfg.seed, ti * n_reps + rep))
 
         per_maturity.append([
             (sum(e.value for e in ests) / n_reps,
@@ -402,7 +396,7 @@ _FLAGS = {
     "--iters": ("n_iters", "iterations per replication", None),
     "--out": ("out", "output CSV path ('-' for stdout)", None),
     "--parity": ("parity", "call-put parity variance reduction", ("on", "off")),
-    "--threads": ("threads", "worker threads", None),
+    "--threads": ("threads", "accepted, no effect: replications run in order", None),
 }
 
 

@@ -80,6 +80,9 @@ class TestConfigParsing:
             ("maturities", "0.5,nan"),
             ("hist_lo", "-inf"),
             ("strikes", "44,nan"),
+            ("strikes", "44,,50"),
+            ("strikes", "44,50,"),
+            ("maturities", "0.5,,1"),
             ("r", "nan"),
             ("s0", "inf"),
         ]
@@ -117,6 +120,7 @@ class TestExitCodes:
         bns = {"model": "bns", "rho": -1.0}
         cases = [
             ("price-asian", "replications", 0, {}),
+            ("price-asian", "threads", 0, {}),
             ("stationary-stats", "hist_bins", 0, {}),
             ("check-schedule", "scan_max", 9, {}),
             ("oracle", "oracle_paths", 1, {}),
@@ -399,10 +403,27 @@ def _fresh_modules(code):
 def test_cli_import_leaves_heavy_modules_unloaded(module):
     # scipy.integrate serves only levy's quadrature, which no command calls,
     # and mpmath only the tests; the BNS jump rates run on numpy alone.  The
-    # oracles serve only the oracle command, and the thread pool only a run
-    # with more than one thread and replication.  Each would add its load
-    # time to every run's set-up
+    # oracles serve only the oracle command, and no command needs a thread
+    # pool, since replications run in order.  Each would add its load time to
+    # every run's set-up
     assert module not in _fresh_modules("import statvol.cli")
+
+
+@pytest.mark.parametrize("command", ["price-asian", "vol-surface"])
+def test_replications_start_no_thread(tmp_path, command):
+    # replications run in order on the calling thread, whatever threads says
+    cfg = write_config(tmp_path, n_iters=300, threads=4, replications=3,
+                       maturities="0.5,1")
+    loaded = _fresh_modules(
+        "import threading\n"
+        "def refuse(thread):\n"
+        "    raise AssertionError('the run started a thread')\n"
+        "threading.Thread.start = refuse\n"
+        "from statvol import cli\n"
+        f"assert cli.main([{command!r}, '--config', {str(cfg)!r}, "
+        f"'--out', {str(tmp_path / 'o.csv')!r}]) == 0"
+    )
+    assert "concurrent.futures" not in loaded
 
 
 def _run_loads_scipy_or_mpmath(tmp_path, command, **overrides):
