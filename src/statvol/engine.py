@@ -350,8 +350,9 @@ def run(
     then folds their first ``marginal.dim`` coordinates.  Points are folded
     a run between checkpoints at a time,
     ``deque(map(marginal.update, eta, points), 0)``: the loop runs in C, but
-    each point is still one ``update`` call, which the benchmark counts.  When a step fails, its block folds none of the states it
-    simulated, so the accumulator holds the points ``0 .. j0``.
+    each point is still one ``update`` call, which the benchmark counts.
+    When a step fails, its block folds none of the states it simulated, so
+    the accumulator holds the points ``0 .. j0``.
 
     Estimates are checkpointed at ``n = 1, 10, 100, ...`` and at the final
     iteration.

@@ -53,7 +53,11 @@ Log-price/subordinator (BNS-type) model
   draws the uniforms of numpy's multiplication-method counts (mean below
   10) ``rng.random(k)`` at a time, ``k`` one per step still to come before
   the next draw of another kind: each such step takes one uniform at
-  least, so a batch never draws ahead (:class:`BnsDriver`).
+  least, so a batch never draws ahead (:class:`BnsDriver`).  Once a block's
+  draws are made, only ``v`` is a recursion: ``v`` runs as one loop over
+  Python floats, and ``X``, a running sum of per-step terms of the
+  previous ``v``, is one left-to-right ``np.cumsum`` that adds the terms
+  in the per-step order, so every state is the step by step scheme's.
 """
 
 from __future__ import annotations
@@ -526,6 +530,25 @@ class BnsDriver(_Driver):
     by step scheme however a span is split into blocks.  A block draws all
     its steps' jumps and normals before it runs the recursion; a step that
     fails ends the run, so nothing drawn after it is ever read.
+
+    Recursion.  The step from ``(v, x)`` over ``g`` with jump sum ``d`` and
+    normal ``z`` is
+
+        x' = ((x + g (r - v/2)) + sqrt(v) (sqrt(g) z)) + rho d
+        v' = (v - (g mu) v) + d
+
+    with the operations grouped as Python evaluates the per-step
+    expressions.  Only ``v'`` reads its own past, so :meth:`advance` runs
+    ``v`` alone as a loop over Python floats, with ``g mu`` computed for the
+    block by numpy (the same correctly rounded product).  Given every
+    step's starting ``v``, the three terms of each step's ``x`` are numpy
+    arrays, laid out step by step after ``x0`` in one flat array, and
+    ``np.cumsum`` (``np.add.accumulate``, which adds strictly left to right)
+    gives ``x`` at every third entry: the same additions in the same order,
+    so ``x`` is bit for bit the per-step value.  The first negative ``v`` is
+    found after the loop and raises at its step, before a threshold or
+    jump-count failure later in the block; a negative starting ``v`` fails
+    the block's first step, whose ``sqrt(v)`` it would be.
     """
 
     _normals: tuple | None = None  # (rng, its drawn normals not yet taken)
@@ -556,41 +579,52 @@ class BnsDriver(_Driver):
                 f"expected {means[bad]:.3g} jumps in one step, above {_MAX_STEP_JUMPS:.0e}"
             )
             del means[bad:]
+        n = len(means)
         dz, normals = self._draws(us, means, rng)
-        v, x = state
-        vs, xs = [], []
-        try:
-            for i, (g, d, z) in enumerate(zip(gl, dz, normals)):
-                dw = math.sqrt(g) * z
-                # One subordinator increment enters both equations: the log price
-                # jumps by rho * dz <= 0 exactly when the variance jumps by dz >= 0.
-                x = x + g * (r - 0.5 * v) + math.sqrt(v) * dw + rho * d
-                v = v - g * mu * v + d
-                if v < 0.0:
-                    raise ValueError(f"variance went negative ({v}); need gamma*mu <= 1")
-                vs.append(v)
-                xs.append(x)
-        except Exception as exc:
-            raise DriverStepError(first + i, str(exc)) from exc
+        v, x0 = state
+        if n and v < 0.0:
+            raise DriverStepError(first, f"starting variance is negative ({v})")
+        vs = [v]  # the variance before each step, then after the last
+        for gm, d in zip((gam[:n] * mu).tolist(), dz.tolist()):
+            v = v - gm * v + d
+            vs.append(v)
+        v_path = np.array(vs)
+        negative = np.flatnonzero(v_path[1:] < 0.0)
+        if len(negative):
+            i = int(negative[0])
+            raise DriverStepError(
+                first + i, f"variance went negative ({vs[i + 1]}); need gamma*mu <= 1")
         if failure is not None:
-            raise DriverStepError(first + len(means), str(failure)) from failure
-        return np.array((vs, xs))
+            raise DriverStepError(first + n, str(failure)) from failure
+        # x adds ((x + drift) + diffusion) + jump per step; cumsum adds left to right
+        g, v_prev = gam[:n], v_path[:-1]
+        flat = np.empty(3 * n + 1)
+        flat[0] = x0
+        terms = flat[1:].reshape(n, 3)
+        terms[:, 0] = g * (r - 0.5 * v_prev)
+        terms[:, 1] = np.sqrt(v_prev) * (np.sqrt(g) * normals[:n])
+        # One subordinator increment enters both equations: the log price
+        # jumps by rho * dz <= 0 exactly when the variance jumps by dz >= 0.
+        terms[:, 2] = rho * dz
+        return np.array((v_path[1:], np.cumsum(flat, out=flat)[3::3]))
 
-    def _draws(self, us, means, rng) -> tuple[list, list]:
+    def _draws(self, us, means, rng) -> tuple[np.ndarray, np.ndarray]:
         """Each step's jump sum and standard normal, drawn in the per-step order.
 
-        The normals not taken by one block stay for the next on the same
-        ``rng``; a new ``rng`` starts afresh.  Step ``len(normals)`` takes the
-        first normal of a new chunk, so its jumps come before the chunk.
+        Both are float arrays; the normals may run past the block's last
+        step.  The normals not taken by one block stay for the next on the
+        same ``rng``; a new ``rng`` starts afresh.  Step ``len(normals)``
+        takes the first normal of a new chunk, so its jumps come before the
+        chunk.
         """
         m, n = self.params.jump, len(means)
         cached = self._normals
-        normals = cached[1] if cached is not None and cached[0] is rng else []
+        normals = cached[1] if cached is not None and cached[0] is rng else np.empty(0)
         mean_arr = np.array(means)
         plain = (mean_arr > 0.0) & (mean_arr < _MULT_MAX)
         # the C exp numpy's sampler calls; np.exp differs in the last bit for some inputs
         limits = np.fromiter(map(math.exp, (-mean_arr).tolist()), float, n)
-        dz = [0.0] * n
+        dz = np.zeros(n)
         lo = 0
         while lo < n:
             hi = min(len(normals) + 1, n)  # steps lo .. hi-1 draw before the next chunk
@@ -603,7 +637,7 @@ class BnsDriver(_Driver):
                     dz[b] = levy.compound_poisson_sum(m, us[b], means[b], rng)
                 a = b + 1
             if len(normals) < hi:
-                normals += rng.standard_normal(_CHUNK).tolist()
+                normals = np.concatenate((normals, rng.standard_normal(_CHUNK)))
             lo = hi
         self._normals = (rng, normals[n:])
         return dz, normals

@@ -153,6 +153,24 @@ class ZeroRng:
         return np.zeros(size) if size is not None else 0.0
 
 
+class OneJumpRng(ZeroRng):
+    """One jump on the first step, of size ``4u`` at a small threshold ``u``.
+
+    The step's first uniform lies above ``exp(-mean)``, so it has a jump;
+    the second ends its count at one; the jump's proposal ``u * 0.5**(-1/alpha)``
+    (``4u`` at ``alpha = 1/2``) is accepted by the uniform 0.5 while
+    ``exp(-lam * 3u) >= 0.5``.
+    """
+
+    def __init__(self):
+        self.uniforms = iter([1.0 - 1e-12, 0.5, 0.5, 0.5])
+
+    def random(self, size=None):
+        if size is None:
+            return next(self.uniforms)
+        return np.array([next(self.uniforms) for _ in range(size)])
+
+
 class TestParamValidation:
     def test_positivity_condition_enforced(self):
         with pytest.raises(ValueError):
@@ -351,6 +369,27 @@ class TestBlockAdvance:
             assert err.value.index == index
             assert msg in str(err.value)
 
+    def test_empty_block_draws_nothing(self):
+        for make in (lambda: HestonDriver(bench_heston()), lambda: BnsDriver(bench_bns())):
+            driver = make()
+            rng = stream(4, 0)
+            cols = driver.advance(list(driver.initial_state()), 17, np.array([]), rng)
+            assert cols.shape == (2, 0)
+            assert cols.dtype == np.float64
+            assert rng.random() == stream(4, 0).random()
+
+    def test_bns_negative_start_fails_at_its_first_step(self):
+        # with OneJumpRng the first step (u = gamma = 0.01) jumps by 0.04
+        p = bench_bns()
+        driver = BnsDriver(p)
+        for gam, rng in (([0.1, 0.1], ZeroRng()), ([0.01], OneJumpRng())):
+            with pytest.raises(DriverStepError) as err:
+                driver.advance([-0.01, 0.0], 17, np.array(gam), rng)
+            assert err.value.index == 17
+        # from that start the jump alone would make v_1 >= 0
+        jump = driver.advance([0.0, 0.0], 17, np.array([0.01]), OneJumpRng())[0, 0]
+        assert -0.01 * (1.0 - 0.01 * p.mu) + jump >= 0.0
+
     def test_bns_runaway_jump_count_fails_before_any_draw(self):
         class NoDraws:
             def __getattr__(self, name):
@@ -433,17 +472,6 @@ class TestBnsJointStep:
 
     def test_leverage_signs(self):
         # a jump dz > 0 moves x down (rho < 0) and v up by the same dz
-        class OneJumpRng(ZeroRng):
-            # the step's first uniform lies above exp(-mean), so it has a jump;
-            # the second ends its count at one; the jump's proposal 0.5 is
-            # accepted by the uniform 0.5 (deterministic size)
-            uniforms = iter([1.0 - 1e-12, 0.5, 0.5, 0.5])
-
-            def random(self, size=None):
-                if size is None:
-                    return next(self.uniforms)
-                return np.array([next(self.uniforms) for _ in range(size)])
-
         p = bench_bns()
         x0, v0 = 0.0, 0.01
         v, x = BnsDriver(p).step((v0, x0), 1, 1e-9, OneJumpRng())

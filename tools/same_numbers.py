@@ -5,7 +5,9 @@
 The cases are the workloads of ``perfbench/workloads.py`` (read, never
 written) at their own ``n`` and config, plus small fixed cases for the
 commands no workload runs (``price-european``, ``check-schedule``,
-``oracle``) and one run whose flags override its config file.  Each case
+``oracle``), one run whose flags override its config file, and two more
+runs through ``BnsDriver.advance``: the BNS marginal sweep and the BNS
+Asian grid at the default truncation power 1.  Each case
 runs once from ``PARENT_CHECKOUT/src`` and once from this checkout's
 ``src``, for every seed, with the config's own ``threads`` and with
 ``--threads 1`` (one run when the two agree).  The script prints how many
@@ -29,7 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from workloads import GRID, HESTON, WORKLOADS  # noqa: E402
+from workloads import BNS, GRID, HESTON, WORKLOADS  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,11 @@ CASES = {
     "oracle": Case("oracle", {**HESTON, "strikes": "48,50,52", "oracle_paths": "400"}, 1),
     "heston-asian-flags": Case("price-asian", {**HESTON, **GRID, "parity": "on"}, 15_000,
                                ("--parity", "off", "--iters", "5000")),
+    "bns-marginal": Case("stationary-stats", {**BNS}, 20_000),
+    # without truncation_power, at the CLI's default power 1: more jumps per step
+    "bns-asian-power1": Case("price-asian",
+                             {**{k: v for k, v in BNS.items() if k != "truncation_power"},
+                              **GRID, "parity": "on"}, 30_000),
 }
 
 
