@@ -582,18 +582,17 @@ class BnsDriver(_Driver):
         n = len(means)
         dz, normals = self._draws(us, means, rng)
         v, x0 = state
-        if n and v < 0.0:
-            raise DriverStepError(first, f"starting variance is negative ({v})")
         vs = [v]  # the variance before each step, then after the last
         for gm, d in zip((gam[:n] * mu).tolist(), dz.tolist()):
             v = v - gm * v + d
             vs.append(v)
         v_path = np.array(vs)
-        negative = np.flatnonzero(v_path[1:] < 0.0)
-        if len(negative):
-            i = int(negative[0])
+        # a negative start fails the first step, whose sqrt(v) it would be
+        negative = np.flatnonzero(v_path < 0.0)
+        if n and len(negative):
+            j = int(negative[0])
             raise DriverStepError(
-                first + i, f"variance went negative ({vs[i + 1]}); need gamma*mu <= 1")
+                first + max(j - 1, 0), f"variance went negative ({vs[j]}); need gamma*mu <= 1")
         if failure is not None:
             raise DriverStepError(first + n, str(failure)) from failure
         # x adds ((x + drift) + diffusion) + jump per step; cumsum adds left to right

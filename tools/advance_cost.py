@@ -1,15 +1,16 @@
 """Time the drivers' ``advance`` on fixed seeded blocks, in µs per step.
 
-    python3 tools/advance_cost.py [OTHER_CHECKOUT] [--repeat N]
+    python3 tools/advance_cost.py [OTHER_CHECKOUT]
 
 Each case advances the 4096-step block from index 20001 of the default
-schedule (``c1 = c2 = 1``, ``rho1 = rho2 = 1/3``) from the model's starting
-state, with the README's benchmark parameters: ``HestonDriver``, and
+schedule from the model's starting state, on the benchmark's parameter sets
+(``HESTON`` and ``BNS`` of ``perfbench/workloads.py``, read, never written,
+and parsed by the CLI's own config path): ``HestonDriver``, and
 ``BnsDriver`` at truncation powers 1 and 2.  Every call gets a fresh driver
 and a fresh ``stream(5, 0)``, so each one draws the same numbers.  A case
-reads the best of ``N`` (default 9) timings of 10 calls each, per step;
-the timings run in their own interpreter on ``src`` of this checkout.
-Given ``OTHER_CHECKOUT``, its ``src`` runs the same cases too: the two sides
+reads the best of 9 timings of 10 calls each, per step; the timings run in
+their own interpreter on ``src`` of this checkout.  Given
+``OTHER_CHECKOUT``, its ``src`` runs the same cases too: the two sides
 alternate three times, each keeps its best, and the script prints the two
 columns and their ratio.  It uses the standard library and numpy only.
 """
@@ -25,52 +26,51 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import BNS, HESTON  # noqa: E402
+
 FIRST = 20_001  # index of the block's first state
 STEPS = 4096  # the engine's block size
 SEED = 5
 NUMBER = 10  # calls per timing
+REPEAT = 9  # timings per case
 ROUNDS = 3  # alternations of the two sides
-CASES = ("heston", "bns power 1", "bns power 2")
+# config keys of each case; BNS carries truncation_power 2
+CONFIGS = {"heston": HESTON, "bns power 1": {**BNS, "truncation_power": "1"}, "bns power 2": BNS}
 
 
-def _drivers():
-    """``{case: driver factory}`` on the ``statvol`` found on ``sys.path``."""
-    from statvol.levy import TemperedStableMeasure, TruncationPolicy
-    from statvol.models import BNSParams, BnsDriver, HestonDriver, HestonParams
+def _config(keys: dict):
+    """``keys`` parsed as a config file's would be, by the ``statvol`` on ``sys.path``."""
+    from statvol import cli
 
-    heston = HestonParams(s0=50.0, r=0.05, rho=0.5, k=2.0, theta=0.01, sigma_v=0.1)
-
-    def bns(power):
-        return BNSParams(s0=50.0, r=0.05, rho=-1.0, mu=1.0,
-                         jump=TemperedStableMeasure(c=0.01, lam=1.0, alpha=0.5),
-                         truncation=TruncationPolicy(power=power))
-
-    return {
-        "heston": lambda: HestonDriver(heston),
-        "bns power 1": lambda: BnsDriver(bns(1.0)),
-        "bns power 2": lambda: BnsDriver(bns(2.0)),
-    }
+    cfg = cli.RunConfig()
+    for key, raw in keys.items():
+        setattr(cfg, key, cli._parse(key, raw, ""))
+    return cfg
 
 
-def measure(repeat: int) -> dict:
+def measure() -> dict:
     """``{case: best µs per step}`` of this interpreter's ``statvol``."""
     import warnings
 
+    from statvol import cli
     from statvol.rng import stream
-    from statvol.schedule import make_polynomial_schedule
 
-    gam = make_polynomial_schedule(1.0, 1 / 3, 1.0, 1 / 3).gamma_slice(FIRST, FIRST + STEPS)
     out = {}
-    with warnings.catch_warnings():
-        # the benchmark Heston set violates the sufficient convergence condition
-        warnings.simplefilter("ignore", RuntimeWarning)
-        factories = _drivers()
-    for case, make in factories.items():
-        state = make().initial_state()
-        make().advance(state, FIRST, gam, stream(SEED, 0))  # warm up
+    for case, keys in CONFIGS.items():
+        cfg = _config(keys)
+        gam = cli._build_schedule(cfg).gamma_slice(FIRST, FIRST + STEPS)
+        with warnings.catch_warnings():
+            # the benchmark Heston set violates the sufficient convergence condition
+            warnings.simplefilter("ignore", RuntimeWarning)
+            params = cli._build_params(cfg)
+        driver_class = cli._DRIVERS[cfg.model]
+        state = driver_class(params).initial_state()
+        driver_class(params).advance(state, FIRST, gam, stream(SEED, 0))  # warm up
         best = float("inf")
-        for _ in range(repeat):
-            calls = [(make(), stream(SEED, 0)) for _ in range(NUMBER)]
+        for _ in range(REPEAT):
+            calls = [(driver_class(params), stream(SEED, 0)) for _ in range(NUMBER)]
             t0 = time.perf_counter()
             for driver, rng in calls:
                 driver.advance(state, FIRST, gam, rng)
@@ -79,10 +79,10 @@ def measure(repeat: int) -> dict:
     return out
 
 
-def run_side(src: Path, repeat: int) -> dict:
+def run_side(src: Path) -> dict:
     """:func:`measure` in a new interpreter with ``src`` on its path."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, __file__, "--child", "--repeat", str(repeat)],
+    proc = subprocess.run([sys.executable, __file__, "--child"],
                           env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -90,29 +90,28 @@ def run_side(src: Path, repeat: int) -> dict:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other", nargs="?", type=Path, help="a checkout to compare against")
-    parser.add_argument("--repeat", type=int, default=9, help="timings per case (default 9)")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        print(json.dumps(measure(args.repeat)))
+        print(json.dumps(measure()))
         return 0
 
     sides = [ROOT / "src"] if args.other is None else [args.other.resolve() / "src", ROOT / "src"]
-    best = [dict.fromkeys(CASES, float("inf")) for _ in sides]
+    best = [dict.fromkeys(CONFIGS, float("inf")) for _ in sides]
     for r in range(ROUNDS if args.other is not None else 1):
         order = range(len(sides)) if r % 2 == 0 else reversed(range(len(sides)))
         for k in order:
-            for case, us in run_side(sides[k], args.repeat).items():
+            for case, us in run_side(sides[k]).items():
                 best[k][case] = min(best[k][case], us)
 
     print(f"advance, µs per step: {STEPS} steps from index {FIRST}, seed {SEED}, "
-          f"best of {args.repeat} x {NUMBER}")
+          f"best of {REPEAT} x {NUMBER}")
     if args.other is None:
-        for case in CASES:
+        for case in CONFIGS:
             print(f"{case:12s} {best[0][case]:8.3f}")
     else:
         print(f"{'':12s} {'other':>8s} {'this':>8s} {'this/other':>10s}")
-        for case in CASES:
+        for case in CONFIGS:
             a, b = best[0][case], best[1][case]
             print(f"{case:12s} {a:8.3f} {b:8.3f} {b / a:10.3f}")
     return 0
