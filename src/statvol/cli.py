@@ -28,6 +28,8 @@ as a flag), a value outside its key's domain, an invalid schedule, and an
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import math
 import os
 import sys
@@ -222,16 +224,6 @@ def _build_params(cfg: RunConfig):
         raise ConfigError(str(exc)) from exc
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        s = f"{x:.12g}"
-    else:
-        s = str(x)
-    if "," in s or '"' in s:
-        s = '"' + s.replace('"', '""') + '"'
-    return s
-
-
 def _check_out(out: str) -> None:
     """Fail before any simulation if ``out`` cannot be written; touches no file."""
     if out == "-":
@@ -247,9 +239,11 @@ def _check_out(out: str) -> None:
 
 
 def _emit(out: str, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row] for row in rows)
+    text = buf.getvalue()
     if out == "-":
         sys.stdout.write(text)
         return

@@ -174,7 +174,8 @@ class FunctionalAverage:
 
     with ``H`` the weight total after the update; for one window it is the
     classic recurrence.  Values may be scalars or 1-D numpy arrays (updated
-    componentwise); the fold never writes into them.
+    componentwise); the fold never writes into them.  An update rebinds
+    ``value`` to a new object, so a checkpoint may hold ``value`` itself.
     """
 
     __slots__ = ("weight_total", "weight_sq_total", "value")
@@ -191,9 +192,6 @@ class FunctionalAverage:
         self.weight_sq_total += np.dot(eta, eta)
         self.value = self.value + np.dot(eta / self.weight_total, f_value - self.value)
         return self
-
-    def copy_value(self):
-        return np.array(self.value, copy=True) if isinstance(self.value, np.ndarray) else self.value
 
 
 @dataclass
@@ -425,7 +423,7 @@ def run(
                                                         ends_list[lo:hi]))))
             avg.update(eta[lo:hi], values if rows is None else rows(values))
             if j0 + hi == cp:
-                checkpoints.append((cp, avg.copy_value()))
+                checkpoints.append((cp, avg.value))
                 cp = next(grid, n_iters)
             lo = hi
         # the overlap [j1, N_{j1-1}] stays for the next block; it is empty when

@@ -5,7 +5,7 @@ counter-based Philox bit generator.  Streams are derived from a 64-bit
 user seed plus an integer key path (replication index, worker id, ...)
 through ``SeedSequence`` spawn keys, so the stream consumed by
 replication ``i`` is a pure function of ``(seed, i)`` and never depends
-on scheduling or thread layout.
+on the order in which replications run.
 """
 
 from __future__ import annotations

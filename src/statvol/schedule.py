@@ -29,6 +29,8 @@ documented scan range.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -57,6 +59,25 @@ _BLOCK = 4096
 _MEMO = 3
 
 
+def _block_powers(c1: float, rho1: float, c2: float, rho2: float, m: int) -> np.ndarray:
+    # Rows gamma and eta over block m, always as one whole aligned block,
+    # so every value is independent of the call pattern.
+    idx = np.arange(m * _BLOCK + 1, (m + 1) * _BLOCK + 1, dtype=np.float64)
+    powers = np.stack((c2 * idx ** (-rho2), c1 * idx ** (-rho1)))
+    powers.flags.writeable = False
+    return powers
+
+
+def _block_rows(powers, anchors: list, m: int) -> np.ndarray:
+    # Rows gamma, eta, Gamma, H of block m; the caller has ensured its anchors.
+    (G0, H0), (G1, H1) = anchors[m], anchors[m + 1]
+    g, e = powers(m)
+    block = np.stack((g, e, G0 + np.cumsum(g), H0 + np.cumsum(e)))
+    block[2:, -1] = G1, H1  # the fsum-anchored block end
+    block.flags.writeable = False
+    return block
+
+
 class ScheduleError(ValueError):
     """Invalid schedule parameters or arguments."""
 
@@ -74,10 +95,6 @@ class Diagnostic:
     summary: str
     evidence: dict = field(default_factory=dict)
 
-    def __str__(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return f"{self.name}: {status} ({self.summary})"
-
 
 class Schedule:
     """Polynomial step/weight sequences and their prefix sums, regenerated on demand.
@@ -89,15 +106,16 @@ class Schedule:
     may share one schedule.  ``gamma`` and ``eta`` are closed forms, so
     :meth:`gamma_slice` and :meth:`eta_slice` read a block's powers without
     its anchors: a sweep that reads only them (the marginal sweep) extends
-    no anchor and sums no prefix.  The only other shared state is the last
-    ``_MEMO`` blocks of powers and of prefix rows built, each memo replaced as
-    one tuple; the anchors and the prefix rows read the same memoized powers,
-    so each block's powers are computed once while it is in use.  Index 0 is
-    the empty prefix (``gamma_0 = eta_0 = Gamma_0 = H_0 = 0``); sequence
-    values start at index 1.
+    no anchor and sums no prefix.  The only other shared state is two
+    ``functools.lru_cache`` memos of the last ``_MEMO`` blocks asked for,
+    one of powers and one of prefix rows; the anchors and the prefix rows
+    read the same cached powers, so each block's powers are computed once
+    while it is in use.  Index 0 is the empty prefix
+    (``gamma_0 = eta_0 = Gamma_0 = H_0 = 0``); sequence values start at
+    index 1.
     """
 
-    __slots__ = ("c1", "rho1", "c2", "rho2", "_anchors", "_lock", "_powers_memo", "_memo")
+    __slots__ = ("c1", "rho1", "c2", "rho2", "_anchors", "_lock", "_powers", "_block")
 
     def __init__(self, c1: float, rho1: float, c2: float, rho2: float):
         if not (c1 > 0.0 and c2 > 0.0):
@@ -112,27 +130,13 @@ class Schedule:
         self.rho2 = float(rho2)
         self._anchors = [(0.0, 0.0)]  # (Gamma, H) at index m*B, for block m
         self._lock = threading.Lock()
-        self._powers_memo = ()  # (m, powers of block m) for the last blocks built, newest first
-        self._memo = ()  # (m, rows of block m) for the last blocks built, newest first
-
-    # -- blocks -------------------------------------------------------------
-
-    def _steps(self, m: int) -> np.ndarray:
-        # Rows gamma and eta over block m, always as one whole aligned block,
-        # so every value is independent of the call pattern.
-        idx = np.arange(m * _BLOCK + 1, (m + 1) * _BLOCK + 1, dtype=np.float64)
-        return np.stack((self.c2 * idx ** (-self.rho2), self.c1 * idx ** (-self.rho1)))
-
-    def _powers(self, m: int) -> np.ndarray:
-        # Rows gamma and eta of block m, built once while among the last _MEMO asked for.
-        memo = self._powers_memo
-        for k, powers in memo:
-            if k == m:
-                return powers
-        powers = self._steps(m)
-        powers.flags.writeable = False
-        self._powers_memo = ((m, powers),) + memo[: _MEMO - 1]
-        return powers
+        # The caches wrap module functions bound to the parameters and the
+        # anchor list, not methods: they hold no reference to the schedule,
+        # so a dropped schedule frees its blocks without the cyclic collector.
+        cache = functools.lru_cache(_MEMO)
+        self._powers = cache(functools.partial(_block_powers, self.c1, self.rho1,
+                                               self.c2, self.rho2))
+        self._block = cache(functools.partial(_block_rows, self._powers, self._anchors))
 
     def ensure(self, n: int) -> None:
         """Extend the anchors through the end of the block holding index ``n``.
@@ -149,20 +153,6 @@ class Schedule:
                 g, e = self._powers(len(anchors) - 1)
                 anchors.append((G0 + math.fsum(memoryview(g)), H0 + math.fsum(memoryview(e))))
 
-    def _block(self, m: int) -> np.ndarray:
-        # Rows gamma, eta, Gamma, H of block m; the caller has ensured it.
-        memo = self._memo
-        for k, block in memo:
-            if k == m:
-                return block
-        (G0, H0), (G1, H1) = self._anchors[m], self._anchors[m + 1]
-        g, e = self._powers(m)
-        block = np.stack((g, e, G0 + np.cumsum(g), H0 + np.cumsum(e)))
-        block[2:, -1] = G1, H1  # the fsum-anchored block end
-        block.flags.writeable = False
-        self._memo = ((m, block),) + memo[: _MEMO - 1]
-        return block
-
     def _value(self, row: int, n: int) -> float:
         if n == 0:
             return 0.0
@@ -177,7 +167,7 @@ class Schedule:
 
         Rows are 0 gamma, 1 eta, 2 Gamma and 3 H; a list of rows gives a 2-D
         array.  ``blocks`` maps a block number to its rows; the default is
-        :meth:`_block`, whose prefix rows need the anchors, which it extends.
+        ``_block``, whose prefix rows need the anchors, which it extends.
         """
         if blocks is None:
             self.ensure(hi - 1)
@@ -233,35 +223,33 @@ class Schedule:
     def horizon_index(self, n: int, T: float) -> int:
         """Largest ``k`` with ``Gamma_k - Gamma_n <= T``.
 
-        Gallops up from ``n`` to bracket the boundary, then bisects: one
-        search costs O(log(k - n)).  Sweeps over many starts use
-        :meth:`horizon_indices`, which calls this once for its largest start.
+        Gallops up from ``n`` to bracket the boundary, then bisects the
+        bracket with :func:`bisect.bisect_left`: one search costs
+        O(log(k - n)).  Sweeps over many starts use :meth:`horizon_indices`,
+        which calls this once for its largest start.
         """
         if n < 0:
             raise ScheduleError(f"window start must be >= 0, got {n}")
         _check_horizon(T)
         Gn = self.Gamma(n)
         lo = n
-        # gallop to bracket the boundary, then bisect
+        # gallop until the predicate fails at hi; it holds at lo
         step = 1
         hi = lo + 1
         while self.Gamma(hi) - Gn <= T:
             lo = hi
             step *= 2
             hi = lo + step
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.Gamma(mid) - Gn <= T:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        # one before the first index of lo+1 .. hi where the predicate fails
+        return lo + bisect.bisect_left(range(lo + 1, hi), True,
+                                       key=lambda k: not self.Gamma(k) - Gn <= T)
 
     def window_start(self, n: int, T: float) -> int:
         """Smallest ``k`` with ``Gamma_n - Gamma_k <= T`` (so ``k <= n``).
 
-        No sweep calls it; it is the reverse map of :meth:`horizon_index`,
-        kept so the duality between the two can be checked.
+        Bisects ``1 .. n`` with :func:`bisect.bisect_left`.  No sweep calls
+        it; it is the reverse map of :meth:`horizon_index`, kept so the
+        duality between the two can be checked.
         """
         if n < 0:
             raise ScheduleError(f"index must be >= 0, got {n}")
@@ -269,14 +257,8 @@ class Schedule:
         Gn = self.Gamma(n)
         if Gn <= T:  # Gamma_n - Gamma_0
             return 0
-        lo, hi = 0, n  # predicate false at lo, true at hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if Gn - self.Gamma(mid) <= T:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        # the predicate fails at 0 and holds at n: the first index of 1 .. n where it holds
+        return 1 + bisect.bisect_left(range(1, n), True, key=lambda k: Gn - self.Gamma(k) <= T)
 
     def horizon_indices(self, ks: np.ndarray, T: float) -> np.ndarray:
         """Vectorized ``horizon_index`` over start indices: the engine's window-end map."""

@@ -243,7 +243,7 @@ def test_chunk_fold_matches_per_window_recurrence(model, r, rho, parity, monkeyp
     for k, value in enumerate(values, start=1):
         avg.update(sched.eta(k), value)
         if k in grid:
-            ref_checkpoints.append((k, avg.copy_value()))
+            ref_checkpoints.append((k, avg.value))
     ref_res = engine.RunResult(n_iters=n, average=avg, checkpoints=ref_checkpoints)
     ref = pricing._assemble(specs, np.array(STRIKES), ref_res, params, parity, T, r)
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statvol import engine
+from statvol import engine, schedule
 from statvol.engine import DriverStepError, FunctionalAverage, MarginalAccumulator
 from statvol.models import HestonDriver, HestonParams, PricePathView
 from statvol.pricing import AsianSpec, price_asian_grid
@@ -452,14 +452,15 @@ class TestRunBookkeeping:
 
     @staticmethod
     def _count_builds(monkeypatch):
+        # counts the builds of a block's powers by schedules made after the patch
         built = []
-        steps = Schedule._steps
+        powers = schedule._block_powers
 
-        def counted(self, m):
-            built.append(m)
-            return steps(self, m)
+        def counted(*params_and_m):
+            built.append(params_and_m[-1])
+            return powers(*params_and_m)
 
-        monkeypatch.setattr(Schedule, "_steps", counted)
+        monkeypatch.setattr(schedule, "_block_powers", counted)
         return built
 
     def test_window_sweep_builds_each_schedule_block_once(self, monkeypatch):

@@ -1,5 +1,6 @@
 """Schedule construction, window index maps, and admissibility diagnostics."""
 
+import gc
 import math
 import sys
 import threading
@@ -142,6 +143,27 @@ class TestMakePolynomialSchedule:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
+    def test_dropped_schedules_free_their_blocks_without_the_collector(self):
+        # a schedule's block caches hold no reference back to it, so dropping
+        # the last reference frees its blocks at once; kept alive, the 3
+        # blocks of powers and 3 of prefix rows of 50 schedules are ~28 MiB
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for _ in range(50):
+                s = sch.make_polynomial_schedule(1.0, 1.0 / 3.0, 1.0, 1.0 / 3.0)
+                s.Gamma_slice(1, 3 * 4096)
+                s.eta_slice(1, 3 * 4096)
+                del s
+            live = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert live < 2**20
+
 
 class TestHorizonIndex:
     def test_constant_step_double(self):
@@ -247,6 +269,58 @@ class TestWindowInvariants:
         k_max = max(k for k in counts if k < max(taus))
         for k in range(1, k_max):
             assert counts.get(k, 0) == s.horizon_index(k, T) - s.horizon_index(k - 1, T)
+
+
+class TestOneUlpTies:
+    """Horizons ``T = Gamma_{k+d} - Gamma_k`` and their two float neighbours.
+
+    At such a horizon the window from ``k`` ends on a tie: ``Gamma_{k+d} -
+    Gamma_k`` lands on ``T`` or one ulp from it, and ``Gamma_k + T`` rounds
+    to either side of ``Gamma_{k+d}``, so the searchsorted guess of
+    ``horizon_indices`` can be one too high or one too low and its fix-up
+    decides; the bisections of ``horizon_index`` and ``window_start`` meet
+    the same ties.  Near starts take every ``d < 60``: the guess falls one
+    too low only where ``Gamma_k + T`` rounds, which needs ``d`` of 20 or more.
+    """
+
+    PARAMS = [(1.0, 1.0 / 3.0, 1.0, 1.0 / 3.0), (0.8, 0.6, 1.5, 0.25)]
+    GROUPS = [(np.arange(60), range(1, 60)), (np.array([4095, 4096, 100_003]), (1, 2, 7, 30))]
+
+    @staticmethod
+    def _horizons(s, starts, ds):
+        for i, k in enumerate(starts.tolist()):
+            for d in ds:
+                T = s.Gamma(k + d) - s.Gamma(k)
+                for t in (math.nextafter(T, 0.0), T, math.nextafter(T, math.inf)):
+                    yield i, k, t
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_horizon_maps_agree_with_a_linear_scan(self, params):
+        s = sch.make_polynomial_schedule(*params)
+        G = s.Gamma_slice(0, 101_000)
+        assert np.all(np.diff(G) > 0.0)  # so a bracket is where a linear scan stops
+        for starts, ds in self.GROUPS:
+            for i, k, T in self._horizons(s, starts, ds):
+                N = s.horizon_indices(starts, T)  # many starts at once
+                assert N[i] == s.horizon_index(k, T), (k, T)
+                # the canonical predicate holds at N and fails at N + 1
+                assert np.all(G[N] - G[starts] <= T), T
+                assert not np.any(G[N + 1] - G[starts] <= T), T
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_window_start_keeps_the_duality(self, params):
+        # horizon_index(k-1, T) <= n-1  <=>  window_start(n, T) >= k, checked
+        # about the end of the window that starts on the tie
+        s = sch.make_polynomial_schedule(*params)
+        for starts, ds in self.GROUPS:
+            for _, start, T in self._horizons(s, starts, ds[::4]):
+                N = s.horizon_index(start, T)
+                for n in (N, N + 1):
+                    tau = s.window_start(n, T)  # the first k with Gamma_n - Gamma_k <= T
+                    assert s.Gamma(n) - s.Gamma(tau) <= T, (n, T)
+                    assert tau == 0 or not s.Gamma(n) - s.Gamma(tau - 1) <= T, (n, T)
+                    for k in range(max(tau - 1, 1), tau + 2):
+                        assert (s.horizon_index(k - 1, T) <= n - 1) == (tau >= k), (n, k, T)
 
 
 class TestConcurrentReaders:

@@ -5,21 +5,24 @@
 The cases are the workloads of ``perfbench/workloads.py`` (read, never
 written) at their own ``n`` and config, plus small fixed cases for the
 commands no workload runs (``price-european``, ``check-schedule``,
-``oracle``), one run whose flags override its config file, and two more
-runs through ``BnsDriver.advance``: the BNS marginal sweep and the BNS
-Asian grid at the default truncation power 1.  Each case
-runs once from ``PARENT_CHECKOUT/src`` and once from this checkout's
-``src``, for every seed, with the config's own ``threads`` and with
-``--threads 1`` (one run when the two agree).  The script prints how many
-CSV cells differ in each case and exits 1 if any cell differs or any run
-fails, 0 otherwise.  It uses the standard library only; the runs go one at
-a time.
+``oracle``), one run whose flags override its config file, three more
+runs through ``BnsDriver.advance`` (the BNS marginal sweep, the same sweep
+with jump rates that send almost every step's count to numpy's PTRS
+Poisson sampler, and the BNS Asian grid at the default truncation power
+1), and a Heston Asian grid on a second schedule.  Each case runs once
+from ``PARENT_CHECKOUT/src`` and once from this checkout's ``src``, for
+every seed, with the config's own ``threads`` and with ``--threads 1``
+(one run when the two agree).  The script prints how many CSV cells differ
+in each case and whether the CSV bytes are identical, and exits 1 if any
+cell or byte differs or any run fails, 0 otherwise.  It uses the standard
+library only; the runs go one at a time.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import subprocess
 import sys
@@ -51,15 +54,22 @@ CASES = {
     "heston-asian-flags": Case("price-asian", {**HESTON, **GRID, "parity": "on"}, 15_000,
                                ("--parity", "off", "--iters", "5000")),
     "bns-marginal": Case("stationary-stats", {**BNS}, 20_000),
+    # a Poisson mean of 10 or more at almost every step: numpy's PTRS sampler
+    "bns-marginal-ptrs": Case("stationary-stats",
+                              {**BNS, "jump_c": "1", "truncation_power": "4", "hist_hi": "5"},
+                              20_000),
     # without truncation_power, at the CLI's default power 1: more jumps per step
     "bns-asian-power1": Case("price-asian",
                              {**{k: v for k, v in BNS.items() if k != "truncation_power"},
                               **GRID, "parity": "on"}, 30_000),
+    "heston-asian-schedule2": Case("price-asian",
+                                   {**HESTON, **GRID, "c1": "0.8", "rho1": "0.6",
+                                    "c2": "1.5", "rho2": "0.25"}, 15_000),
 }
 
 
-def run_csv(src: Path, case: Case, seed: int, threads: int, tmp: Path) -> list[list[str]]:
-    """The CSV rows of ``case`` run from ``src``; raises if the run fails."""
+def run_csv(src: Path, case: Case, seed: int, threads: int, tmp: Path) -> bytes:
+    """The CSV bytes of ``case`` run from ``src``; raises if the run fails."""
     out = tmp / "out.csv"
     cfg = tmp / "run.cfg"
     keys = dict(case.config, n_iters=str(case.n_iters), out=str(out))
@@ -71,8 +81,11 @@ def run_csv(src: Path, case: Case, seed: int, threads: int, tmp: Path) -> list[l
         cwd=tmp, env=env, capture_output=True, text=True, timeout=600)
     if proc.returncode != 0:
         raise RuntimeError(f"exit {proc.returncode} from {src}: {proc.stderr.strip()}")
-    with out.open(newline="") as fh:
-        return list(csv.reader(fh))
+    return out.read_bytes()
+
+
+def rows(data: bytes) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(data.decode(), newline="")))
 
 
 def differing_cells(a: list[list[str]], b: list[list[str]]) -> tuple[int, int]:
@@ -102,13 +115,15 @@ def main(argv: list[str]) -> int:
                     try:
                         parent, change = [run_csv(src, case, seed, threads, tmp)
                                           for src in sides]
-                        diff, total = differing_cells(parent, change)
+                        diff, total = differing_cells(rows(parent), rows(change))
                     except (RuntimeError, subprocess.TimeoutExpired) as exc:
                         print(f"{label}: run failed: {exc}")
                         bad += 1
                         continue
-                    print(f"{label}: {diff} of {total} cells differ", flush=True)
-                    bad += diff > 0
+                    same_bytes = parent == change
+                    print(f"{label}: {diff} of {total} cells differ, bytes "
+                          f"{'identical' if same_bytes else 'differ'}", flush=True)
+                    bad += diff > 0 or not same_bytes
     return 1 if bad else 0
 
 
