@@ -17,8 +17,9 @@ command calls them); :func:`tail_intensities_closed` evaluates the jump
 rates of a block of thresholds through the upper incomplete gamma function,
 which is what the model's block driver calls, and
 :func:`tail_intensity_closed` is its one-threshold case.  The closed form
-runs on numpy alone (:func:`_upper_gamma`), so importing this module loads
-no scipy and no command does.
+is numpy arithmetic on the threshold array (:func:`_upper_gamma` for the
+incomplete gamma function), so importing this module loads no scipy and no
+command does.
 Tests pin the two routes against each other and against an independent
 high-precision oracle.
 """
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -93,14 +93,17 @@ class TruncationPolicy:
         if not self.power >= 1.0:
             raise ValueError(f"threshold power must be >= 1, got {self.power}")
 
-    def thresholds(self, gammas) -> list[float]:
-        """The threshold of each step length in ``gammas``.
+    def thresholds(self, gammas) -> np.ndarray:
+        """The threshold of each step length in ``gammas``, as a float array.
 
         ``gamma**power >= 1`` when ``gamma >= 1``, so the cap takes no power,
-        which could overflow.
+        which could overflow.  Each power is Python's ``g ** power`` on one
+        float, not ``np.power``: the thresholds set the jump sizes, and
+        ``np.power`` rounds some of them differently, at power 2 too.
         """
         power = self.power
-        return [1.0 if g >= 1.0 else g**power for g in gammas]
+        gl = np.asarray(gammas, dtype=float).tolist()
+        return np.fromiter((1.0 if g >= 1.0 else g**power for g in gl), float, len(gl))
 
 
 # -- tail integrals ----------------------------------------------------------
@@ -136,11 +139,11 @@ def tail_intensity(m: TemperedStableMeasure, u: float) -> float:
 
 def tail_intensity_closed(m: TemperedStableMeasure, u: float) -> float:
     """Closed form of :func:`tail_intensity` through incomplete gamma functions."""
-    return tail_intensities_closed(m, [u])[0]
+    return float(tail_intensities_closed(m, [u])[0])
 
 
-def tail_intensities_closed(m: TemperedStableMeasure, us: list) -> list:
-    """Closed form of :func:`tail_intensity` at each threshold of ``us``.
+def tail_intensities_closed(m: TemperedStableMeasure, us) -> np.ndarray:
+    """Closed form of :func:`tail_intensity` at each threshold of ``us``, as a float array.
 
     For ``lam > 0`` the rate is ``c * lam**alpha * Gamma(-alpha, lam * u)``,
     the upper incomplete gamma function taken one recurrence step up to
@@ -148,29 +151,23 @@ def tail_intensities_closed(m: TemperedStableMeasure, us: list) -> list:
     with ``x = lam * u``, ``scale * ((x**-alpha * e**-x - Gamma(1 - alpha, x))
     / alpha)`` and ``scale = c * lam**alpha``; for ``lam = 0`` it is
     ``c * u**-alpha / alpha``.  The thresholds are checked once, as an
-    array.  The incomplete gamma function is one :func:`_upper_gamma` call;
-    the powers and exponentials are the C library's ``pow`` and ``exp``,
-    mapped over Python floats (numpy's ``exp`` differs from it in the last
-    bit for some inputs); the products, difference and quotient are numpy's,
-    in the formula's order.  So each rate is the float that the formula
-    gives on one threshold in Python floats.
+    array, and the formula is numpy arithmetic on that array, with one
+    :func:`_upper_gamma` call.  A rate can differ by a few ulps from the
+    formula on one threshold in Python floats, whose ``pow`` and ``exp``
+    round some inputs differently.  The BNS driver's draws read a rate only
+    through comparisons of ``exp(-gamma * rate)`` with uniforms, which a few
+    ulps change only when a uniform falls between the two floats.
     """
-    u = np.array(us, dtype=float)
-    bad = ~(u > 0.0)  # catches NaN, which min() over a list can skip
+    u = np.asarray(us, dtype=float)
+    bad = ~(u > 0.0)  # catches NaN
     if bad.any():
         raise ValueError(f"threshold must be positive, got {u[bad.argmax()]}")
     if m.lam == 0.0:
-        return (m.c * _powers(u, -m.alpha) / m.alpha).tolist()
+        return m.c * u ** -m.alpha / m.alpha
     s = -m.alpha
     scale = m.c * m.lam**m.alpha
     x = m.lam * u
-    e = np.fromiter(map(math.exp, (-x).tolist()), float, x.size)
-    return (scale * ((_powers(x, s) * e - _upper_gamma(s + 1.0, x)) / (-s))).tolist()
-
-
-def _powers(x: np.ndarray, s: float) -> np.ndarray:
-    """``x_i ** s`` at each element of ``x``, by the C library's ``pow`` on Python floats."""
-    return np.fromiter(map(pow, x.tolist(), repeat(s)), float, x.size)
+    return scale * ((x**s * np.exp(-x) - _upper_gamma(s + 1.0, x)) / (-s))
 
 
 def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:

@@ -491,16 +491,18 @@ class BnsDriver(_Driver):
 
     The subordinator increment over each step is the truncated compound
     Poisson sum of the jumps above the policy's threshold ``u_n``.
-    :meth:`advance` computes the jump rates of a whole block at once
+    :meth:`advance` computes the thresholds, jump rates and expected jump
+    counts of a whole block as float arrays
     (:func:`~statvol.levy.tail_intensities_closed`, on numpy alone, so
     neither building the driver nor running it loads scipy).  A step whose
-    threshold underflows to 0, whose expected jump count ``gamma *
-    Lambda(u)`` exceeds ``_MAX_STEP_JUMPS = 1e7`` (its jumps are drawn one
-    at a time, about a microsecond each; benchmark and paper-scale steps
-    expect at most 0.02), or whose new variance is negative (``gamma * mu >
-    1``), raises :class:`DriverStepError` with its index once the steps
-    before it have run, so no state it returns has ``v < 0``.  The first
-    two checks come before any draw.  The log price is stepwise, so each
+    threshold is not positive (it underflows to 0), whose expected jump
+    count ``gamma * Lambda(u)`` exceeds ``_MAX_STEP_JUMPS = 1e7`` or is NaN
+    (its jumps are drawn one at a time, about a microsecond each; benchmark
+    and paper-scale steps expect at most 0.02), or whose new variance is
+    negative (``gamma * mu > 1``), raises :class:`DriverStepError` with its
+    index once the steps before it have run, so no state it returns has
+    ``v < 0``.  The first two checks are one array scan each and come
+    before any draw.  The log price is stepwise, so each
     window's path is ``s0 exp(x - x_start)`` on the segment lengths.
 
     Draw order.  Each step draws its Poisson count, then its jumps
@@ -562,23 +564,24 @@ class BnsDriver(_Driver):
         """States at indices ``first ..``, one per step length in ``gam``."""
         p = self.params
         m, r, rho, mu = p.jump, p.r, p.rho, p.mu
-        gl = gam.tolist()
-        # thresholds up to the first one that underflows to 0, then expected
-        # jump counts up to the first one above the cap; the failing step
-        # raises once the steps before it have run
-        us = p.truncation.thresholds(gl)
+        # thresholds up to the first one that is not positive, then expected
+        # jump counts up to the first one above the cap or NaN; the failing
+        # step raises once the steps before it have run
+        us = p.truncation.thresholds(gam)
         failure = None
-        if us and not min(us) > 0.0:
-            bad = next(i for i, u in enumerate(us) if not u > 0.0)
-            failure = ValueError(f"threshold must be positive, got {us[bad]}")
-            del us[bad:]
-        means = [g * lam_u for g, lam_u in zip(gl, levy.tail_intensities_closed(m, us))]
-        if means and not max(means) <= _MAX_STEP_JUMPS:
-            bad = next(i for i, mean in enumerate(means) if not mean <= _MAX_STEP_JUMPS)
+        bad = ~(us > 0.0)
+        if bad.any():
+            n = int(bad.argmax())
+            failure = ValueError(f"threshold must be positive, got {us[n]}")
+            us = us[:n]
+        means = gam[: len(us)] * levy.tail_intensities_closed(m, us)
+        bad = ~(means <= _MAX_STEP_JUMPS)
+        if bad.any():
+            n = int(bad.argmax())
             failure = ValueError(
-                f"expected {means[bad]:.3g} jumps in one step, above {_MAX_STEP_JUMPS:.0e}"
+                f"expected {means[n]:.3g} jumps in one step, above {_MAX_STEP_JUMPS:.0e}"
             )
-            del means[bad:]
+            us, means = us[:n], means[:n]
         n = len(means)
         dz, normals = self._draws(us, means, rng)
         v, x0 = state
@@ -610,25 +613,26 @@ class BnsDriver(_Driver):
     def _draws(self, us, means, rng) -> tuple[np.ndarray, np.ndarray]:
         """Each step's jump sum and standard normal, drawn in the per-step order.
 
-        Both are float arrays; the normals may run past the block's last
-        step.  The normals not taken by one block stay for the next on the
-        same ``rng``; a new ``rng`` starts afresh.  Step ``len(normals)``
-        takes the first normal of a new chunk, so its jumps come before the
-        chunk.
+        ``us`` and ``means`` are the steps' thresholds and expected jump
+        counts.  Both results are float arrays; the normals may run past the
+        block's last step.  The normals not taken by one block stay for the
+        next on the same ``rng``; a new ``rng`` starts afresh.  Step
+        ``len(normals)`` takes the first normal of a new chunk, so its jumps
+        come before the chunk.
         """
         m, n = self.params.jump, len(means)
         cached = self._normals
         normals = cached[1] if cached is not None and cached[0] is rng else np.empty(0)
-        mean_arr = np.array(means)
-        plain = (mean_arr > 0.0) & (mean_arr < _MULT_MAX)
-        # the C exp numpy's sampler calls; np.exp differs in the last bit for some inputs
-        limits = np.fromiter(map(math.exp, (-mean_arr).tolist()), float, n)
+        plain = (means > 0.0) & (means < _MULT_MAX)
+        # The C exp numpy's sampler calls: a uniform equal to the limit ends
+        # the count, and np.exp is one ulp off it for some means.
+        limits = np.fromiter(map(math.exp, (-means).tolist()), float, n)
         dz = np.zeros(n)
         lo = 0
         while lo < n:
             hi = min(len(normals) + 1, n)  # steps lo .. hi-1 draw before the next chunk
             a = lo
-            for b in (np.flatnonzero(mean_arr[lo:hi] >= _MULT_MAX) + lo).tolist() + [hi]:
+            for b in (np.flatnonzero(means[lo:hi] >= _MULT_MAX) + lo).tolist() + [hi]:
                 steps = np.flatnonzero(plain[a:b]) + a
                 if len(steps):
                     _jump_sums(m, us, means, limits, steps, rng, dz)

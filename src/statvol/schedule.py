@@ -261,7 +261,13 @@ class Schedule:
         return 1 + bisect.bisect_left(range(1, n), True, key=lambda k: Gn - self.Gamma(k) <= T)
 
     def horizon_indices(self, ks: np.ndarray, T: float) -> np.ndarray:
-        """Vectorized ``horizon_index`` over start indices: the engine's window-end map."""
+        """Vectorized ``horizon_index`` over start indices: the engine's window-end map.
+
+        It builds one ``Gamma`` slice from the smallest start to the window
+        end of the largest, so its time and memory follow the span of the
+        starts, not their number.  The engine and
+        :func:`check_series_condition` pass contiguous starts.
+        """
         ks = np.asarray(ks, dtype=np.int64)
         if ks.size == 0:
             return ks.copy()

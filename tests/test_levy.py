@@ -22,15 +22,36 @@ from statvol.levy import (
     tail_intensity_closed,
 )
 from statvol.rng import stream
+from statvol.schedule import make_polynomial_schedule
 
 BENCH = TemperedStableMeasure(c=0.01, lam=1.0, alpha=0.5)
 STABLE = TemperedStableMeasure(c=0.01, lam=0.0, alpha=0.5)
+SCHED = make_polynomial_schedule(1.0, 1.0 / 3.0, 1.0, 1.0 / 3.0)  # the benchmark schedule
 
 
 def _mp_tail(m, u, order=0):
     with mp.workdps(40):
         f = lambda y: m.c * y ** (order - 1 - mp.mpf(m.alpha)) * mp.e ** (-m.lam * y)
         return float(mp.quad(f, [u, u + 1.0, mp.inf]))
+
+
+def _per_threshold_rates(m, us):
+    """The closed form on Python floats, one threshold at a time, with the same ``_upper_gamma``."""
+    us = np.asarray(us).tolist()
+    if m.lam == 0.0:
+        return [m.c * u ** (-m.alpha) / m.alpha for u in us]
+    s = -m.alpha
+    xs = [m.lam * u for u in us]
+    upper = _upper_gamma(s + 1.0, np.array(xs)).tolist()
+    scale = m.c * m.lam**m.alpha
+    return [scale * ((x**s * math.exp(-x) - g) / (-s)) for x, g in zip(xs, upper)]
+
+
+def _ulps(got, want) -> int:
+    """The most units in the last place between two arrays of non-negative floats."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert (got >= 0.0).all() and (want >= 0.0).all()
+    return int(np.abs(got.view(np.int64) - want.view(np.int64)).max())
 
 
 class TestMeasureValidation:
@@ -55,6 +76,15 @@ class TestMeasureValidation:
         assert TruncationPolicy(power=2000.0).thresholds((2.0,))[0] == 1.0
         with pytest.raises(ValueError):
             TruncationPolicy(power=0.5)
+
+    @pytest.mark.parametrize("power,at_least", [(2.0, 100), (1.5, 5000)])
+    def test_thresholds_are_pythons_pow(self, power, at_least):
+        # the thresholds set the jump sizes; np.power rounds some steps of
+        # the benchmark schedule differently, at power 2 too
+        gam = SCHED.gamma_slice(1, 200_001)
+        want = [g**power for g in gam.tolist()]  # every step is at most 1
+        assert (np.power(gam, power) != want).sum() >= at_least
+        assert TruncationPolicy(power).thresholds(gam).tolist() == want
 
 
 class TestTailIntensity:
@@ -105,12 +135,14 @@ class TestUpperGamma:
 
     def test_rate_does_not_depend_on_its_block(self):
         us = [5.0, 1.0, 0.3, 1e-3, 1e-9]
-        assert tail_intensities_closed(BENCH, us) == [tail_intensity_closed(BENCH, u) for u in us]
+        assert np.array_equal(tail_intensities_closed(BENCH, us),
+                              [tail_intensity_closed(BENCH, u) for u in us])
 
     def test_empty_block(self):
         # BnsDriver.advance passes no thresholds when a block's first one underflows
-        assert tail_intensities_closed(BENCH, []) == []
-        assert tail_intensities_closed(STABLE, []) == []
+        for m in (BENCH, STABLE):
+            rates = tail_intensities_closed(m, [])
+            assert rates.shape == (0,) and rates.dtype == np.float64
 
     def test_large_lambda_u_is_finite_and_warning_free(self):
         # lam * u from 690 to 1000: e**-x turns subnormal, then 0
@@ -123,27 +155,28 @@ class TestUpperGamma:
 
     def test_untempered_power_law(self):
         us = [1e-9, 1e-3, 0.5, 1.0, 4.0]
-        assert tail_intensities_closed(STABLE, us) == [0.01 * u**-0.5 / 0.5 for u in us]
+        assert _ulps(tail_intensities_closed(STABLE, us),
+                     [0.01 * u**-0.5 / 0.5 for u in us]) <= 2
 
     @pytest.mark.parametrize("m", [BENCH, STABLE, TemperedStableMeasure(c=0.3, lam=7.0, alpha=0.8)],
                              ids=["bench", "stable", "steep"])
     def test_block_rates_equal_the_per_threshold_formula(self, m):
-        # the formula on Python floats, one threshold at a time, with the same
-        # incomplete gamma values; lam * u spans both _upper_gamma branches
+        # lam * u spans both _upper_gamma branches; where the two terms nearly
+        # cancel (lam * u up to 758) numpy's pow and exp move a rate by more
+        # ulps than elsewhere, still within the mpmath check's 1e-12
         rng = np.random.default_rng(19)
         us = np.concatenate((np.logspace(-12, 2.88, 100_000) / max(m.lam, 1.0),
-                             rng.uniform(0.0, 3.0, 20_000) + 1e-300)).tolist()
-        got = tail_intensities_closed(m, us)
-        if m.lam == 0.0:
-            want = [m.c * u ** (-m.alpha) / m.alpha for u in us]
-        else:
-            s = -m.alpha
-            xs = [m.lam * u for u in us]
-            assert min(xs) < 1.0 + s < max(xs)
-            upper = _upper_gamma(s + 1.0, np.array(xs)).tolist()
-            scale = m.c * m.lam**m.alpha
-            want = [scale * ((x**s * math.exp(-x) - g) / (-s)) for x, g in zip(xs, upper)]
-        assert got == want
+                             rng.uniform(0.0, 3.0, 20_000) + 1e-300))
+        if m.lam > 0.0:
+            assert min(m.lam * us) < 1.0 - m.alpha < max(m.lam * us)
+        np.testing.assert_allclose(tail_intensities_closed(m, us), _per_threshold_rates(m, us),
+                                   rtol=1e-12, atol=0.0)
+        # on the driver's own blocks: 4096 steps of the benchmark schedule
+        for first in (20_000, 10**6, 10**7):
+            gam = SCHED.gamma_slice(first, first + 4096)
+            for power in (1.0, 2.0):
+                us = TruncationPolicy(power).thresholds(gam)
+                assert _ulps(tail_intensities_closed(m, us), _per_threshold_rates(m, us)) <= 4
 
     @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, -math.inf])
     def test_rejects_any_bad_threshold_in_a_block(self, bad):

@@ -171,6 +171,13 @@ class OneJumpRng(ZeroRng):
         return np.array([next(self.uniforms) for _ in range(size)])
 
 
+class FirstUniformRng(OneJumpRng):
+    """:class:`OneJumpRng` with the first uniform ``first``."""
+
+    def __init__(self, first):
+        self.uniforms = iter([first, 0.5, 0.5, 0.5])
+
+
 class TestParamValidation:
     def test_positivity_condition_enforced(self):
         with pytest.raises(ValueError):
@@ -389,6 +396,19 @@ class TestBlockAdvance:
         # from that start the jump alone would make v_1 >= 0
         jump = driver.advance([0.0, 0.0], 17, np.array([0.01]), OneJumpRng())[0, 0]
         assert -0.01 * (1.0 - 0.01 * p.mu) + jump >= 0.0
+
+    def test_bns_count_goes_on_above_the_c_exp(self):
+        # numpy's multiplication method goes on counting while the product of
+        # uniforms is above exp(-mean), from the C exp; at this mean np.exp is
+        # one ulp above it, so a limit from np.exp would miss the jump of a
+        # first uniform one ulp above the C value
+        means = np.random.default_rng(3).uniform(1e-3, 0.1, 10_000).tolist()
+        mean = next(x for x in means if np.exp(np.array([-x]))[0] > math.exp(-x))
+        limit = math.exp(-mean)
+        driver = BnsDriver(bench_bns())
+        for first, jumps in ((limit, False), (np.nextafter(limit, 1.0), True)):
+            dz, _ = driver._draws(np.array([0.01]), np.array([mean]), FirstUniformRng(first))
+            assert (dz[0] > 0.0) == jumps
 
     def test_bns_runaway_jump_count_fails_before_any_draw(self):
         class NoDraws:

@@ -9,7 +9,9 @@ commands no workload runs (``price-european``, ``check-schedule``,
 runs through ``BnsDriver.advance`` (the BNS marginal sweep, the same sweep
 with jump rates that send almost every step's count to numpy's PTRS
 Poisson sampler, and the BNS Asian grid at the default truncation power
-1), and a Heston Asian grid on a second schedule.  Each case runs once
+1, once as configured and once with ``jump_lambda = 10``, whose first
+steps take the incomplete gamma function's continued fraction), and a
+Heston Asian grid on a second schedule.  Each case runs once
 from ``PARENT_CHECKOUT/src`` and once from this checkout's ``src``, for
 every seed, with the config's own ``threads`` and with ``--threads 1``
 (one run when the two agree).  The script prints how many CSV cells differ
@@ -45,6 +47,9 @@ class Case:
     flags: tuple = ()  # more command-line flags, after --seed and --threads
 
 
+# the BNS Asian grid config without truncation_power
+BNS_POWER1 = {**{k: v for k, v in BNS.items() if k != "truncation_power"}, **GRID, "parity": "on"}
+
 CASES = {
     **{name: Case(wl.command, wl.config, wl.n_iters) for name, wl in WORKLOADS.items()},
     "heston-european": Case("price-european",
@@ -59,9 +64,10 @@ CASES = {
                               {**BNS, "jump_c": "1", "truncation_power": "4", "hist_hi": "5"},
                               20_000),
     # without truncation_power, at the CLI's default power 1: more jumps per step
-    "bns-asian-power1": Case("price-asian",
-                             {**{k: v for k, v in BNS.items() if k != "truncation_power"},
-                              **GRID, "parity": "on"}, 30_000),
+    "bns-asian-power1": Case("price-asian", BNS_POWER1, 30_000),
+    # lam * u >= 1.5 on the first 296 steps: the continued fraction of the
+    # incomplete gamma function, where the rates' rounding moves the most
+    "bns-asian-lam10": Case("price-asian", {**BNS_POWER1, "jump_lambda": "10"}, 30_000),
     "heston-asian-schedule2": Case("price-asian",
                                    {**HESTON, **GRID, "c1": "0.8", "rho1": "0.6",
                                     "c2": "1.5", "rho2": "0.25"}, 15_000),
