@@ -32,7 +32,7 @@ Square-root (Heston-type) model
       S_t = s0 * exp(r t - 0.5 int_0^t v ds + rho Lam(t) + sqrt(1-rho^2) M_t),
 
   so the log price inside a window is ``E_k - E_j`` for one potential ``E``
-  along the trajectory (:func:`heston_potential`).  ``window_stats``
+  along the trajectory (:meth:`HestonDriver._path_arrays`).  ``window_stats``
   builds ``E`` once per engine block of windows and reads every window's
   statistics from it.
 
@@ -76,7 +76,6 @@ __all__ = [
     "HestonParams",
     "BNSParams",
     "PricePathView",
-    "heston_potential",
     "HestonDriver",
     "BnsDriver",
     "heston_invariant_gamma",
@@ -194,7 +193,6 @@ def growth_rate(params) -> float:
 
 def _expm1_over(x: np.ndarray) -> np.ndarray:
     """(e^x - 1)/x elementwise, continuously extended to 1 at 0."""
-    x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     small = np.abs(x) < 1e-8
     out[small] = 1.0 + 0.5 * x[small]
@@ -242,7 +240,7 @@ class _Driver:
     A model supplies ``initial_state`` (the stationary mean of ``v``, then
     0), ``advance`` and ``_path_arrays(block)``: the block's log price at
     each column, the weight of each interior segment and each column's
-    log-price rate (``None`` for a stepwise path).  The driver keeps no
+    log-price rate (zero for a stepwise path).  The driver keeps no
     block: :meth:`window_stats` builds these arrays and from them the time
     average and terminal value of every window of a block, and the pricing
     functional calls it once per block.  A window's price is ``s0 exp`` of
@@ -327,11 +325,10 @@ def _tails(block: WindowBlock, a: np.ndarray, b: np.ndarray, rates):
     """Weight and growth of the last segment of each window, columns ``a .. b``.
 
     The tail ``T - (Gam[b] - Gam[a])`` weighs ``tail * expm1over(x)`` and
-    grows by ``e^x``, with ``x = rates[b] * tail`` (0 without rates).
+    grows by ``e^x``, with ``x = rates[b] * tail``: a zero rate gives the
+    tail and 1 exactly.
     """
     tail = block.T - (block.Gam[b] - block.Gam[a])
-    if rates is None:
-        return tail, np.ones(len(tail))
     x = rates[b] * tail
     return tail * _expm1_over(x), np.exp(x)
 
@@ -339,44 +336,12 @@ def _tails(block: WindowBlock, a: np.ndarray, b: np.ndarray, rates):
 # -- square-root model --------------------------------------------------------
 
 
-def heston_potential(block: WindowBlock, params: HestonParams):
-    """Log-price potential ``E``, interior segment weights and segment rates of a block.
-
-    With (v, y) frozen between grid points, the log price of any window
-    starting at block column ``a`` is ``E[a + i] - E[a]`` at its grid point
-    ``i``, where ``t``, ``IV = int v ds`` and ``IY = int y ds`` run from the
-    block's first index:
-
-        E = r t - IV/2 + (rho/sigma_v)(v - k theta t + k IV) + sqrt(1-rho^2)(y + IY).
-
-    This is the window reconstruction ``r t - IV/2 + rho Lam(t) +
-    sqrt(1-rho^2) M_t`` with every window's integrals read as differences
-    of one block-wide prefix sum.  Between grid points the log price is
-    linear with rate ``r - v/2 + rho k (v - theta)/sigma_v + sqrt(1-rho^2) y``;
-    the interior weight of the segment after column ``i`` is
-    ``gam[i+1] * expm1over(rate[i] gam[i+1])``.  Only differences of ``E``
-    inside one window are ever exponentiated, so nothing overflows however
-    long the trajectory.
-    """
-    v, y = block.cols
-    gam = block.gam[1:]
-    t = block.Gam - block.Gam[0]
-    iv = np.concatenate(([0.0], np.cumsum(v[:-1] * gam)))
-    iy = np.concatenate(([0.0], np.cumsum(y[:-1] * gam)))
-    rho_c = math.sqrt(1.0 - params.rho**2)
-    k, theta, sig = params.k, params.theta, params.sigma_v
-    potential = (params.r * t - 0.5 * iv + (params.rho / sig) * (v - k * theta * t + k * iv)
-                 + rho_c * (y + iy))
-    rates = params.r - 0.5 * v + params.rho * k * (v - theta) / sig + rho_c * y
-    return potential, gam * _expm1_over(rates[:-1] * gam), rates
-
-
 class HestonDriver(_Driver):
     """Engine driver for the (v, y) scheme.
 
     Each step takes two independent scaled Brownian increments, dW2 for v
     first, then dW1 for y; the correlation rho enters only through the
-    price path (:func:`heston_potential`), never the state dynamics.
+    price path (:meth:`_path_arrays`), never the state dynamics.
     :meth:`advance` draws a block's normals in one call (the Philox stream
     gives the same normals however its draws are split, so any split of a
     span is the same trajectory) and runs its steps as one loop over
@@ -406,7 +371,36 @@ class HestonDriver(_Driver):
         return np.array((vs, ys))
 
     def _path_arrays(self, block: WindowBlock):
-        return heston_potential(block, self.params)
+        """Log-price potential ``E``, interior segment weights and segment rates of a block.
+
+        With (v, y) frozen between grid points, the log price of any window
+        starting at block column ``a`` is ``E[a + i] - E[a]`` at its grid point
+        ``i``, where ``t``, ``IV = int v ds`` and ``IY = int y ds`` run from the
+        block's first index:
+
+            E = r t - IV/2 + (rho/sigma_v)(v - k theta t + k IV) + sqrt(1-rho^2)(y + IY).
+
+        This is the window reconstruction ``r t - IV/2 + rho Lam(t) +
+        sqrt(1-rho^2) M_t`` with every window's integrals read as differences
+        of one block-wide prefix sum.  Between grid points the log price is
+        linear with rate ``r - v/2 + rho k (v - theta)/sigma_v + sqrt(1-rho^2) y``;
+        the interior weight of the segment after column ``i`` is
+        ``gam[i+1] * expm1over(rate[i] gam[i+1])``.  Only differences of ``E``
+        inside one window are ever exponentiated, so nothing overflows however
+        long the trajectory.
+        """
+        p = self.params
+        v, y = block.cols
+        gam = block.gam[1:]
+        t = block.Gam - block.Gam[0]
+        iv = np.concatenate(([0.0], np.cumsum(v[:-1] * gam)))
+        iy = np.concatenate(([0.0], np.cumsum(y[:-1] * gam)))
+        rho_c = math.sqrt(1.0 - p.rho**2)
+        k, theta, sig = p.k, p.theta, p.sigma_v
+        potential = (p.r * t - 0.5 * iv + (p.rho / sig) * (v - k * theta * t + k * iv)
+                     + rho_c * (y + iy))
+        rates = p.r - 0.5 * v + p.rho * k * (v - theta) / sig + rho_c * y
+        return potential, gam * _expm1_over(rates[:-1] * gam), rates
 
 
 # -- log-price/subordinator model ---------------------------------------------
@@ -422,20 +416,19 @@ class _Uniforms:
 
     Each step of the run draws its Poisson count by numpy's multiplication
     method, so it takes at least one uniform; a batch of at most one per
-    step still to come (``due`` after the current one) therefore never
-    reaches past the run's last draw.  Inside a step whose first uniform
-    ``first`` found a jump, the object stands in for the rng of
-    :func:`~statvol.levy.compound_poisson_sum`: ``poisson`` continues the
-    count from ``first`` and ``random`` hands out the next uniforms.
+    step still to come therefore never reaches past the run's last draw.
+    Inside a step whose first uniform ``first`` found a jump, the object
+    stands in for the rng of :func:`~statvol.levy.compound_poisson_sum`:
+    ``poisson`` continues the count from ``first`` and ``random`` hands out
+    the next uniforms, drawing one at a time once the batch is used up.
     """
 
-    __slots__ = ("rng", "buf", "pos", "due", "first")
+    __slots__ = ("rng", "buf", "pos", "first")
 
     def __init__(self, rng):
         self.rng = rng
         self.buf = np.empty(0)
         self.pos = 0
-        self.due = 0
         self.first = 0.0
 
     def ahead(self, k: int) -> np.ndarray:
@@ -448,7 +441,7 @@ class _Uniforms:
 
     def random(self) -> float:
         if self.pos == len(self.buf):
-            self.buf, self.pos = self.rng.random(1 + self.due), 0
+            return float(self.rng.random())
         self.pos += 1
         return float(self.buf[self.pos - 1])
 
@@ -482,7 +475,7 @@ def _jump_sums(m, us, means, limits, steps, rng, dz) -> None:
         src.pos += hit + 1
         t += hit + 1
         i = int(steps[t - 1])
-        src.first, src.due = float(u[hit]), k - t
+        src.first = float(u[hit])
         dz[i] = levy.compound_poisson_sum(m, us[i], means[i], src)
 
 
@@ -646,4 +639,5 @@ class BnsDriver(_Driver):
         return dz, normals
 
     def _path_arrays(self, block: WindowBlock):
-        return block.cols[1], block.gam[1:], None
+        x = block.cols[1]
+        return x, block.gam[1:], np.zeros(len(x))

@@ -83,10 +83,10 @@ class AsianSpec:
 class PriceEstimate:
     """A windowed-average price estimate.
 
-    ``value`` is the reported price: the direct estimator, or the
-    parity-reconstructed one when ``used_parity``.  ``direct`` and
-    ``other_direct`` are the raw call/put legs estimated on the same
-    windows.
+    ``value`` is the reported price: the direct estimator, or, for a grid
+    priced with parity, the parity-reconstructed one when the option is in
+    the money against the forward average.  ``direct`` and ``other_direct``
+    are the raw call/put legs estimated on the same windows.
     """
 
     K: float
@@ -98,7 +98,6 @@ class PriceEstimate:
     direct: float
     other_direct: float
     mean_average: float
-    used_parity: bool
     checkpoints: list = field(default_factory=list)  # (n, value) pairs
 
 
@@ -205,7 +204,6 @@ def _assemble(
                 direct=float(vec[own]),
                 other_direct=float(vec[other]),
                 mean_average=mean_a,
-                used_parity=use_parity,
                 checkpoints=[(n, value_of(np.asarray(v, dtype=float)))
                              for n, v in result.checkpoints],
             )

@@ -2,10 +2,11 @@
 
 All simulations draw from numpy ``Generator`` objects backed by the
 counter-based Philox bit generator.  Streams are derived from a 64-bit
-user seed plus an integer key path (replication index, worker id, ...)
-through ``SeedSequence`` spawn keys, so the stream consumed by
-replication ``i`` is a pure function of ``(seed, i)`` and never depends
-on the order in which replications run.
+user seed plus an integer key path (the CLI passes one key: the
+replication index, or the strike index of an oracle run) through
+``SeedSequence`` spawn keys, so the stream consumed by replication ``i``
+is a pure function of ``(seed, i)`` and never depends on the order in
+which replications run.
 """
 
 from __future__ import annotations

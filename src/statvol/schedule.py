@@ -33,7 +33,7 @@ import bisect
 import functools
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,13 +87,12 @@ class Diagnostic:
     """Outcome of a schedule admissibility check.
 
     ``passed`` is the closed-form verdict for the polynomial family;
-    ``evidence`` carries the numerical scan results backing it up.
+    ``summary`` reports the numerical scan results backing it up.
     """
 
     name: str
     passed: bool
     summary: str
-    evidence: dict = field(default_factory=dict)
 
 
 class Schedule:
@@ -292,12 +291,6 @@ class Schedule:
             break
         return cand + kmin
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"Schedule(c1={self.c1}, rho1={self.rho1}, "
-            f"c2={self.c2}, rho2={self.rho2})"
-        )
-
 
 def _check_horizon(T: float) -> None:
     if not 0.0 < T < math.inf:
@@ -347,20 +340,14 @@ def check_weight_step_condition(
         f"exponent margin {margin:+.4g}; observed sup C = {ratio_sup:.6g} "
         f"at n = {argmax} (scan n <= {n_max})"
     )
-    return Diagnostic(
-        name="weight-step bound",
-        passed=passed,
-        summary=summary,
-        evidence={"observed_constant": ratio_sup, "argmax": argmax, "scan_max": n_max,
-                  "exponent_margin": margin},
-    )
+    return Diagnostic(name="weight-step bound", passed=passed, summary=summary)
 
 
 def check_invariance_condition(sched: Schedule, n_max: int = 10**5) -> Diagnostic:
     """Check the weight-variation condition forcing invariance of weak limits.
 
     For the polynomial family the closed form is: pass iff ``rho1 == 0`` or
-    ``max(0, 2*rho2 - 1) < rho1 < 1``.  The evidence is the Cesaro average
+    ``max(0, 2*rho2 - 1) < rho1 < 1``.  The summary reports the Cesaro average
     ``(1/H_n) * sum_{k<=n} max_{l>k} |eta_l - eta_{l-1}| / gamma_l`` at
     ``n = n_max`` (tail maxima truncated at the scan bound), which should
     drift to 0 when the condition holds.
@@ -379,12 +366,7 @@ def check_invariance_condition(sched: Schedule, n_max: int = 10**5) -> Diagnosti
         f"(rho1={r1}, rho2={r2}); Cesaro average {cesaro:.3e} at n={n_max} "
         f"(vs {cesaro_mid:.3e} at n={mid})"
     )
-    return Diagnostic(
-        name="weight variation (invariance)",
-        passed=passed,
-        summary=summary,
-        evidence={"cesaro_at_n": cesaro, "cesaro_at_n_over_10": cesaro_mid, "scan_max": n_max},
-    )
+    return Diagnostic(name="weight variation (invariance)", passed=passed, summary=summary)
 
 
 def check_series_condition(
@@ -394,7 +376,7 @@ def check_series_condition(
 
     For polynomial schedules with ``rho2 <= rho1 < 1`` the series converges
     iff ``s*(1-eps) > 1/(1-rho1)``.  ``rho1 = 1`` makes the criterion void
-    and raises.  The evidence reports partial sums at ``k_max/10`` and
+    and raises.  The summary reports partial sums at ``k_max/10`` and
     ``k_max`` so growth of the tail is visible.
     """
     if not s > 1.0:
@@ -416,15 +398,4 @@ def check_series_condition(
         f"partial sums {partial[k_max // 10 - 1]:.6g} (k={k_max // 10}) -> "
         f"{partial[-1]:.6g} (k={k_max})"
     )
-    return Diagnostic(
-        name="window-increment series",
-        passed=passed,
-        summary=summary,
-        evidence={
-            "partial_sum": float(partial[-1]),
-            "partial_sum_tenth": float(partial[k_max // 10 - 1]),
-            "scan_max": k_max,
-            "threshold": 1.0 / (1.0 - sched.rho1),
-            "s_effective": sigma,
-        },
-    )
+    return Diagnostic(name="window-increment series", passed=passed, summary=summary)

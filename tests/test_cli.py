@@ -134,6 +134,13 @@ class TestExitCodes:
             ("price-asian", "truncation_power", 0.5, bns),
             ("price-asian", "s0", 0.0, {}),
             ("price-asian", "rho", 2.0, {}),
+            ("price-asian", "kind", "straddle", {}),
+            ("price-asian", "n_iters", 0, {}),
+            ("price-asian", "seed", -1, {}),
+            ("price-asian", "maturity", 0.0, {}),
+            ("price-asian", "strikes", "-1,50", {}),
+            ("vol-surface", "maturities", "0,1", {}),
+            ("stationary-stats", "hist_hi", 0.0, {}),
         ]
         for command, key, value, other in cases:
             cfg = write_config(tmp_path, **{**other, key: value})
@@ -222,21 +229,32 @@ class TestExitCodes:
 
 
 class TestPriceAsianCommand:
-    def test_row_per_strike(self, tmp_path):
+    @pytest.mark.parametrize("command", ["price-asian", "price-european"])
+    def test_row_per_strike(self, tmp_path, command):
         cfg = write_config(tmp_path, n_iters=500)
         out = tmp_path / "o.csv"
-        assert cli.main(["price-asian", "--config", str(cfg), "--out", str(out)]) == 0
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "strike,estimate,std_error,n,seed"
         assert len(lines) == 4
         assert lines[1].startswith("44,")
 
-    def test_byte_identical_reruns(self, tmp_path):
+    @pytest.mark.parametrize("command", ["price-asian", "price-european"])
+    def test_byte_identical_reruns(self, tmp_path, command):
         cfg = write_config(tmp_path, n_iters=800, replications=3)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert cli.main(["price-asian", "--config", str(cfg), "--out", str(out1)]) == 0
-        assert cli.main(["price-asian", "--config", str(cfg), "--out", str(out2)]) == 0
+        assert cli.main([command, "--config", str(cfg), "--out", str(out1)]) == 0
+        assert cli.main([command, "--config", str(cfg), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_stdout_default_prints_the_file_bytes(self, tmp_path, capsysbinary):
+        # out = "-", the default, writes the CSV to stdout and nothing else
+        cfg = write_config(tmp_path, n_iters=500)
+        out = tmp_path / "o.csv"
+        assert cli.main(["price-asian", "--config", str(cfg)]) == 0
+        printed = capsysbinary.readouterr().out
+        assert cli.main(["price-asian", "--config", str(cfg), "--out", str(out)]) == 0
+        assert printed == out.read_bytes()
 
     def test_thread_count_does_not_change_bytes(self, tmp_path):
         cfg = write_config(tmp_path, n_iters=800, replications=3)

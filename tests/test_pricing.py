@@ -138,7 +138,6 @@ class TestPriceAsianGrid:
     def test_leg_selection(self, heston_run):
         fwd = pricing.forward_average(50.0, 0.05, 1.0)
         for est in heston_run:
-            assert est.used_parity
             if est.K <= fwd:
                 gap = discounted_average_forward(bench_heston(), 1.0) \
                     - est.K * math.exp(-0.05)
@@ -240,6 +239,16 @@ class TestImpliedVol:
             49.95, abs=1e-10 * 50.0)
         assert sigma > 5.0
 
+    @pytest.mark.parametrize("K, sigma", [(80.0, 0.5), (30.0, 1.0), (80.0, 6.0)])
+    def test_bisection_fallback_reprices(self, K, sigma):
+        # far from the money at T = 0.1 the vega at Newton's start 0.2 is
+        # below 1e-11, so its first step leaves (1e-12, 10) and bisection
+        # finds the root; at sigma = 6 it first doubles its upper edge 5
+        price = bs_call(50.0, K, 0.1, 0.0, sigma)
+        got = implied_vol(price, 50.0, K, 0.1, 0.0)
+        assert bs_call(50.0, K, 0.1, 0.0, got) == pytest.approx(price, abs=1e-10 * 50.0)
+        assert got == pytest.approx(sigma, rel=1e-6)
+
 
 class TestBnsParityUsesModelGrowth:
     def test_gap_differs_from_martingale_parity(self):
@@ -286,6 +295,29 @@ class TestGoldenValues:
             0.11261774006174287, 0.027418091791226513,
         ], rel=1e-12)
 
+    def test_heston_european_grid(self):
+        s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
+        ests = price_european_grid(HestonDriver(bench_heston()), s, self.SPECS, 2000,
+                                   stream(31, 0))
+        assert [x for e in ests for x in (e.value, e.se)] == pytest.approx([
+            8.404568784623004, 0.11655445375836747,
+            3.387068287610896, 0.09670392041167043,
+            0.8116639478734459, 0.05283316788365681,
+        ], rel=1e-12)
+
+    def test_bns_european_grid(self):
+        # a stepwise path: the terminal value grows by exp(0) = 1 over each tail
+        p = BNSParams(s0=50.0, r=0.05, rho=-1.0, mu=1.0,
+                      jump=TemperedStableMeasure(c=0.01, lam=1.0, alpha=0.5),
+                      truncation=TruncationPolicy(power=2.0))
+        s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
+        ests = price_european_grid(BnsDriver(p), s, self.SPECS, 2000, stream(31, 0))
+        assert [x for e in ests for x in (e.value, e.se)] == pytest.approx([
+            7.993400072733735, 0.09271778117446554,
+            2.68116834806546, 0.07878024713477771,
+            0.34334240799058235, 0.05837084642174359,
+        ], rel=1e-12)
+
     def test_heston_stationary_marginal(self):
         s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
         marg = MarginalAccumulator(dim=2, bins=50, lo=0.0, hi=0.05)
@@ -294,4 +326,15 @@ class TestGoldenValues:
         st = marg.stats()
         assert list(st.mean) == [0.010710947204741864, -0.002214274498947398]
         assert list(st.variance) == [3.182583959911934e-05, 0.00462308975131223]
+        assert float(st.histogram[0].max()) == 0.08547685858895404
+
+    def test_heston_variance_marginal(self):
+        # the one-coordinate fold of every stationary-stats run
+        s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
+        marg = MarginalAccumulator(dim=1, bins=50, lo=0.0, hi=0.05)
+        engine.run(HestonDriver(bench_heston()), s, None, T=1.0, n_iters=2000,
+                   rng=stream(31, 0), marginal=marg)
+        st = marg.stats()
+        assert list(st.mean) == [0.010710947204741864]
+        assert list(st.variance) == [3.182583959911934e-05]
         assert float(st.histogram[0].max()) == 0.08547685858895404

@@ -366,7 +366,7 @@ class TestDiagnostics:
     def test_weight_step_equal_sequences(self, benchmark_schedule):
         d = sch.check_weight_step_condition(benchmark_schedule, 0.0, n_max=10**4)
         assert d.passed
-        assert d.evidence["observed_constant"] == pytest.approx(1.0)
+        assert "observed sup C = 1 at " in d.summary
 
     def test_weight_step_fast_weights(self):
         s = sch.make_polynomial_schedule(1.0, 1.0, 1.0, 1.0 / 3.0)
@@ -378,7 +378,7 @@ class TestDiagnostics:
         d = sch.check_weight_step_condition(s, 0.0, n_max=10**6)
         assert not d.passed
         # ratio eta/gamma = n^{2/3}: the scan supremum sits at the boundary
-        assert d.evidence["argmax"] == 10**6
+        assert "at n = 1000000 (" in d.summary
 
     def test_weight_step_eps_domain(self, benchmark_schedule):
         with pytest.raises(sch.ScheduleError):

@@ -4,9 +4,10 @@
 
 The cases are the workloads of ``perfbench/workloads.py`` (read, never
 written) at their own ``n`` and config, plus small fixed cases for the
-commands no workload runs (``price-european``, ``check-schedule``,
-``oracle``), one run whose flags override its config file, three more
-runs through ``BnsDriver.advance`` (the BNS marginal sweep, the same sweep
+commands no workload runs (``price-european`` on each model, the BNS one
+on the bns-asian config; ``check-schedule``; ``oracle``), one run whose
+flags override its config file, three more runs through
+``BnsDriver.advance`` (the BNS marginal sweep, the same sweep
 with jump rates that send almost every step's count to numpy's PTRS
 Poisson sampler, and the BNS Asian grid at the default truncation power
 1, once as configured and once with ``jump_lambda = 10``, whose first
@@ -54,6 +55,7 @@ CASES = {
     **{name: Case(wl.command, wl.config, wl.n_iters) for name, wl in WORKLOADS.items()},
     "heston-european": Case("price-european",
                             {**HESTON, **GRID, "replications": "2", "threads": "2"}, 3_000),
+    "bns-european": Case("price-european", WORKLOADS["bns-asian"].config, 30_000),
     "check-schedule": Case("check-schedule", {**HESTON, "scan_max": "20000"}, 1),
     "oracle": Case("oracle", {**HESTON, "strikes": "48,50,52", "oracle_paths": "400"}, 1),
     "heston-asian-flags": Case("price-asian", {**HESTON, **GRID, "parity": "on"}, 15_000,
