@@ -14,12 +14,16 @@ with ``H`` the weight total after the chunk,
 
 the one-window recurrence generalised to a range, which reproduces the
 explicit weighted mean ``(1/H_n) sum eta_k F(window_{k-1})`` without
-storing the history.  A chunk holds at most ``_RANGE_WINDOWS`` windows and
-is cut at every checkpoint, so each checkpoint is the value after exactly
-its ``n`` windows.  ``F`` may be split in two: the functional returns one
-statistic per window, and a row map ``rows`` turns a chunk's statistics
-into the chunk's values at once, so ``F(window) = rows([stat(window)])[0]``
-and the per-window call does no array work.  There is no engine-side
+storing the history.  Both sweeps cut their folds by one rule, a pure
+function of the index: a run of indices starting at ``j`` ends at the next
+checkpoint, the least power of ten above ``j`` (1 for ``j = 0``) capped at
+``n``, or at its block's end, whichever comes first, so each checkpoint is
+the value after exactly its ``n`` windows or points.  A window sweep's
+chunk is such a run, cut again after ``_RANGE_WINDOWS`` windows.  ``F``
+may be split in two: the functional returns one statistic per window, and
+a row map ``rows`` turns a chunk's statistics into the chunk's values at
+once, so ``F(window) = rows([stat(window)])[0]`` and the per-window call
+does no array work.  There is no engine-side
 second moment: a caller that wants one returns the squares as part of
 ``F``'s value.  The sweep works in blocks of up to ``_BLOCK`` window
 starts ``j0 .. j1-1``.  A block takes its window ends ``N_j = N(j, T)``
@@ -39,10 +43,10 @@ at grid index ``j`` with weight ``eta_{j+1}`` into the weighted occupation
 measure of the coordinates the accumulator was built for.  It stores no
 states and builds no windows, simulates nothing past index ``n-1``, needs
 no horizon ``T`` and reads only gamma and eta of the schedule, so it sums
-no prefix.  Each run of points between two checkpoints is folded by one
-C-level ``map`` of :meth:`MarginalAccumulator.update` over the run's
-weights and the tuples of the accumulator's ``dim`` coordinates, drained by
-a zero-length ``deque``, so no Python loop runs in the engine per point.
+no prefix.  Each run of points is folded by one C-level ``map`` of
+:meth:`MarginalAccumulator.update` over the run's weights and the tuples
+of the accumulator's ``dim`` coordinates, drained by a zero-length
+``deque``, so no Python loop runs in the engine per point.
 The update is still called once per point: the benchmark's tracer wraps it
 and counts one call per point, and a block fold waits until that boundary
 moves to blocks.
@@ -185,13 +189,12 @@ class FunctionalAverage:
         self.weight_sq_total = 0.0
         self.value: float | np.ndarray = 0.0
 
-    def update(self, eta, f_value) -> "FunctionalAverage":
+    def update(self, eta, f_value) -> None:
         if not np.all(eta > 0.0):
             raise ValueError(f"weights must be positive, got {eta}")
         self.weight_total += np.sum(eta)
         self.weight_sq_total += np.dot(eta, eta)
         self.value = self.value + np.dot(eta / self.weight_total, f_value - self.value)
-        return self
 
 
 @dataclass
@@ -282,21 +285,26 @@ class MarginalAccumulator:
 class RunResult:
     """Outcome of an engine sweep."""
 
-    n_iters: int
     average: FunctionalAverage | None
     checkpoints: list = field(default_factory=list)  # (n, value) pairs
     marginal_checkpoints: list = field(default_factory=list)  # (n, mean, variance)
 
 
-def _checkpoint_grid(n_iters: int) -> list[int]:
-    grid = []
-    p = 1
-    while p <= n_iters:
-        grid.append(p)
-        p *= 10
-    if not grid or grid[-1] != n_iters:
-        grid.append(n_iters)
-    return grid
+def _runs(j0: int, j1: int, n_iters: int, size: float = math.inf):
+    """The runs ``(lo, hi, at_checkpoint)`` of block-local indices that tile ``j0 .. j1-1``.
+
+    A run holds at most ``size`` indices and ends at the next checkpoint:
+    the least power of ten above ``j0 + lo`` (1 for index 0), capped at
+    ``n_iters``.  ``at_checkpoint`` says whether it ends there, i.e.
+    whether ``j0 + hi`` is a checkpoint.
+    """
+    lo = 0
+    while lo < j1 - j0:
+        j = j0 + lo
+        cp = min(10 ** len(str(j)) if j else 1, n_iters)
+        hi = min(lo + size, j1 - j0, cp - j0)
+        yield lo, hi, j0 + hi == cp
+        lo = hi
 
 
 def _advance(driver, state, first: int, gam: np.ndarray, rng) -> np.ndarray:
@@ -332,7 +340,8 @@ def run(
     time, ``value <- value + sum_k (eta_k / H) * (F_k - value)`` over the
     chunk's windows ``k`` with ``H`` the weight total after it
     (:meth:`FunctionalAverage.update`).  A chunk holds at most
-    ``_RANGE_WINDOWS`` windows and is cut at every checkpoint.  Without
+    ``_RANGE_WINDOWS`` windows and ends, at the latest, at the next
+    checkpoint (the cut rule below).  Without
     ``rows`` the chunk's values are the functional's, stacked; with it they
     are ``rows(np.array(values))``, one row per window, so a functional
     that returns one float per window has its rows built once per chunk.
@@ -346,14 +355,19 @@ def run(
     in blocks of up to ``_BLOCK``: a block folds the state at its first
     index ``j0``, simulates the rest of its states in one ``advance`` call,
     then folds their first ``marginal.dim`` coordinates.  Points are folded
-    a run between checkpoints at a time,
+    a run up to the next checkpoint at a time,
     ``deque(map(marginal.update, eta, points), 0)``: the loop runs in C, but
     each point is still one ``update`` call, which the benchmark counts.
     When a step fails, its block folds none of the states it simulated, so
     the accumulator holds the points ``0 .. j0``.
 
     Estimates are checkpointed at ``n = 1, 10, 100, ...`` and at the final
-    iteration.
+    iteration, each ``n`` once.  The cut rule is a pure function of the
+    index: the run that starts at iteration ``j`` ends at the next
+    checkpoint, ``min(10**k, n_iters)`` with ``10**k`` the least power of
+    ten above ``j`` (1 for ``j = 0``), or earlier at the block's end or
+    after ``_RANGE_WINDOWS`` windows; a checkpoint is recorded where a run
+    ends at one.
     """
     if n_iters < 1:
         raise ValueError(f"need at least one iteration, got {n_iters}")
@@ -366,37 +380,26 @@ def run(
 
     state = [float(x) for x in driver.initial_state()]
 
-    grid = iter(_checkpoint_grid(n_iters))
-    cp = next(grid)
-
     if marginal is not None:
         marginal_checkpoints = []
-
-        def fold(j0, lo, hi, eta, points):
-            # the points of block-local indices lo .. hi-1, a run between checkpoints at a time
-            nonlocal cp
-            while lo < hi:
-                stop = min(hi, cp - j0)
-                deque(map(marginal.update, eta[lo:stop], islice(points, stop - lo)), 0)
-                if j0 + stop == cp:
-                    st = marginal.stats()
-                    marginal_checkpoints.append((cp, st.mean.copy(), st.variance.copy()))
-                    cp = next(grid, n_iters)
-                lo = stop
-
         for j0 in range(0, n_iters, _BLOCK):
             j1 = min(j0 + _BLOCK, n_iters)
             # the block folds indices j0 .. j1-1 and simulates j0+1 .. j1, the
             # next block's first state, but nothing past index n_iters - 1
             last = min(j1, n_iters - 1)
             eta = sched.eta_slice(j0 + 1, j1 + 1).tolist()
-            fold(j0, 0, 1, eta, iter((state,)))
+            marginal.update(eta[0], state)
             cols = _advance(driver, state, j0 + 1, sched.gamma_slice(j0 + 1, last + 1), rng)
-            fold(j0, 1, j1 - j0, eta, zip(*cols[: marginal.dim, : j1 - j0 - 1].tolist()))
+            points = zip(*cols[: marginal.dim, : j1 - j0 - 1].tolist())
+            for lo, hi, at_checkpoint in _runs(j0, j1, n_iters):
+                lo = max(lo, 1)  # the state at j0 is folded already
+                deque(map(marginal.update, eta[lo:hi], islice(points, hi - lo)), 0)
+                if at_checkpoint:
+                    st = marginal.stats()
+                    marginal_checkpoints.append((j0 + hi, st.mean.copy(), st.variance.copy()))
             if last > j0:
                 state = cols[:, -1].tolist()
-        return RunResult(n_iters=n_iters, average=None,
-                         marginal_checkpoints=marginal_checkpoints)
+        return RunResult(average=None, marginal_checkpoints=marginal_checkpoints)
 
     avg = FunctionalAverage()
     checkpoints = []
@@ -415,20 +418,15 @@ def run(
         block = WindowBlock(cols, j0, T, gam, Gam, ends)
 
         ends_list = ends.tolist()
-        lo = 0
-        while lo < j1 - j0:
-            # a chunk of windows lo .. hi-1, cut at the next checkpoint
-            hi = min(lo + _RANGE_WINDOWS, j1 - j0, cp - j0)
+        for lo, hi, at_checkpoint in _runs(j0, j1, n_iters, _RANGE_WINDOWS):
             values = np.array(list(map(functional, map(Window, repeat(block), range(lo, hi),
                                                         ends_list[lo:hi]))))
             avg.update(eta[lo:hi], values if rows is None else rows(values))
-            if j0 + hi == cp:
-                checkpoints.append((cp, avg.value))
-                cp = next(grid, n_iters)
-            lo = hi
+            if at_checkpoint:
+                checkpoints.append((j0 + hi, avg.value))
         # the overlap [j1, N_{j1-1}] stays for the next block; it is empty when
         # the last window has one point, so the next block starts from `state`
         state = cols[:, -1].tolist()
         cols = cols[:, j1 - j0 :]
 
-    return RunResult(n_iters=n_iters, average=avg, checkpoints=checkpoints)
+    return RunResult(average=avg, checkpoints=checkpoints)

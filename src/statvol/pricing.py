@@ -81,19 +81,22 @@ class AsianSpec:
 
 @dataclass
 class PriceEstimate:
-    """A windowed-average price estimate.
+    """A windowed-average price estimate of one strike of a grid.
 
-    ``value`` is the reported price: the direct estimator, or, for a grid
-    priced with parity, the parity-reconstructed one when the option is in
-    the money against the forward average.  ``direct`` and ``other_direct``
-    are the raw call/put legs estimated on the same windows.
+    ``K`` is the strike.  ``value`` is the reported price: the direct
+    estimator, or, for a grid priced with parity, the parity-reconstructed
+    one when the option is in the money against the forward average.
+    ``se`` is the naive standard error of the leg that was estimated.
+    ``direct`` and ``other_direct`` are the raw legs of this option and of
+    its parity partner, estimated on the same windows, and ``mean_average``
+    is the weighted mean of the windows' statistic.  ``checkpoints`` holds
+    ``(n, value)`` after the first ``n = 1, 10, 100, ...`` windows and after
+    the last: the convergence trace, which no command prints yet and which
+    the run report (ROADMAP item 8) is to write out.
     """
 
     K: float
-    T: float
-    kind: str
     value: float
-    n: int
     se: float
     direct: float
     other_direct: float
@@ -196,10 +199,7 @@ def _assemble(
         out.append(
             PriceEstimate(
                 K=spec.K,
-                T=T,
-                kind=spec.kind,
                 value=value_of(vec),
-                n=result.n_iters,
                 se=float(se[other if reconstruct else own]),
                 direct=float(vec[own]),
                 other_direct=float(vec[other]),

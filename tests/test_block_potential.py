@@ -239,12 +239,13 @@ def test_chunk_fold_matches_per_window_recurrence(model, r, rho, parity, monkeyp
                                  monkeypatch)
     assert len(values) == n
 
-    avg, grid, ref_checkpoints = engine.FunctionalAverage(), engine._checkpoint_grid(n), []
+    avg, ref_checkpoints = engine.FunctionalAverage(), []
+    grid = [10**i for i in range(len(str(n))) if 10**i < n] + [n]
     for k, value in enumerate(values, start=1):
         avg.update(sched.eta(k), value)
         if k in grid:
             ref_checkpoints.append((k, avg.value))
-    ref_res = engine.RunResult(n_iters=n, average=avg, checkpoints=ref_checkpoints)
+    ref_res = engine.RunResult(average=avg, checkpoints=ref_checkpoints)
     ref = pricing._assemble(specs, np.array(STRIKES), ref_res, params, parity, T, r)
 
     disc = math.exp(-r * T)

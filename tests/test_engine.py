@@ -1,6 +1,6 @@
 """Engine: running averages, block/window bookkeeping, marginals.
 
-The marginal sweep folds its points a run between checkpoints at a time,
+The marginal sweep folds its points a run up to the next checkpoint at a time,
 through C-level ``map``; :func:`reference_marginal_run` keeps the plain
 per-point loop, with the accumulator's update written out as
 :class:`ReferenceMarginal`, and the engine must agree with it exactly.
@@ -94,9 +94,14 @@ class ReferenceMarginal(MarginalAccumulator):
         self.count += 1
 
 
+def checkpoint_grid(n):
+    """The checkpoints of an ``n``-iteration sweep: the powers of ten below ``n``, then ``n``."""
+    return [10**i for i in range(len(str(n))) if 10**i < n] + [n]
+
+
 def reference_marginal_run(driver, sched, n_iters, rng, marginal):
     """The marginal sweep as a per-point loop; returns its checkpoints ``(n, mean, variance)``."""
-    cp_grid = set(engine._checkpoint_grid(n_iters))
+    cp_grid = set(checkpoint_grid(n_iters))
     checkpoints = []
 
     def checkpoint(count):
@@ -441,52 +446,64 @@ class TestRunBookkeeping:
                 == [(c, v.tolist()) for c, v in ref.checkpoints])
         assert mapped.average.value.tolist() == ref.average.value.tolist()
 
-    def test_checkpoint_grid(self):
+    @pytest.mark.parametrize("n", [1, 10, 137, 1000, engine._BLOCK, engine._BLOCK + 1, 10**4])
+    def test_cuts_follow_the_reference_grid(self, n):
+        # both sweeps checkpoint at the reference grid, each n once, and every
+        # chunk the row map receives ends at the earliest of its start plus
+        # _RANGE_WINDOWS, its block's end and the next checkpoint
         s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
-        res = engine.run(ConstantDriver(), s, lambda w: 1.0, T=0.5,
-                         n_iters=1000, rng=stream(0, 0))
-        assert [n for n, _ in res.checkpoints] == [1, 10, 100, 1000]
-        res2 = engine.run(ConstantDriver(), s, lambda w: 1.0, T=0.5,
-                          n_iters=137, rng=stream(0, 0))
-        assert [n for n, _ in res2.checkpoints] == [1, 10, 100, 137]
+        grid = checkpoint_grid(n)
+        assert grid == sorted(set(grid)) and grid[-1] == n
+        if n in (137, 1000):
+            assert grid == [1, 10, 100, n]
+        chunks = []
 
-    @staticmethod
-    def _count_builds(monkeypatch):
-        # counts the builds of a block's powers by schedules made after the patch
-        built = []
-        powers = schedule._block_powers
+        def rows(values):
+            chunks.append(values.tolist())
+            return values
 
-        def counted(*params_and_m):
-            built.append(params_and_m[-1])
-            return powers(*params_and_m)
+        res = engine.run(ConstantDriver(), s, lambda w: float(w.start), T=0.5, n_iters=n,
+                         rng=stream(0, 0), rows=rows)
+        assert [c for c, _ in res.checkpoints] == grid
+        assert [start for chunk in chunks for start in chunk] == list(range(n))
+        for chunk in chunks:
+            lo = int(chunk[0])
+            block_end = min((lo // engine._BLOCK + 1) * engine._BLOCK, n)
+            next_cp = min(c for c in grid if c > lo)
+            assert lo + len(chunk) == min(lo + engine._RANGE_WINDOWS, block_end, next_cp), lo
+        acc = MarginalAccumulator(dim=1)
+        res = engine.run(ConstantDriver(), s, None, T=None, n_iters=n, rng=stream(0, 0),
+                         marginal=acc)
+        assert [c for c, _, _ in res.marginal_checkpoints] == grid
+        assert acc.count == n
 
-        monkeypatch.setattr(schedule, "_block_powers", counted)
-        return built
-
-    def test_window_sweep_builds_each_schedule_block_once(self, monkeypatch):
+    @pytest.mark.parametrize("T", [1.0, 8.0])
+    def test_window_sweep_builds_each_schedule_block_once(self, T):
         # an engine block reads the schedule blocks before, at and after its
-        # own starts, in turn for each slice it takes; the anchor (ensure) and
-        # the prefix rows of a block read the one build of its powers
-        built = self._count_builds(monkeypatch)
+        # own starts, in turn for each slice it takes, so the memos of three
+        # blocks build each of the four blocks the sweep touches once: its
+        # powers (the anchor, ensure, reads them) and its prefix rows
         s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
+        n = 3 * engine._BLOCK + 100
         params = HestonParams(s0=50.0, r=0.05, rho=0.5, k=2.0, theta=0.01, sigma_v=0.1)
-        specs = [AsianSpec(K=50.0, T=1.0, r=0.05)]
-        price_asian_grid(HestonDriver(params), s, specs, 15_000, stream(0, 0))
-        assert sorted(built) == sorted(set(built)) == list(range(max(built) + 1))
+        specs = [AsianSpec(K=50.0, T=T, r=0.05)]
+        price_asian_grid(HestonDriver(params), s, specs, n, stream(0, 0))
+        assert s._powers.cache_info().misses == s._block.cache_info().misses == 4
+        assert (s.horizon_index(n - 1, T) - 1) // schedule._BLOCK == 3
 
-    def test_marginal_sweep_reads_no_prefix_sums(self, monkeypatch):
-        # the marginal sweep reads gamma and eta alone: it extends no anchor
-        # and builds each schedule block's powers once
-        built = self._count_builds(monkeypatch)
+    def test_marginal_sweep_reads_no_prefix_sums(self):
+        # the marginal sweep reads gamma and eta alone: it extends no anchor,
+        # builds each schedule block's powers once and no prefix rows
         s = make_polynomial_schedule(1, 1 / 3, 1, 1 / 3)
-        n = 2 * engine._BLOCK + 17
+        n = 3 * engine._BLOCK + 100
         acc = MarginalAccumulator(dim=1, bins=10, lo=0.0, hi=0.04)
         params = HestonParams(s0=50.0, r=0.05, rho=0.5, k=2.0, theta=0.01, sigma_v=0.1)
         engine.run(HestonDriver(params), s, None, T=None, n_iters=n, rng=stream(0, 0),
                    marginal=acc)
         assert acc.count == n
         assert s._anchors == [(0.0, 0.0)]
-        assert built == [0, 1, 2]
+        assert s._powers.cache_info().misses == 4
+        assert s._block.cache_info().misses == 0
 
 
 class TestWindowIntegral:

@@ -11,8 +11,12 @@ and a fresh ``stream(5, 0)``, so each one draws the same numbers.  A case
 reads the best of 9 timings of 10 calls each, per step; the timings run in
 their own interpreter on ``src`` of this checkout.  Given
 ``OTHER_CHECKOUT``, its ``src`` runs the same cases too: the two sides
-alternate three times, each keeps its best, and the script prints the two
-columns and their ratio.  It uses the standard library and numpy only.
+alternate three times and keep their best of each round.  The script
+prints each side's best over the rounds, their ratio, and the per-round
+``this/other`` ratios with their minimum and maximum.  That range is the
+measurement's own spread on a loaded machine: a ratio inside it is
+unresolved, so the two sides differ only where the whole range lies on
+one side of 1.  It uses the standard library and numpy only.
 """
 
 from __future__ import annotations
@@ -97,12 +101,13 @@ def main(argv: list[str]) -> int:
         return 0
 
     sides = [ROOT / "src"] if args.other is None else [args.other.resolve() / "src", ROOT / "src"]
-    best = [dict.fromkeys(CONFIGS, float("inf")) for _ in sides]
+    # rounds[k][r]: side k's {case: µs per step} in round r
+    rounds = [[] for _ in sides]
     for r in range(ROUNDS if args.other is not None else 1):
         order = range(len(sides)) if r % 2 == 0 else reversed(range(len(sides)))
         for k in order:
-            for case, us in run_side(sides[k]).items():
-                best[k][case] = min(best[k][case], us)
+            rounds[k].append(run_side(sides[k]))
+    best = [{case: min(rnd[case] for rnd in side) for case in CONFIGS} for side in rounds]
 
     print(f"advance, µs per step: {STEPS} steps from index {FIRST}, seed {SEED}, "
           f"best of {REPEAT} x {NUMBER}")
@@ -110,10 +115,13 @@ def main(argv: list[str]) -> int:
         for case in CONFIGS:
             print(f"{case:12s} {best[0][case]:8.3f}")
     else:
-        print(f"{'':12s} {'other':>8s} {'this':>8s} {'this/other':>10s}")
+        print(f"{'':12s} {'other':>8s} {'this':>8s} {'this/other':>10s}  per round (min - max)")
         for case in CONFIGS:
             a, b = best[0][case], best[1][case]
-            print(f"{case:12s} {a:8.3f} {b:8.3f} {b / a:10.3f}")
+            ratios = [this[case] / other[case] for other, this in zip(*rounds)]
+            print(f"{case:12s} {a:8.3f} {b:8.3f} {b / a:10.3f}  "
+                  f"{' '.join(f'{x:.3f}' for x in ratios)} "
+                  f"({min(ratios):.3f} - {max(ratios):.3f})")
     return 0
 
 

@@ -11,10 +11,13 @@ flags override its config file, three more runs through
 with jump rates that send almost every step's count to numpy's PTRS
 Poisson sampler, and the BNS Asian grid at the default truncation power
 1, once as configured and once with ``jump_lambda = 10``, whose first
-steps take the incomplete gamma function's continued fraction), and a
-Heston Asian grid on a second schedule.  Each case runs once
-from ``PARENT_CHECKOUT/src`` and once from this checkout's ``src``, for
-every seed, with the config's own ``threads`` and with ``--threads 1``
+steps take the incomplete gamma function's continued fraction), a
+Heston Asian grid on a second schedule, and three runs at checkpoint
+edges (the Heston Asian grid at ``n = 1`` and at ``n = 1e4``, whose last
+checkpoint is ``n`` itself, in the third engine block, and the Heston
+marginal at ``n = 1e4``, whose moment rows run ``1 .. 1e4``).  Each case
+runs once from ``PARENT_CHECKOUT/src`` and once from this checkout's
+``src``, for every seed, with the config's own ``threads`` and with ``--threads 1``
 (one run when the two agree).  The script prints how many CSV cells differ
 in each case and whether the CSV bytes are identical, and exits 1 if any
 cell or byte differs or any run fails, 0 otherwise.  It uses the standard
@@ -73,6 +76,11 @@ CASES = {
     "heston-asian-schedule2": Case("price-asian",
                                    {**HESTON, **GRID, "c1": "0.8", "rho1": "0.6",
                                     "c2": "1.5", "rho2": "0.25"}, 15_000),
+    # checkpoint edges: one window, and a last checkpoint n = 1e4 that is a
+    # power of ten, in the third block of 4096 starts
+    "heston-asian-n1": Case("price-asian", WORKLOADS["heston-asian"].config, 1),
+    "heston-asian-1e4": Case("price-asian", WORKLOADS["heston-asian"].config, 10_000),
+    "heston-marginal-1e4": Case("stationary-stats", WORKLOADS["heston-marginal"].config, 10_000),
 }
 
 
