@@ -53,11 +53,11 @@ moves to blocks.
 
 The trajectory itself is produced by a *driver*: any object with
 
-    ``dim``            -- state dimension d
     ``initial_state()``-- the state at grid index 0
     ``advance(state, first, gam, rng)`` -- the states at grid indices
-                          ``first .. first + len(gam) - 1``, as a
-                          ``(dim, len(gam))`` float array, given the state at
+                          ``first .. first + len(gam) - 1``, as a float
+                          array of one row per state coordinate and one
+                          column per step, given the state at
                           index ``first - 1`` and the step lengths
                           ``gam = (gamma_first, ...)`` (a float array).
 
@@ -396,7 +396,7 @@ def run(
                 deque(map(marginal.update, eta[lo:hi], islice(points, hi - lo)), 0)
                 if at_checkpoint:
                     st = marginal.stats()
-                    marginal_checkpoints.append((j0 + hi, st.mean.copy(), st.variance.copy()))
+                    marginal_checkpoints.append((j0 + hi, st.mean, st.variance))
             if last > j0:
                 state = cols[:, -1].tolist()
         return RunResult(average=None, marginal_checkpoints=marginal_checkpoints)

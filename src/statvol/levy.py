@@ -8,7 +8,10 @@ with ``alpha in (0, 1)`` (finite variation, infinite activity).  Exact
 increments are not simulable, so a step uses only the jumps above a
 vanishing threshold ``u``: a compound Poisson increment from the jumps with
 size > u.  It is never compensated: a subordinator is non-decreasing, and
-the variance it drives must only jump up.
+the variance it drives must only jump up.  :class:`TruncationPolicy` gives
+a block's thresholds in one ``np.float_power`` call, the C library ``pow``
+that Python's ``**`` calls, not the SIMD ``np.power``, so each threshold and
+each jump size it sets is the one-float formula's.
 
 Tail quantities are integrated by adaptive quadrature to 1e-10 relative
 accuracy (:func:`tail_intensity`, and :func:`small_jump_variance` for the
@@ -96,14 +99,15 @@ class TruncationPolicy:
     def thresholds(self, gammas) -> np.ndarray:
         """The threshold of each step length in ``gammas``, as a float array.
 
-        ``gamma**power >= 1`` when ``gamma >= 1``, so the cap takes no power,
-        which could overflow.  Each power is Python's ``g ** power`` on one
-        float, not ``np.power``: the thresholds set the jump sizes, and
-        ``np.power`` rounds some of them differently, at power 2 too.
+        The cap comes first, so no power of a base above 1 can overflow, and
+        ``1.0 ** power`` is exactly 1.  The power is ``np.float_power``,
+        whose float64 loop calls the C library ``pow`` that Python's
+        ``g ** power`` calls, so every threshold is bit-identical to that
+        formula on one float.  The thresholds set the jump sizes, and
+        ``np.power``, which dispatches to SIMD code, rounds some of them
+        differently, at power 2 too.
         """
-        power = self.power
-        gl = np.asarray(gammas, dtype=float).tolist()
-        return np.fromiter((1.0 if g >= 1.0 else g**power for g in gl), float, len(gl))
+        return np.float_power(np.minimum(np.asarray(gammas, dtype=float), 1.0), self.power)
 
 
 # -- tail integrals ----------------------------------------------------------

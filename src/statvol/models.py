@@ -247,8 +247,6 @@ class _Driver:
     its log price less its value at the window's start.
     """
 
-    dim = 2
-
     def __init__(self, params):
         self.params = params
 

@@ -109,8 +109,6 @@ def cir_direct_stationary_price(
 class _OUDriver:
     """dy = -y dt + sigma dW as an engine driver (constant variance)."""
 
-    dim = 1
-
     def __init__(self, sigma: float):
         self.var = sigma * sigma
 

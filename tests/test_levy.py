@@ -77,10 +77,12 @@ class TestMeasureValidation:
         with pytest.raises(ValueError):
             TruncationPolicy(power=0.5)
 
-    @pytest.mark.parametrize("power,at_least", [(2.0, 100), (1.5, 5000)])
+    @pytest.mark.parametrize("power,at_least",
+                             [(2.0, 100), (1.5, 5000), (3.0, 5000), (1.0, 0)])
     def test_thresholds_are_pythons_pow(self, power, at_least):
-        # the thresholds set the jump sizes; np.power rounds some steps of
-        # the benchmark schedule differently, at power 2 too
+        # the thresholds set the jump sizes.  np.power is SIMD-dispatched and
+        # rounds some steps of the benchmark schedule differently, at power 2
+        # too; np.float_power's float64 loop is the C pow that Python's ** calls
         gam = SCHED.gamma_slice(1, 200_001)
         want = [g**power for g in gam.tolist()]  # every step is at most 1
         assert (np.power(gam, power) != want).sum() >= at_least

@@ -6,12 +6,14 @@ The cases are the workloads of ``perfbench/workloads.py`` (read, never
 written) at their own ``n`` and config, plus small fixed cases for the
 commands no workload runs (``price-european`` on each model, the BNS one
 on the bns-asian config; ``check-schedule``; ``oracle``), one run whose
-flags override its config file, three more runs through
+flags override its config file, five more runs through
 ``BnsDriver.advance`` (the BNS marginal sweep, the same sweep
 with jump rates that send almost every step's count to numpy's PTRS
-Poisson sampler, and the BNS Asian grid at the default truncation power
+Poisson sampler, the BNS Asian grid at the default truncation power
 1, once as configured and once with ``jump_lambda = 10``, whose first
-steps take the incomplete gamma function's continued fraction), a
+steps take the incomplete gamma function's continued fraction, and the
+same grid at truncation power 1.5, where a threshold rounded by
+``np.power`` rather than the C ``pow`` would show on about 5% of steps), a
 Heston Asian grid on a second schedule, and three runs at checkpoint
 edges (the Heston Asian grid at ``n = 1`` and at ``n = 1e4``, whose last
 checkpoint is ``n`` itself, in the third engine block, and the Heston
@@ -70,6 +72,8 @@ CASES = {
                               20_000),
     # without truncation_power, at the CLI's default power 1: more jumps per step
     "bns-asian-power1": Case("price-asian", BNS_POWER1, 30_000),
+    # np.power rounds about 5% of these thresholds differently from C pow
+    "bns-asian-power1.5": Case("price-asian", {**BNS_POWER1, "truncation_power": "1.5"}, 30_000),
     # lam * u >= 1.5 on the first 296 steps: the continued fraction of the
     # incomplete gamma function, where the rates' rounding moves the most
     "bns-asian-lam10": Case("price-asian", {**BNS_POWER1, "jump_lambda": "10"}, 30_000),
