@@ -220,6 +220,8 @@ class MarginalAccumulator:
     """
 
     def __init__(self, dim: int, bins: int = 200, lo: float = 0.0, hi: float = 1.0):
+        if dim < 1:
+            raise ValueError(f"need at least one state coordinate, got dim = {dim}")
         if bins < 1:
             raise ValueError("need at least one histogram bin")
         if not hi > lo:

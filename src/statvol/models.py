@@ -5,12 +5,13 @@ that supplies only its dynamics and the arrays of its log price along a
 block: ``advance`` runs a block of steps, and ``_path_arrays`` gives the
 block's log price, segment weights and segment rates.  The shared base
 (:class:`_Driver`) maps a state window to the corresponding price path
-over ``[0, T]`` from these arrays, and keeps no block between calls:
-``window_stats(block)`` gives the time averages and terminal values of
-every window of a block, with O(1) work per window from chunked prefix and
-suffix sums, and the pricing functional calls it once per block;
-``price_path`` gives one window's path, the per-window reference.  Both
-states carry the variance ``v`` first, so a marginal accumulator of
+over ``[0, T]`` from these arrays, and keeps no block between calls.
+It names each window statistic: ``window_averages(block)`` gives the time
+averages of every window of a block, with O(1) work per window from
+chunked prefix and suffix sums, and ``window_terminals(block)`` their
+terminal values; the pricing functional calls the one it prices once per
+block.  ``price_path`` gives one window's path, the per-window reference.
+Both states carry the variance ``v`` first, so a marginal accumulator of
 dimension 1 folds the variance alone in either model.  Each scheme starts
 ``v`` at its stationary mean.
 
@@ -32,9 +33,9 @@ Square-root (Heston-type) model
       S_t = s0 * exp(r t - 0.5 int_0^t v ds + rho Lam(t) + sqrt(1-rho^2) M_t),
 
   so the log price inside a window is ``E_k - E_j`` for one potential ``E``
-  along the trajectory (:meth:`HestonDriver._path_arrays`).  ``window_stats``
-  builds ``E`` once per engine block of windows and reads every window's
-  statistics from it.
+  along the trajectory (:meth:`HestonDriver._path_arrays`).  Each window
+  statistic builds ``E`` once per engine block of windows and reads every
+  window's value from it.
 
   The invariant law of ``v`` is Gamma with shape ``2 k theta / sigma_v**2``
   and mean ``theta``.
@@ -241,10 +242,12 @@ class _Driver:
     0), ``advance`` and ``_path_arrays(block)``: the block's log price at
     each column, the weight of each interior segment and each column's
     log-price rate (zero for a stepwise path).  The driver keeps no
-    block: :meth:`window_stats` builds these arrays and from them the time
-    average and terminal value of every window of a block, and the pricing
-    functional calls it once per block.  A window's price is ``s0 exp`` of
-    its log price less its value at the window's start.
+    block.  Each window statistic is one named method that builds these
+    arrays and from them that statistic of every window of a block:
+    :meth:`window_averages` the time averages, :meth:`window_terminals` the
+    terminal values.  A pricing grid calls the one it prices, once per
+    block.  A window's price is ``s0 exp`` of its log price less its value
+    at the window's start.
     """
 
     def __init__(self, params):
@@ -254,13 +257,12 @@ class _Driver:
         """The state at ``index``: :meth:`advance` over the one step ``gamma``."""
         return tuple(self.advance(state, index, np.array([gamma]), rng)[:, 0].tolist())
 
-    def window_stats(self, block: WindowBlock):
-        """``(average, terminal)``: every window's time average and terminal value.
+    def window_averages(self, block: WindowBlock) -> np.ndarray:
+        """Every window's time average, :meth:`PricePathView.average`, over ``block``.
 
-        These are :meth:`PricePathView.average` and ``terminal`` of each
-        window of ``block``, built from the block's ``_path_arrays`` with O(1)
-        work per window on every call: the driver keeps nothing, and the
-        pricing functional calls this once per block.
+        It is built from the block's ``_path_arrays`` with O(1) work per
+        window on every call: the driver keeps nothing, and the pricing
+        functional calls this once per block.
 
         Window ``a``, columns ``a .. b = ends[a]``, integrates ``S/s0`` to
         ``sum_{a <= i < b} e^{E_i - E_a} w_i`` over its segments plus
@@ -303,10 +305,23 @@ class _Driver:
             k = ka[w] + i
             interior[w] += np.exp(base[k] - start[w]) * suffix[k, 0]
         interior[segs == 0] = 0.0
-        tail_weight, growth = _tails(block, a, b, rates)
+        tail_weight, _ = _tails(block, a, b, rates)
         end = np.exp(log_price[b] - start)
         end *= self.params.s0
-        return (self.params.s0 * interior + end * tail_weight) / block.T, end * growth
+        return (self.params.s0 * interior + end * tail_weight) / block.T
+
+    def window_terminals(self, block: WindowBlock) -> np.ndarray:
+        """Every window's terminal value, :meth:`PricePathView.terminal`, over ``block``.
+
+        Window ``a`` is worth ``s0 e^{E_b - E_a}`` at its last column ``b =
+        ends[a]`` and grows by ``e^x`` over its tail (:func:`_tails`); no
+        segment weight or chunk sum is built.
+        """
+        log_price, _, rates = self._path_arrays(block)
+        a, b = np.arange(len(block.ends)), block.ends
+        end = np.exp(log_price[b] - log_price[a])
+        end *= self.params.s0
+        return end * _tails(block, a, b, rates)[1]
 
     def price_path(self, window: Window) -> PricePathView:
         """The window's price path, sliced from the block's arrays."""

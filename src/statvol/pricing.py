@@ -14,8 +14,9 @@ leg and reconstructing the other through the gap is the variance-reduced
 ("parity on") estimator.
 
 The functional hands the engine one float per window, the window's
-average (or terminal value), read from the driver's ``window_stats``,
-which it calls once per block.  The payoffs are built once per chunk of
+average (or terminal value), read from the driver's ``window_averages``
+(or ``window_terminals``), which it calls once per block; a grid computes
+no other statistic.  The payoffs are built once per chunk of
 the engine's fold: the engine passes a chunk's statistics to the row map,
 which builds the discounted payoffs of every strike for the whole chunk as
 one 2-D array, with the same elementwise operations a single window would
@@ -217,17 +218,18 @@ def _price_grid(
     specs: list[AsianSpec],
     n_iters: int,
     rng: np.random.Generator,
-    statistic: int,
+    statistic,
     use_parity: bool,
 ) -> list[PriceEstimate]:
     """Call and put prices on one statistic of the price path for a strike grid.
 
-    ``statistic`` picks it from the driver's ``window_stats``: 0 for the
-    time average, 1 for the terminal value.  One sweep folds, per window,
-    the discounted call and put payoffs of every strike, the statistic
-    itself and the squared payoffs.  The functional calls ``window_stats``
-    once per block, on the block's first window, keeps only that block's
-    statistic as a list of floats and returns each window's one float.
+    ``statistic`` is the driver's method for it, such as
+    ``driver.window_averages``: it maps a block to its windows' values.
+    One sweep folds, per window, the discounted call and put payoffs of
+    every strike, the statistic itself and the squared payoffs.  The
+    functional calls ``statistic`` once per block, on the block's first
+    window, keeps its values as a list of floats and returns each window's
+    one float.
     ``engine.run`` hands each chunk's floats to ``range_rows``, which
     builds the chunk's rows at once.
     """
@@ -257,7 +259,7 @@ def _price_grid(
     def functional(window: engine.Window) -> float:
         nonlocal memo
         if memo[0] is not window.block:
-            memo = window.block, driver.window_stats(window.block)[statistic].tolist()
+            memo = window.block, statistic(window.block).tolist()
         return memo[1][window.a]
 
     result = engine.run(driver, sched, functional, T, n_iters, rng, rows=range_rows)
@@ -273,7 +275,7 @@ def price_asian_grid(
     use_parity: bool = True,
 ) -> list[PriceEstimate]:
     """Estimate a strike grid of Asian prices from one trajectory."""
-    return _price_grid(driver, sched, specs, n_iters, rng, 0, use_parity)
+    return _price_grid(driver, sched, specs, n_iters, rng, driver.window_averages, use_parity)
 
 
 def price_european_grid(
@@ -284,7 +286,7 @@ def price_european_grid(
     rng: np.random.Generator,
 ) -> list[PriceEstimate]:
     """Estimate terminal-value (European) prices on a shared trajectory."""
-    return _price_grid(driver, sched, specs, n_iters, rng, 1, False)
+    return _price_grid(driver, sched, specs, n_iters, rng, driver.window_terminals, False)
 
 
 # -- Black-Scholes and implied volatility -------------------------------------

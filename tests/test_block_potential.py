@@ -1,13 +1,14 @@
 """Window statistics of whole blocks against a per-window reference.
 
-The pricing functional takes each window's time average or terminal value
-from the driver's ``window_stats``, which it calls once per block and which
-builds the statistics of every window of the block from chunked prefix and
-suffix sums (for Heston, of one log-price potential per block); the driver
-keeps none of it between calls.  The reference below rebuilds every window
-from its own states instead, as the scheme is written, and runs as a
-per-window functional through ``engine.run`` on the same trajectory; it is
-also compared with a block's statistics directly.
+The pricing functional takes each window's time average from the driver's
+``window_averages``, or its terminal value from ``window_terminals``, which
+it calls once per block; ``window_averages`` builds the averages of every
+window of the block from chunked prefix and suffix sums (for Heston, of one
+log-price potential per block), and the driver keeps none of it between
+calls.  The reference below rebuilds every window from its own states
+instead, as the scheme is written, and runs as a per-window functional
+through ``engine.run`` on the same trajectory; it is also compared with a
+block's statistics directly.
 Both must give the same estimator at every checkpoint, to 1e-12 relative,
 because they differ only in the order of their sums.
 
@@ -120,12 +121,15 @@ def _grid_run(driver, sched, specs, n, european, parity, monkeypatch):
 
     The functional returns each window's statistic and the engine folds the
     row that ``rows`` maps it to; the row recorded here is that map applied
-    to the one statistic.  The sweep calls ``window_stats`` once per block,
-    in the engine's order, and leaves nothing on the driver but its
-    parameters and, for BNS, the normals drawn for the next block.
+    to the one statistic.  The sweep calls the statistic it prices, the
+    terminal values for a European grid and the averages for an Asian one,
+    once per block, in the engine's order, and never the other; it leaves
+    nothing on the driver but its parameters and, for BNS, the normals
+    drawn for the next block.
     """
-    results, blocks, values = [], [], []
-    run, stats = engine.run, type(driver).window_stats
+    results, values = [], []
+    calls = {"window_averages": [], "window_terminals": []}
+    run = engine.run
 
     def keep(drv, s, functional, *args, **kwargs):
         def recorded(window):
@@ -136,18 +140,26 @@ def _grid_run(driver, sched, specs, n, european, parity, monkeypatch):
         results.append(run(drv, s, recorded, *args, **kwargs))
         return results[-1]
 
-    def spy(drv, block):
-        blocks.append(block)
-        return stats(drv, block)
+    def spy(name):
+        method = getattr(type(driver), name)
+
+        def called(drv, block):
+            calls[name].append(block)
+            return method(drv, block)
+
+        return called
 
     monkeypatch.setattr(engine, "run", keep)
-    monkeypatch.setattr(type(driver), "window_stats", spy)
+    for name in calls:
+        monkeypatch.setattr(type(driver), name, spy(name))
     if european:
         ests = pricing.price_european_grid(driver, sched, specs, n, stream(5, 0))
     else:
         ests = pricing.price_asian_grid(driver, sched, specs, n, stream(5, 0),
                                         use_parity=parity)
     monkeypatch.setattr(engine, "run", run)
+    blocks = calls.pop("window_terminals" if european else "window_averages")
+    assert list(calls.values()) == [[]]  # the other statistic is never built
     assert [b.start for b in blocks] == list(range(0, n, engine._BLOCK))
     assert sum(len(b.ends) for b in blocks) == n
     assert set(vars(driver)) == ({"params", "_normals"} if isinstance(driver, BnsDriver)
@@ -190,8 +202,8 @@ CASES = [
 
 @pytest.mark.parametrize("european,parity", [(False, True), (False, False), (True, False)])
 @pytest.mark.parametrize("model,r,rho,c2,T,n", CASES)
-def test_window_stats_match_per_window_reference(model, r, rho, c2, T, n, european, parity,
-                                                  monkeypatch):
+def test_window_statistics_match_per_window_reference(model, r, rho, c2, T, n, european,
+                                                      parity, monkeypatch):
     make_params, make_driver, reference_path = MODELS[model]
     params = make_params(r, rho)
     sched = make_polynomial_schedule(1.0, 1 / 3, c2, 1 / 3)
@@ -305,7 +317,7 @@ def test_block_stats_match_per_window_reference(model, r, rho, T, n, shape):
             assert segs.max() >= 3 * segs[segs > 0].min()
         paths = [reference_path(engine.Window(block, i, int(b)), params)
                  for i, b in enumerate(block.ends)]
-        got = driver.window_stats(block)
+        got = driver.window_averages(block), driver.window_terminals(block)
         for stat, statistic in zip(got, (PricePathView.average, PricePathView.terminal)):
             ref = np.array([statistic(p) for p in paths])
             assert _agree(stat, ref)

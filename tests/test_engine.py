@@ -562,6 +562,17 @@ class TestMarginalAccumulator:
         with pytest.raises(ValueError):
             MarginalAccumulator(dim=1).stats()
 
+    @pytest.mark.parametrize("kwargs,match", [
+        # dim = 0 would fold only each block's first point and report no moments
+        ({"dim": 0}, "state coordinate"),
+        ({"dim": 1, "bins": 0}, "histogram bin"),
+        ({"dim": 1, "lo": 1.0, "hi": 1.0}, "increasing"),
+        ({"dim": 1, "lo": 2.0, "hi": 1.0}, "increasing"),
+    ], ids=["dim=0", "bins=0", "hi=lo", "hi<lo"])
+    def test_constructor_rejects(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            MarginalAccumulator(**kwargs)
+
     @pytest.mark.parametrize("dim,width", [(1, 1), (2, 2), (1, 3), (2, 3)],
                              ids=["1", "2", "1-of-3", "2-of-3"])
     @pytest.mark.parametrize("n", [1, 2, 10, 11, engine._BLOCK + 1, 2 * engine._BLOCK + 17])

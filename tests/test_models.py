@@ -550,7 +550,7 @@ class TestBnsPricePath:
 
 
 class TestWindowStats:
-    """``window_stats`` of a block, over any range of it, is each window's ``price_path``."""
+    """A block's named statistics, over any range of it, are each window's ``price_path``."""
 
     @pytest.mark.parametrize("driver", [HestonDriver(bench_heston(rho=-0.9)),
                                         BnsDriver(bench_bns())], ids=["heston", "bns"])
@@ -564,7 +564,7 @@ class TestWindowStats:
             blocks.setdefault(w.block, []).append(w)
         assert len(blocks) == 2
         for block, ws in blocks.items():
-            averages, terminals = driver.window_stats(block)
+            averages, terminals = driver.window_averages(block), driver.window_terminals(block)
             assert len(averages) == len(terminals) == len(ws)
             cuts = [0, 1, 333, len(ws)]
             for lo, hi in zip(cuts, cuts[1:]):
@@ -577,7 +577,7 @@ class TestWindowStats:
         w = make_window([(0.012, 0.3)], [0.6], 0.6)
         for driver in (HestonDriver(bench_heston()), BnsDriver(bench_bns())):
             path = driver.price_path(w)
-            average, terminal = driver.window_stats(w.block)
+            average, terminal = driver.window_averages(w.block), driver.window_terminals(w.block)
             assert average == pytest.approx([path.average()], rel=1e-15)
             assert terminal == pytest.approx([path.terminal()], rel=1e-15)
 

@@ -17,7 +17,9 @@ same grid at truncation power 1.5, where a threshold rounded by
 Heston Asian grid on a second schedule, and three runs at checkpoint
 edges (the Heston Asian grid at ``n = 1`` and at ``n = 1e4``, whose last
 checkpoint is ``n`` itself, in the third engine block, and the Heston
-marginal at ``n = 1e4``, whose moment rows run ``1 .. 1e4``).  Each case
+marginal at ``n = 1e4``, whose moment rows run ``1 .. 1e4``), and
+``vol-surface`` at maturities 0.05 and 1 on each model (at 0.05 the early
+windows are one point, all tail; no workload runs the BNS surface).  Each case
 runs once from ``PARENT_CHECKOUT/src`` and once from this checkout's
 ``src``, for every seed, with the config's own ``threads`` and with ``--threads 1``
 (one run when the two agree).  The script prints how many CSV cells differ
@@ -55,6 +57,9 @@ class Case:
 
 # the BNS Asian grid config without truncation_power
 BNS_POWER1 = {**{k: v for k, v in BNS.items() if k != "truncation_power"}, **GRID, "parity": "on"}
+# a short maturity beside T = 1: at T = 0.05 the windows that start below
+# about index 8000 have one point, so their terminal value is all tail
+SURFACE = {"strikes": "44,46,48,50,52,54,56", "maturities": "0.05,1"}
 
 CASES = {
     **{name: Case(wl.command, wl.config, wl.n_iters) for name, wl in WORKLOADS.items()},
@@ -85,6 +90,8 @@ CASES = {
     "heston-asian-n1": Case("price-asian", WORKLOADS["heston-asian"].config, 1),
     "heston-asian-1e4": Case("price-asian", WORKLOADS["heston-asian"].config, 10_000),
     "heston-marginal-1e4": Case("stationary-stats", WORKLOADS["heston-marginal"].config, 10_000),
+    "heston-surface-short": Case("vol-surface", {**HESTON, **SURFACE}, 5_000),
+    "bns-surface": Case("vol-surface", {**BNS, **SURFACE}, 5_000),
 }
 
 
